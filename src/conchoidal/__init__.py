@@ -10,6 +10,7 @@ iterated conchoids, and recognition procedures.
 from .curves import Divisor, DivisorComponent, PlaneCurve, ProjPoint, Scene, recenter
 from .errors import (
     ConchoidError,
+    CyclicTangentError,
     DecompositionMismatchError,
     DegenerateConicError,
     DegenerateMembershipError,
@@ -59,8 +60,8 @@ from .transform import (
 )
 
 __all__ = [
-    "CircleSpec", "Candidate", "CheckRecord", "ConchoidError", "Divisor",
-    "DivisorComponent", "DecompositionMismatchError", "DegenerateConicError",
+    "CircleSpec", "Candidate", "CheckRecord", "ConchoidError", "CyclicTangentError",
+    "Divisor", "DivisorComponent", "DecompositionMismatchError", "DegenerateConicError",
     "DegenerateMembershipError", "DegreeBoundError", "EliminationDegenerateError",
     "FIELD_Q", "FIELD_QI", "GaussianRational", "IdenticallyZeroError",
     "InvalidSceneError", "Membership", "MultiPoly", "NotHomogeneousError",

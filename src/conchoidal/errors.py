@@ -44,6 +44,11 @@ class NotSquarefreeError(ConchoidError):
     """The splitting criterion requires a reduced (squarefree) input curve."""
 
 
+class CyclicTangentError(ConchoidError, ValueError):
+    """The curve contains a line through A and a cyclic point, so the
+    splitting criterion does not apply (the curve is not irreducible)."""
+
+
 class DegenerateConicError(ConchoidError):
     """The focus test requires a smooth conic."""
 

@@ -1,25 +1,29 @@
 """The conchoid Sylvester-type matrix and exact determinants.
 
-poly_matrix_det evaluates determinants of matrices with polynomial entries.
-Primary path: dehomogenize (z = 1), evaluate all entries on an integer grid,
-take scalar determinants by fraction-free Bareiss elimination, interpolate
-the dense bivariate result and re-homogenize to the known total degree.
-Falls back to Bareiss elimination directly on polynomial entries when the
-structure does not fit (non-homogeneous rows, extra variables, huge grid).
+poly_matrix_det evaluates determinants of matrices with polynomial entries
+on one exact integer kernel.  The entries are dehomogenized (z = 1) and
+each row is scaled to integer coefficients, or to Gaussian-integer ones
+over Q(i).  The determinant, of total degree at most D, is then sampled on
+the triangular grid x0 + y0 <= D; every sample is a Z or Z[i] determinant
+by fraction-free Bareiss.  Integer forward differences along x, then along
+y, give its Newton form on that lattice, and Horner steps in the
+falling-factorial basis turn it into monomials; the row scales are divided
+out once at the end.  An off-grid residual check guards the degree bound,
+and homogeneous matrices are re-homogenized to their known total degree.
+Only matrices that are neither homogeneous in (x, y, z) nor bivariate fall
+back to Bareiss elimination on the polynomial entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd as int_gcd
-from typing import List, Optional, Sequence
+from math import comb, lcm
+from typing import Iterable, List, Optional, Sequence
 
 from .errors import DegreeBoundError
-from .fields import FIELD_Q, FIELD_QI, GaussianRational, Scalar, to_scalar
+from .fields import FIELD_Q, FIELD_QI, GaussianRational, Scalar, im_part, re_part
 from .multipoly import MultiPoly, homogeneous_decompose, merge_vars, poly_exact_div
-
-MAX_GRID_POINTS = 6000
 
 
 @dataclass
@@ -99,21 +103,57 @@ def conchoid_matrix(B, C) -> PolyMatrix:
 
 
 def det_scalar(rows: List[List]) -> Scalar:
-    """Exact determinant of a scalar matrix (ints fast-tracked through
-    fraction-free Bareiss; Fractions/GaussianRationals use exact division)."""
+    """Exact determinant of a square scalar matrix.
+
+    Entries are ints, ``(re, im)`` int pairs standing for Gaussian integers,
+    or Fractions/GaussianRationals.  Z and Z[i] matrices run fraction-free
+    Bareiss and return an int or an ``(re, im)`` pair.  Rational matrices
+    are row-scaled onto the same kernels and return a Fraction, or a
+    GaussianRational when any entry is one."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    if all(isinstance(c, int) for row in rows for c in row):
-        return _det_bareiss(rows, 1, lambda a, b: a // b)
-    return _det_bareiss([list(r) for r in rows], Fraction(1), lambda a, b: a / b)
+    entries = [c for row in rows for c in row]
+    if all(type(c) is int for c in entries):
+        return _det_int(rows)
+    if all(type(c) is tuple for c in entries):
+        return _det_gauss(rows)
+    gaussian = any(isinstance(c, GaussianRational) for c in entries)
+    scale = 1
+    scaled = []
+    for row in rows:
+        row_lcm = _denominator_lcm(row)
+        scale *= row_lcm
+        if gaussian:
+            scaled.append([(_times(re_part(c), row_lcm), _times(im_part(c), row_lcm))
+                           for c in row])
+        else:
+            scaled.append([_times(re_part(c), row_lcm) for c in row])
+    if gaussian:
+        re, im = _det_gauss(scaled)
+        return GaussianRational(Fraction(re, scale), Fraction(im, scale))
+    return Fraction(_det_int(scaled), scale)
 
 
-def _det_bareiss(mat, one, div):
+def _denominator_lcm(scalars: Iterable) -> int:
+    """Least common multiple of the denominators of the real and imaginary
+    parts."""
+    out = 1
+    for c in scalars:
+        out = lcm(out, re_part(c).denominator, im_part(c).denominator)
+    return out
+
+
+def _times(q: Fraction, multiple: int) -> int:
+    """q * multiple, an integer because the denominator of q divides multiple."""
+    return q.numerator * (multiple // q.denominator)
+
+
+def _det_int(rows) -> int:
+    """Fraction-free Bareiss over Z; every division is exact."""
+    mat = [list(r) for r in rows]
     n = len(mat)
-    mat = [list(r) for r in mat]
-    sign = 1
-    prev = one
+    sign, prev = 1, 1
     for k in range(n - 1):
         if not mat[k][k]:
             for i in range(k + 1, n):
@@ -122,16 +162,52 @@ def _det_bareiss(mat, one, div):
                     sign = -sign
                     break
             else:
-                return one - one  # zero of the right type
+                return 0
         pivot = mat[k][k]
+        tail_k = mat[k][k + 1:]
         for i in range(k + 1, n):
-            mik = mat[i][k]
-            row_i, row_k = mat[i], mat[k]
-            for j in range(k + 1, n):
-                row_i[j] = div(pivot * row_i[j] - mik * row_k[j], prev)
-            row_i[k] = one - one
+            row = mat[i]
+            m = row[k]
+            if m:
+                row[k + 1:] = [(pivot * a - m * b) // prev for a, b in zip(row[k + 1:], tail_k)]
+            elif pivot != prev:
+                row[k + 1:] = [pivot * a // prev for a in row[k + 1:]]
         prev = pivot
-    return mat[n - 1][n - 1] if sign > 0 else -mat[n - 1][n - 1]
+    return sign * mat[n - 1][n - 1]
+
+
+def _det_gauss(rows) -> tuple:
+    """Fraction-free Bareiss over Z[i] on (re, im) int pairs; every division
+    by the previous pivot q is exact, done as multiplication by conj(q)
+    followed by integer division by |q|^2."""
+    mat = [list(r) for r in rows]
+    n = len(mat)
+    sign = 1
+    qr, qi = 1, 0
+    for k in range(n - 1):
+        if mat[k][k] == (0, 0):
+            for i in range(k + 1, n):
+                if mat[i][k] != (0, 0):
+                    mat[k], mat[i] = mat[i], mat[k]
+                    sign = -sign
+                    break
+            else:
+                return (0, 0)
+        kr, ki = mat[k][k]
+        norm = qr * qr + qi * qi
+        tail_k = mat[k][k + 1:]
+        for i in range(k + 1, n):
+            row = mat[i]
+            mr, mi = row[k]
+            new = []
+            for (ar, ai), (br, bi) in zip(row[k + 1:], tail_k):
+                sr = kr * ar - ki * ai - mr * br + mi * bi
+                si = kr * ai + ki * ar - mr * bi - mi * br
+                new.append(((sr * qr + si * qi) // norm, (si * qr - sr * qi) // norm))
+            row[k + 1:] = new
+        qr, qi = kr, ki
+    re, im = mat[n - 1][n - 1]
+    return (re, im) if sign > 0 else (-re, -im)
 
 
 def det_bareiss_poly(rows: List[List[MultiPoly]]) -> MultiPoly:
@@ -166,27 +242,88 @@ def det_bareiss_poly(rows: List[List[MultiPoly]]) -> MultiPoly:
     return det if sign > 0 else -det
 
 
-# -- interpolation ------------------------------------------------------------
+# -- integer interpolation ------------------------------------------------------
 
 
-def _interp_newton(values: Sequence[Scalar]) -> List[Scalar]:
-    """Dense coefficients (ascending) of the interpolant through
-    (k, values[k]) for k = 0..len-1."""
-    n = len(values)
-    dd = [Fraction(v) if isinstance(v, int) else v for v in values]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / j
-    coeffs = [dd[n - 1]]
-    for i in range(n - 2, -1, -1):
-        # coeffs <- coeffs*(t - i) + dd[i]
-        new = [0] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            new[k + 1] = new[k + 1] + c
-            new[k] = new[k] - c * i
-        new[0] = new[0] + dd[i]
-        coeffs = new
-    return coeffs
+def _falling_coefficients(values: Sequence[int]) -> List[int]:
+    """c with v(t) = sum_k c[k] * t(t-1)...(t-k+1), from the samples
+    v(0), v(1), ... of a polynomial with integer coefficients: the forward
+    differences (Delta^k v)(0) / k!.  Step k divides every difference by k,
+    which is exact for such a v and keeps the numbers small."""
+    d = list(values)
+    for k in range(1, len(d)):
+        d[k:] = [(a - b) // k for a, b in zip(d[k:], d[k - 1:])]
+    return d
+
+
+def _falling_to_monomial(coeffs: Sequence[int]) -> List[int]:
+    """Ascending monomial coefficients of sum_k coeffs[k] * t(t-1)...(t-k+1),
+    by Horner steps out <- out * (t - k) + coeffs[k]."""
+    out = [coeffs[-1]]
+    for k in range(len(coeffs) - 2, -1, -1):
+        out = [coeffs[k] - k * out[0]] + [a - k * b for a, b in zip(out, out[1:])] + [out[-1]]
+    return out
+
+
+def _interp_triangle(values: List[List[int]]) -> dict:
+    """{(a, b): c} of the integer polynomial of total degree <= D through
+    values[x0][y0] = p(x0, y0) for x0 + y0 <= D, D = len(values) - 1.
+
+    Differences along x for each y0, then along y for each x-order i, give
+    the Newton form sum c_ij x(x-1)..(x-i+1) y(y-1)..(y-j+1) on the
+    triangular lattice; both factors are then converted to monomials."""
+    D = len(values) - 1
+    along_x = [_falling_coefficients([values[x0][y0] for x0 in range(D + 1 - y0)])
+               for y0 in range(D + 1)]
+    along_y = [_falling_to_monomial(_falling_coefficients(
+        [along_x[y0][i] for y0 in range(D + 1 - i)])) for i in range(D + 1)]
+    terms = {}
+    for b in range(D + 1):
+        column = _falling_to_monomial([along_y[i][b] for i in range(D + 1 - b)])
+        for a, c in enumerate(column):
+            if c:
+                terms[(a, b)] = c
+    return terms
+
+
+def _integer_parts(e: MultiPoly, multiple: int, gaussian: bool, key) -> List[dict]:
+    """multiple * e as an integer polynomial {key(exponent): c}, or as its
+    (re, im) pair of integer polynomials when ``gaussian``."""
+    parts = [{}, {}] if gaussian else [{}]
+    for exp, c in e.terms.items():
+        k = key(exp)
+        for part, value in zip(parts, (re_part(c), im_part(c))):
+            if value:
+                part[k] = _times(value, multiple)
+    return parts
+
+
+def _divide_out(parts: List[dict], scale: int) -> dict:
+    """{k: c / scale} from one integer coefficient map, or from its (re, im)
+    pair over Z[i]."""
+    if len(parts) == 1:
+        return {k: Fraction(c, scale) for k, c in parts[0].items()}
+    re, im = parts
+    return {k: GaussianRational(Fraction(re.get(k, 0), scale), Fraction(im.get(k, 0), scale))
+            for k in re.keys() | im.keys()}
+
+
+def _horner(coeffs: Sequence[int], t: int) -> int:
+    total = 0
+    for c in reversed(coeffs):
+        total = total * t + c
+    return total
+
+
+def _at_x(part: dict, x0: int) -> List[int]:
+    """Ascending coefficients in y of p(x0, y), p given as {(a, b): c}."""
+    ycoef = [0] * (max((b for _, b in part), default=-1) + 1)
+    for (a, b), c in part.items():
+        ycoef[b] += c * x0 ** a
+    return ycoef
+
+
+# -- polynomial matrix determinants --------------------------------------------
 
 
 def _row_degrees(M: PolyMatrix) -> Optional[List[int]]:
@@ -224,32 +361,11 @@ def _bivariate_only(M: PolyMatrix) -> bool:
     return True
 
 
-def _grid_values(entry: MultiPoly, D: int, integral: bool) -> List[List]:
-    """entry(x, y) on the integer grid 0..D squared (entry already z-free)."""
-    xi = entry.vars.index("x") if "x" in entry.vars else None
-    yi = entry.vars.index("y") if "y" in entry.vars else None
-    by_x: dict = {}
-    for exp, c in entry.terms.items():
-        a = exp[xi] if xi is not None else 0
-        b = exp[yi] if yi is not None else 0
-        by_x.setdefault(a, []).append((b, c))
-    zero = 0 if integral else to_scalar(0, entry.field)
-    out = []
-    for x0 in range(D + 1):
-        ycoef: dict = {}
-        for a, items in by_x.items():
-            xa = x0 ** a
-            for b, c in items:
-                ycoef[b] = ycoef.get(b, zero) + c * xa
-        row = []
-        bs = sorted(ycoef)
-        for y0 in range(D + 1):
-            total = zero
-            for b in bs:
-                total = total + ycoef[b] * (y0 ** b)
-            row.append(total)
-        out.append(row)
-    return out
+def _xy_key(e: MultiPoly):
+    """Exponent vector -> (deg x, deg y), dropping z (dehomogenization)."""
+    xi = e.vars.index("x") if "x" in e.vars else None
+    yi = e.vars.index("y") if "y" in e.vars else None
+    return lambda exp: (exp[xi] if xi is not None else 0, exp[yi] if yi is not None else 0)
 
 
 def poly_matrix_det(M: PolyMatrix, degree_bound: int) -> MultiPoly:
@@ -259,78 +375,57 @@ def poly_matrix_det(M: PolyMatrix, degree_bound: int) -> MultiPoly:
     n = M.rows
     if n == 0:
         return MultiPoly.constant(1, ("x", "y", "z"), FIELD_Q)
+    sample = M.entries[0]
     degs = _row_degrees(M)
-    grid_ok = (degree_bound + 1) ** 2 <= MAX_GRID_POINTS
     if degs == [-1]:
-        sample = M.entries[0]
         return MultiPoly.zero(sample.vars, sample.field)
     homogeneous = degs is not None
-    if not homogeneous and (not grid_ok or not _bivariate_only(M)):
+    if not homogeneous and not _bivariate_only(M):
         return det_bareiss_poly([M.row(i) for i in range(n)])
-    if not grid_ok:
-        return det_bareiss_poly([M.row(i) for i in range(n)])
-    total = sum(degs) if homogeneous else None
-    if homogeneous and total > degree_bound:
+    D = sum(degs) if homogeneous else degree_bound
+    if D > degree_bound:
         raise DegreeBoundError(
-            f"matrix rows force determinant degree {total} > bound {degree_bound}")
-    D = degree_bound
-    sample = M.entries[0]
-    field = sample.field
-    for e in M.entries:
-        if e.field == FIELD_QI:
-            field = FIELD_QI
-    dehom = [e.dehomogenize("z") if "z" in e.vars else e for e in M.entries]
+            f"matrix rows force determinant degree {D} > bound {degree_bound}")
+    field = FIELD_QI if any(e.field == FIELD_QI for e in M.entries) else sample.field
+    gaussian = any(im_part(c) for e in M.entries for c in e.terms.values())
 
-    # Row-scale to integer coefficients over Q so grid determinants run on
-    # plain ints.
-    integral = field == FIELD_Q
-    scale = Fraction(1)
-    if integral:
-        scaled = []
-        for i in range(n):
-            lcm = 1
-            for e in dehom[i * n:(i + 1) * n]:
-                for c in e.terms.values():
-                    lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-            scale = scale * lcm
-            for e in dehom[i * n:(i + 1) * n]:
-                scaled.append(MultiPoly(e.vars, e.field,
-                                        {exp: int(c * lcm) for exp, c in e.terms.items()}))
-        dehom = scaled
+    # Scale each dehomogenized row to Z (or Z[i]) coefficients.
+    scale = 1
+    parts = []
+    for i in range(n):
+        row = M.row(i)
+        row_lcm = _denominator_lcm(c for e in row for c in e.terms.values())
+        scale *= row_lcm
+        parts += [_integer_parts(e, row_lcm, gaussian, _xy_key(e)) for e in row]
 
-    grids = [_grid_values(e, D, integral) for e in dehom]
-
+    # Sample on the triangle x0 + y0 <= D, one column x = x0 at a time.
+    # Entries are evaluated point by point, so memory stays at the size of
+    # the input plus one value per sample.
     values = []
     for x0 in range(D + 1):
-        row_vals = []
-        for y0 in range(D + 1):
-            mat = [[grids[i * n + j][x0][y0] for j in range(n)] for i in range(n)]
-            row_vals.append(det_scalar(mat))
-        values.append(row_vals)
+        rows = [[[_at_x(part, x0) for part in e] for e in parts[i * n:(i + 1) * n]]
+                for i in range(n)]
+        column = []
+        for y0 in range(D + 1 - x0):
+            if gaussian:
+                mat = [[(_horner(re, y0), _horner(im, y0)) if re or im else (0, 0)
+                        for re, im in row] for row in rows]
+            else:
+                mat = [[_horner(c, y0) if c else 0 for (c,) in row] for row in rows]
+            column.append(det_scalar(mat))
+        values.append(column)
 
-    # Interpolate x for each fixed y, then y across the x-coefficients.
-    x_coeffs = [_interp_newton([values[x0][y0] for x0 in range(D + 1)]) for y0 in range(D + 1)]
-    terms = {}
-    for k in range(D + 1):
-        col = [x_coeffs[y0][k] if k < len(x_coeffs[y0]) else 0 for y0 in range(D + 1)]
-        if not any(col):
-            continue
-        cy = _interp_newton(col)
-        for l, c in enumerate(cy):
-            if c:
-                terms[(k, l)] = c
-    det_aff = MultiPoly.make(("x", "y"), field, terms)
-    if integral and scale != 1:
-        det_aff = det_aff / scale
+    if gaussian:
+        interpolated = [_interp_triangle([[v[p] for v in col] for col in values]) for p in (0, 1)]
+    else:
+        interpolated = [_interp_triangle(values)]
+    det_aff = MultiPoly.make(("x", "y"), field, _divide_out(interpolated, scale))
 
     # Residual check at a point outside the grid.
-    extra = D + 1
-    check_mat = [[dehom[i * n + j].evaluate({"x": Fraction(extra), "y": Fraction(extra)})
-                  for j in range(n)] for i in range(n)]
-    expected = det_scalar(check_mat)
-    if integral and scale != 1:
-        expected = expected / scale
-    if det_aff.evaluate({"x": Fraction(extra), "y": Fraction(extra)}) != expected:
+    extra = Fraction(D + 1)
+    point = {"x": extra, "y": extra, "z": Fraction(1)}
+    expected = det_scalar([[e.evaluate(point) for e in M.row(i)] for i in range(n)])
+    if det_aff.evaluate(point) != expected:
         raise DegreeBoundError("interpolation residual nonzero: degree bound violated")
 
     if not homogeneous:          # z-free matrix: the affine result is final
@@ -339,7 +434,7 @@ def poly_matrix_det(M: PolyMatrix, degree_bound: int) -> MultiPoly:
     # Re-homogenize each monomial to the known total degree.
     out_terms = {}
     for (a, b), c in det_aff.terms.items():
-        zc = total - a - b
+        zc = D - a - b
         if zc < 0:
             raise DegreeBoundError("dehomogenized determinant exceeds the homogeneous degree")
         out_terms[(a, b, zc)] = c
@@ -351,11 +446,17 @@ def poly_matrix_det(M: PolyMatrix, degree_bound: int) -> MultiPoly:
 
 def sylvester_matrix_scalars(fc: List[Scalar], gc: List[Scalar]) -> List[List[Scalar]]:
     """Sylvester matrix from ascending coefficient lists taken at their
-    NOMINAL degrees (leading entries may be zero)."""
+    NOMINAL degrees (leading entries may be zero).  Entries are scalars,
+    ints, or (re, im) int pairs, as det_scalar takes them."""
     m = len(fc) - 1
     n = len(gc) - 1
     size = m + n
-    pad: object = 0 if all(isinstance(c, int) for c in fc + gc) else Fraction(0)
+    if all(isinstance(c, int) for c in fc + gc):
+        pad: object = 0
+    elif all(isinstance(c, tuple) for c in fc + gc):
+        pad = (0, 0)
+    else:
+        pad = Fraction(0)
     rows = []
     frow = list(reversed(fc))
     grow = list(reversed(gc))
@@ -419,53 +520,32 @@ def _resultant_interp_1var(fc: List[MultiPoly], gc: List[MultiPoly], var: str,
                            rest, field) -> MultiPoly:
     """Evaluation-interpolation resultant when the coefficients involve a
     single variable: the determinant degree is bounded by row count times
-    entry degree, and each sample is a scalar nominal-degree resultant."""
+    entry degree.  The coefficients are scaled to Z (or Z[i]), each sample
+    at var = 0..bound is a scalar nominal-degree resultant, and integer
+    differences interpolate it."""
     m, n = len(fc) - 1, len(gc) - 1
     df = max(c.degree_in(var) for c in fc)
     dg = max(c.degree_in(var) for c in gc)
     bound = n * max(df, 0) + m * max(dg, 0)
-    fu = [c.as_unipoly(var) for c in fc]
-    gu = [c.as_unipoly(var) for c in gc]
-    integral = field == FIELD_Q
-    scale = Fraction(1)
-    if integral:
-        lf = _clear_denominators(fu)
-        lg = _clear_denominators(gu)
-        scale = Fraction(lf) ** n * Fraction(lg) ** m
-    values = []
-    for k in range(bound + 1):
-        if integral:
-            fvals = [_eval_int(u.coeffs, k) for u in fu]
-            gvals = [_eval_int(u.coeffs, k) for u in gu]
-        else:
-            point = to_scalar(k, field)
-            fvals = [u.eval(point) for u in fu]
-            gvals = [u.eval(point) for u in gu]
-        values.append(resultant_nominal(fvals, gvals))
-    coeffs = _interp_newton(values)
-    if integral and scale != 1:
-        coeffs = [c / scale for c in coeffs]
-    out = MultiPoly.make((var,), field, {(i,): c for i, c in enumerate(coeffs)})
+    gaussian = any(im_part(c) for p in fc + gc for c in p.terms.values())
+    vi = rest.index(var)
+
+    def integer_coeffs(polys):
+        multiple = _denominator_lcm(c for p in polys for c in p.terms.values())
+        return multiple, [_integer_parts(p, multiple, gaussian, lambda exp: exp[vi])
+                          for p in polys]
+
+    def sample(parts, t):
+        vals = tuple(sum(c * t ** k for k, c in part.items()) for part in parts)
+        return vals if gaussian else vals[0]
+
+    lf, fu = integer_coeffs(fc)
+    lg, gu = integer_coeffs(gc)
+    values = [resultant_nominal([sample(p, t) for p in fu], [sample(p, t) for p in gu])
+              for t in range(bound + 1)]
+    samples = [[v[p] for v in values] for p in (0, 1)] if gaussian else [values]
+    interpolated = [dict(enumerate(_falling_to_monomial(_falling_coefficients(s))))
+                    for s in samples]
+    coeffs = _divide_out(interpolated, lf ** n * lg ** m)
+    out = MultiPoly.make((var,), field, {(k,): c for k, c in coeffs.items()})
     return out.with_vars(rest)
-
-
-def _eval_int(coeffs, x: int) -> int:
-    total = 0
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
-def _clear_denominators(polys) -> int:
-    lcm = 1
-    for u in polys:
-        for c in u.coeffs:
-            f = Fraction(c)
-            lcm = lcm * f.denominator // int_gcd(lcm, f.denominator)
-    if lcm != 1:
-        for u in polys:
-            u.coeffs = [int(c * lcm) for c in u.coeffs]
-    else:
-        for u in polys:
-            u.coeffs = [int(c) if Fraction(c).denominator == 1 else c for c in u.coeffs]
-    return lcm

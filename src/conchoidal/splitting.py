@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import List, Optional, Tuple
 
 from .curves import CURVE_VARS, PlaneCurve
-from .errors import DegenerateConicError, NotSquarefreeError
+from .errors import CyclicTangentError, DegenerateConicError, NotSquarefreeError
 from .fields import (
     FIELD_Q,
     FIELD_QI,
@@ -198,7 +198,7 @@ def _split_even(C: PlaneCurve, G: MultiPoly, A, delta: int) -> SplitResult:
     g1 = _restrict(G, p1)
     g2 = _restrict(G, p2)
     if g1.is_zero() or g2.is_zero():
-        raise ValueError("curve contains a cyclic tangent line; not irreducible")
+        raise CyclicTangentError("curve contains a cyclic tangent line; not irreducible")
     sq1 = square_root_up_to_scalar(g1)
     if sq1 is None:
         return SplitResult("irreducible", notes=["restriction to l1 is not a square"])
@@ -372,7 +372,7 @@ def _split_odd(C: PlaneCurve, G: MultiPoly, A, delta: int) -> SplitResult:
     g1 = _restrict(G, p1)
     g2 = _restrict(G, p2)
     if g1.is_zero() or g2.is_zero():
-        raise ValueError("curve contains a cyclic tangent line; not irreducible")
+        raise CyclicTangentError("curve contains a cyclic tangent line; not irreducible")
     e1 = _restrict(l2, p1)      # restriction of the other line
     e2 = _restrict(l1, p2)
     q1 = poly_exact_div(g1, e1)

@@ -57,6 +57,15 @@ def test_split_exit_codes(capsys):
     assert code == 0
 
 
+def test_split_cyclic_tangent_is_math_error(capsys):
+    # a curve containing a line through A and a cyclic point is a
+    # mathematical degeneracy (exit 1), not a usage error (exit 2)
+    for curve in ("x^2+y^2", "(x^2+y^2)*(x-z)"):
+        code, _, err = run(capsys, "split", "--C", curve)
+        assert code == 1
+        assert err.startswith("error:") and "cyclic tangent line" in err
+
+
 def test_split_components(capsys):
     code, out, _ = run(capsys, "split", "--C", "(y+z)^2-(x^2+y^2)", "--components", "--json")
     assert code == 0

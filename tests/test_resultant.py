@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from conchoidal import (
+    FIELD_QI,
+    GaussianRational,
     MultiPoly,
     PlaneCurve,
     PolyMatrix,
@@ -14,7 +17,14 @@ from conchoidal import (
     sylvester_resultant,
 )
 from conchoidal.errors import DegreeBoundError
-from conchoidal.resultant import det_bareiss_poly, resultant_nominal
+from conchoidal.resultant import (
+    _falling_coefficients,
+    _falling_to_monomial,
+    _interp_triangle,
+    det_bareiss_poly,
+    det_scalar,
+    resultant_nominal,
+)
 
 from helpers import random_form, random_poly
 
@@ -225,3 +235,112 @@ def test_sylvester_gaussian_coefficients():
     # the root of h is t = i x; the resultant is f at that root (h monic)
     check = pp("(i*x)^2 + x*(i*x) + i", FIELD_QI).with_vars(("x",))
     assert r.proportional_to(check)
+
+
+# -- the integer kernel ----------------------------------------------------------
+
+
+def _gaussian(make):
+    """make() + i*make(): a polynomial with genuinely complex coefficients."""
+    return make() + make() * GaussianRational(0, 1)
+
+
+def _leibniz_det(rows):
+    """Determinant by the permutation expansion, independent of Bareiss."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = Fraction(sign)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+def test_det_scalar_gaussian_integer_kernel():
+    # Z[i] Bareiss on (re, im) pairs, with zero pivots forcing row swaps,
+    # against the permutation expansion over Q(i)
+    rng = random.Random(53)
+    for n in (1, 2, 3, 4):
+        for _ in range(8):
+            pairs = [[(rng.randint(-9, 9), rng.randint(-9, 9)) if rng.random() < 0.7 else (0, 0)
+                      for _ in range(n)] for _ in range(n)]
+            re, im = det_scalar(pairs)
+            expected = _leibniz_det([[GaussianRational(a, b) for a, b in row] for row in pairs])
+            assert GaussianRational(re, im) == expected
+            rational = [[GaussianRational(Fraction(a, 3), Fraction(b, 2)) for a, b in row]
+                        for row in pairs]
+            assert det_scalar(rational) == _leibniz_det(rational)
+
+
+def test_det_dual_route_gaussian_z_free():
+    rng = random.Random(59)
+    for size in (2, 3):
+        for _ in range(4):
+            entries = [_gaussian(lambda: random_poly(rng, ("x", "y"), 2)).with_vars(VARS)
+                       for _ in range(size * size)]
+            M = PolyMatrix(size, size, entries)
+            direct = det_bareiss_poly([M.row(i) for i in range(size)])
+            assert poly_matrix_det(M, 2 * size) == direct
+
+
+def test_det_dual_route_gaussian_homogeneous():
+    rng = random.Random(61)
+    for degs in ([1, 2, 1], [2, 1, 1, 1]):
+        for _ in range(3):
+            rows = [[_gaussian(lambda: random_form(rng, d)) for _ in degs] for d in degs]
+            M = PolyMatrix(len(degs), len(degs), [e for row in rows for e in row])
+            got = poly_matrix_det(M, sum(degs))
+            assert got.field == FIELD_QI
+            assert got == det_bareiss_poly(rows)
+
+
+def test_gaussian_conchoid_matches_bareiss():
+    rng = random.Random(67)
+    B = _gaussian(lambda: random_form(rng, 2))
+    C = _gaussian(lambda: random_form(rng, 2))
+    M = conchoid_matrix(B, C)
+    assert poly_matrix_det(M, 8) == det_bareiss_poly([M.row(i) for i in range(M.rows)])
+
+
+def test_degree_80_homogeneous_determinant_is_exact():
+    # degree 80 on the grid path: 3321 triangular samples, where a square
+    # grid would need 81^2 = 6561
+    x, y, z = (MultiPoly.variable(v, VARS) for v in VARS)
+    rows = [[(x + 2 * z) ** 40, (y - z) ** 20 * x ** 20],
+            [(x - y) ** 40 + z ** 40, (3 * x + y) ** 30 * z ** 10]]
+    M = PolyMatrix(2, 2, [e for row in rows for e in row])
+    det = poly_matrix_det(M, 80)
+    assert det.is_homogeneous() and det.total_degree() == 80
+    rng = random.Random(71)
+    for _ in range(5):
+        pt = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for v in VARS}
+        values = [[e.evaluate(pt) for e in row] for row in rows]
+        assert det.evaluate(pt) == values[0][0] * values[1][1] - values[0][1] * values[1][0]
+
+
+def test_integer_triangle_interpolation_recovers_polynomials():
+    rng = random.Random(73)
+    for D in (0, 1, 2, 5, 9, 14):
+        for _ in range(3):
+            poly = {}
+            for a in range(D + 1):
+                for b in range(D + 1 - a):
+                    if rng.random() < 0.6:
+                        poly[(a, b)] = rng.randint(-10 ** 6, 10 ** 6)
+            values = [[sum(c * x0 ** a * y0 ** b for (a, b), c in poly.items())
+                       for y0 in range(D + 1 - x0)] for x0 in range(D + 1)]
+            assert _interp_triangle(values) == {k: c for k, c in poly.items() if c}
+
+
+def test_integer_falling_factorial_round_trip():
+    rng = random.Random(79)
+    for n in (1, 2, 6, 20):
+        coeffs = [rng.randint(-10 ** 9, 10 ** 9) for _ in range(n)]
+        values = [sum(c * t ** k for k, c in enumerate(coeffs)) for t in range(n)]
+        assert _falling_to_monomial(_falling_coefficients(values)) == coeffs
