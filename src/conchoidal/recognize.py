@@ -15,13 +15,12 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .curves import CURVE_VARS, Divisor, PlaneCurve, ProjPoint, Scene, recenter
-from .errors import DecompositionMismatchError
+from .errors import ConchoidError, DecompositionMismatchError
 from .fields import FIELD_Q, FIELD_QI, GaussianRational, Scalar, as_fraction, to_scalar
 from .gcd import is_squarefree, poly_gcd
 from .grammar import poly_to_text, scalar_to_text
 from .multipoly import MultiPoly, UniPoly, poly_exact_div
-from .resultant import sylvester_resultant
-from .roots import rational_roots, square_root_up_to_scalar
+from .roots import common_roots, rational_roots, solve_zero_dim, square_root_up_to_scalar
 from .transform import (
     conchoidal_transform,
     extract_known_components,
@@ -215,65 +214,20 @@ def _double_component(resid: MultiPoly) -> Optional[MultiPoly]:
 
 def _rational_multiple_points(D: PlaneCurve, min_mult: int
                               ) -> Tuple[List[Tuple[Fraction, Fraction]], bool]:
-    """Affine rational points with multiplicity >= min_mult, via pairwise
-    resultant elimination of (d, d_x, d_y).  Second result: True when the
-    elimination certifies there is no such point over the closure."""
+    """Affine rational points with multiplicity >= min_mult, solved from
+    (d, d_x, d_y).  Second result: True when the elimination certifies there
+    is no such point over the closure."""
     d = D.equation.dehomogenize("z").with_vars(("x", "y"))
-    eqs = [d, d.derivative("x"), d.derivative("y")]
-    eqs = [e for e in eqs if not e.is_zero()]
-    if any(e.is_constant() for e in eqs):
-        return [], True
-    xpolys: List[UniPoly] = []
-    with_y = [e for e in eqs if e.uses_var("y")]
-    for e in eqs:
-        if not e.uses_var("y"):
-            xpolys.append(e.as_unipoly("x"))
-    from itertools import combinations
-
-    for e1, e2 in combinations(with_y, 2):
-        r = sylvester_resultant(e1, e2, "y")
-        if r.is_zero():
-            continue
-        if r.is_constant():
-            return [], True
-        xpolys.append(r.with_vars(("x",)).as_unipoly("x"))
-    if not xpolys:
-        return [], False
-    g: Optional[UniPoly] = None
-    for p in xpolys:
-        g = p if g is None else g.gcd(p)
-        if g.degree() == 0:
-            return [], True
-    roots = rational_roots(g, d.field)
-    definitive_no = sum(m for _, m in roots) == g.degree()
+    uv = MultiPoly(("u", "v"), d.field, d.terms)
+    solved = solve_zero_dim([uv, uv.derivative("u"), uv.derivative("v")], d.field)
+    candidates, definitive_no = solved or ([], False)
     points: List[Tuple[Fraction, Fraction]] = []
-    for x0, _ in roots:
-        x0f = as_fraction(x0)
-        if x0f is None:
+    for x0, y0 in candidates:
+        x0f, y0f = as_fraction(x0), as_fraction(y0)
+        if x0f is None or y0f is None:
             definitive_no = False
-            continue
-        restricted = [e.partial_eval({"x": x0f}) for e in eqs]
-        ypolys = [e.as_unipoly("y") for e in restricted if e.uses_var("y")]
-        if any(e.is_constant() and not e.is_zero() for e in restricted):
-            continue
-        gy: Optional[UniPoly] = None
-        for p in ypolys:
-            gy = p if gy is None else gy.gcd(p)
-        if gy is None or gy.is_zero():
-            definitive_no = False
-            continue
-        if gy.degree() == 0:
-            continue
-        yroots = rational_roots(gy, d.field)
-        if sum(m for _, m in yroots) < gy.degree():
-            definitive_no = False
-        for y0, _ in yroots:
-            y0f = as_fraction(y0)
-            if y0f is None:
-                continue
-            P = ProjPoint.affine(x0f, y0f)
-            if multiplicity_at(D, P) >= min_mult:
-                points.append((x0f, y0f))
+        elif multiplicity_at(D, ProjPoint.affine(x0f, y0f)) >= min_mult:
+            points.append((x0f, y0f))
     if points:
         return points, True
     return points, definitive_no
@@ -296,7 +250,7 @@ def _verified_complete_candidate(D: PlaneCurve, A: Tuple[Fraction, Fraction],
     try:
         cand_curve = PlaneCurve(cand)
         roundtrip = conchoidal_transform(B, cand_curve)
-    except Exception:
+    except (ConchoidError, ValueError):
         return None
     if not roundtrip.equation.proportional_to(Dc.equation):
         return None
@@ -413,22 +367,14 @@ def _tangent_cyclic_lines(D: PlaneCurve) -> Tuple[List[GaussianRational], bool]:
         if conds is None:
             definitive = False
         else:
-            g: Optional[UniPoly] = None
-            for r in conds:
-                g = r if g is None else g.gcd(r)
-                if g.degree() == 0:
-                    break
-            if g is not None and g.degree() >= 1:
-                roots = rational_roots(g, FIELD_QI)
-                if sum(m for _, m in roots) < g.degree():
-                    definitive = False
-                candidates.extend(to_scalar(r, FIELD_QI) for r, _ in roots)
+            roots, complete = common_roots(conds, FIELD_QI)
+            definitive = definitive and complete
+            candidates.extend(roots)
     # degenerate candidates: deeper contact at the cyclic point
-    if not a[0].is_zero() and a[0].degree() >= 1:
-        roots0 = rational_roots(a[0], FIELD_QI)
-        if sum(m for _, m in roots0) < a[0].degree():
-            definitive = False
-        candidates.extend(to_scalar(r, FIELD_QI) for r, _ in roots0)
+    if not a[0].is_zero():
+        roots0, complete0 = common_roots([a[0]], FIELD_QI)
+        definitive = definitive and complete0
+        candidates.extend(roots0)
     confirmed = []
     seen = set()
     for c0 in candidates:
@@ -570,7 +516,7 @@ def _verified_proper_candidate(D: PlaneCurve, A: Tuple[Fraction, Fraction],
             candidates.append(cand)
     try:
         split = split_test(Dc, origin)
-    except Exception:
+    except (ConchoidError, ValueError):
         split = None
     if split is not None and split.witness is not None:
         comps = witness_components(Dc, origin, r2, split.witness)
@@ -580,7 +526,7 @@ def _verified_proper_candidate(D: PlaneCurve, A: Tuple[Fraction, Fraction],
         try:
             cand_curve = PlaneCurve(cand)
             forward = conchoidal_transform(B, cand_curve)
-        except Exception:
+        except (ConchoidError, ValueError):
             continue
         proper = extract_known_components(forward, scene).residual()
         if proper is None or poly_exact_div(proper, Dc.equation) is None:

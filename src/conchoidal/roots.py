@@ -4,13 +4,21 @@ Rational roots over Q use divisor enumeration on the content-normalized
 integer polynomial.  Over Q(i) the unknown is split as t = u + i*v, the
 real/imaginary parts give a bivariate rational system that is reduced to Q
 by a resultant and then verified exactly.
+
+``solve_zero_dim`` is the one solver for small polynomial systems in two
+unknowns (pairwise resultants, then ``common_roots`` on the gcd of the
+eliminants, then back-substitution); it reports whether the rational
+points it returns are certified to be all the solutions.  The Q(i) root
+finder and the circle-case questions in ``splitting`` and ``recognize``
+all go through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd as int_gcd, isqrt
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .fields import (
     FIELD_Q,
@@ -27,6 +35,7 @@ from .fields import (
 )
 from .gcd import squarefree_decompose_uni
 from .multipoly import MultiPoly, UniPoly
+from .resultant import sylvester_resultant
 
 
 def _int_divisors(n: int) -> List[int]:
@@ -177,17 +186,12 @@ def _rational_roots_big(ints: List[int]) -> List[Fraction]:
     w = _int_content_strip(w)
     a0, an = abs(w[0]), abs(w[-1])
     target = 2 * a0 * an + 1
+    # w is squarefree, so only the finitely many primes dividing
+    # an * disc(w) are skipped
     p = 4001
-    attempts = 0
-    while attempts < 60:
-        if an % p and len(_poly_gcd_mod_p(_int_poly_mod(w, p),
-                                          _int_poly_mod(_deriv_int(w), p), p)) <= 1:
-            break
+    while not an % p or len(_poly_gcd_mod_p(_int_poly_mod(w, p),
+                                            _int_poly_mod(_deriv_int(w), p), p)) > 1:
         p = _next_prime(p)
-        attempts += 1
-    else:
-        # pathological input: fall back to (possibly slow) enumeration
-        return []
     found: List[Fraction] = []
     f_frac = UniPoly([Fraction(c) for c in ints], FIELD_Q)
     for r in _roots_mod_p(w, p):
@@ -224,6 +228,17 @@ def _strip_zero_root(f: UniPoly) -> Tuple[int, UniPoly]:
     return k, UniPoly(coeffs, f.field)
 
 
+def _mult_of_root(f: UniPoly, root: Scalar) -> Tuple[int, UniPoly]:
+    """Largest k with (t - root)**k | f; returns (k, f / (t - root)**k)."""
+    k = 0
+    while True:
+        q = f.deflate_root(root)
+        if q is None:
+            return k, f
+        f = q
+        k += 1
+
+
 def _rational_roots_q(f: UniPoly) -> List[Tuple[Fraction, int]]:
     out: List[Tuple[Fraction, int]] = []
     k, f = _strip_zero_root(f)
@@ -245,15 +260,7 @@ def _rational_roots_q(f: UniPoly) -> List[Tuple[Fraction, int]]:
     a0, an = ints[0], ints[-1]
     if abs(a0) * abs(an) > _DIVISOR_ENUM_LIMIT:
         for cand in _rational_roots_big(ints):
-            mult = 0
-            g = f
-            while True:
-                d = g.deflate_root(cand)
-                if d is None:
-                    break
-                g, mult = d, mult + 1
-            if mult:
-                out.append((cand, mult))
+            out.append((cand, _mult_of_root(f, cand)[0]))
         return sorted(out, key=lambda rm: rm[0])
     for p in _int_divisors(a0):
         for q in _int_divisors(an):
@@ -261,15 +268,8 @@ def _rational_roots_q(f: UniPoly) -> List[Tuple[Fraction, int]]:
                 continue
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 if f.eval(cand) == 0:
-                    mult = 0
-                    g = f
-                    while True:
-                        d = g.deflate_root(cand)
-                        if d is None:
-                            break
-                        g, mult = d, mult + 1
+                    mult, f = _mult_of_root(f, cand)
                     out.append((cand, mult))
-                    f = g
                     if f.degree() < 1:
                         return sorted(out, key=lambda rm: rm[0])
                     # divisor sets shrink after deflation, but re-testing
@@ -298,56 +298,6 @@ def _re_im_split(f: UniPoly) -> Tuple[MultiPoly, MultiPoly]:
     return MultiPoly(uv, FIELD_Q, a_terms), MultiPoly(uv, FIELD_Q, b_terms)
 
 
-def _mult_of_root(f: UniPoly, root) -> int:
-    mult = 0
-    g = f
-    while True:
-        d = g.deflate_root(root)
-        if d is None:
-            return mult
-        g, mult = d, mult + 1
-
-
-def _common_rational_zeros(A: MultiPoly, B: MultiPoly) -> List[Tuple[Fraction, Fraction]]:
-    """Common rational zeros of two bivariate polynomials over Q in (u, v),
-    reduced to Q by a resultant in v."""
-    from .resultant import sylvester_resultant
-
-    if not A.uses_var("v") or not B.uses_var("v"):
-        u_poly = A if not A.uses_var("v") else B
-        other = B if u_poly is A else A
-        if u_poly.is_constant():
-            return []
-        zeros = []
-        for u0, _ in _rational_roots_q(u_poly.as_unipoly("u")):
-            rest = other.partial_eval({"u": u0})
-            if rest.is_zero():
-                continue
-            if rest.is_constant():
-                continue
-            for v0, _ in _rational_roots_q(rest.as_unipoly("v")):
-                zeros.append((u0, v0))
-        return zeros
-    res = sylvester_resultant(A, B, "v")
-    if res.is_zero():
-        raise ArithmeticError("internal: resultant of the zero-split parts vanished")
-    if res.is_constant():
-        return []
-    zeros = []
-    for u0, _ in _rational_roots_q(res.with_vars(("u",)).as_unipoly("u")):
-        av = A.partial_eval({"u": u0}).as_unipoly("v")
-        bv = B.partial_eval({"u": u0}).as_unipoly("v")
-        if av.is_zero():
-            g = bv
-        elif bv.is_zero():
-            g = av
-        else:
-            g = av.gcd(bv)
-        if g.is_zero() or g.degree() < 1:
-            continue
-        for v0, _ in _rational_roots_q(g):
-            zeros.append((u0, v0))
-    return zeros
 
 
 def _rational_roots_qi(f: UniPoly) -> List[Tuple[GaussianRational, int]]:
@@ -368,7 +318,7 @@ def _rational_roots_qi(f: UniPoly) -> List[Tuple[GaussianRational, int]]:
         key = (root.re, root.im)
         if key in seen:
             return
-        mult = _mult_of_root(f, root)
+        mult, _ = _mult_of_root(f, root)
         if mult:
             seen.add(key)
             out.append((root, mult))
@@ -402,7 +352,7 @@ def _rational_roots_qi(f: UniPoly) -> List[Tuple[GaussianRational, int]]:
             else:
                 Bw = Bw + piece
         if not Bw.is_zero():
-            for u0, w0 in _common_rational_zeros(Aw, Bw):
+            for u0, w0 in _rational_zeros_uv(Aw, Bw):
                 if w0 <= 0:
                     continue
                 v0 = fraction_sqrt(w0)
@@ -413,9 +363,17 @@ def _rational_roots_qi(f: UniPoly) -> List[Tuple[GaussianRational, int]]:
         return _sorted_qi(out)
 
     A, B = _re_im_split(f)
-    for u0, v0 in _common_rational_zeros(A, B):
+    for u0, v0 in _rational_zeros_uv(A, B):
         record(GaussianRational(u0, v0))
     return _sorted_qi(out)
+
+
+def _rational_zeros_uv(A: MultiPoly, B: MultiPoly) -> List[Tuple[Fraction, Fraction]]:
+    """Common rational zeros of two polynomials over Q in (u, v)."""
+    solved = solve_zero_dim([A, B], FIELD_Q)
+    if solved is None:
+        raise ArithmeticError("internal: resultant of the zero-split parts vanished")
+    return solved[0]
 
 
 def _sorted_qi(items):
@@ -431,6 +389,61 @@ def rational_roots(f: UniPoly, field: str = None) -> List[Tuple[Scalar, int]]:
     if field == FIELD_Q:
         return _rational_roots_q(f)
     return _rational_roots_qi(UniPoly(f.coeffs, FIELD_QI))
+
+
+# -- zero-dimensional systems ----------------------------------------------
+
+
+def common_roots(polys: Sequence[UniPoly], field: str) -> Tuple[List[Scalar], bool]:
+    """Common roots in the field of one or more nonzero univariate
+    polynomials, found on their gcd.  The flag is True when the root multiplicities add up to the
+    gcd's degree, i.e. no common root over the algebraic closure was missed."""
+    g: Optional[UniPoly] = None
+    for p in polys:
+        g = p if g is None else g.gcd(p)
+        if g.degree() == 0:
+            return [], True
+    roots = rational_roots(g, field)
+    return [r for r, _ in roots], sum(m for _, m in roots) == g.degree()
+
+
+def solve_zero_dim(eqs: Sequence[MultiPoly], field: str
+                   ) -> Optional[Tuple[List[Tuple[Scalar, Scalar]], bool]]:
+    """Common solutions in the field of polynomials in (u, v), as
+    (points, complete).  v is eliminated by pairwise resultants (vanishing
+    ones skipped), u is solved on their gcd together with the v-free
+    equations, and v by back-substitution.  complete is True when no
+    solution over the algebraic closure was missed; a line u = u0 on which
+    every equation vanishes gives the point (u0, 0) and clears it.  None
+    when no nonzero eliminant exists (the solution set may be a curve)."""
+    eqs = [e for e in eqs if not e.is_zero()]
+    if any(e.is_constant() for e in eqs):
+        return [], True
+    upolys = [e.as_unipoly("u") for e in eqs if not e.uses_var("v")]
+    for e1, e2 in combinations([e for e in eqs if e.uses_var("v")], 2):
+        r = sylvester_resultant(e1, e2, "v")
+        if r.is_zero():
+            continue
+        if r.is_constant():
+            return [], True
+        upolys.append(r.as_unipoly("u"))
+    if not upolys:
+        return None
+    uroots, complete = common_roots(upolys, field)
+    points: List[Tuple[Scalar, Scalar]] = []
+    for u0 in uroots:
+        restricted = [e.partial_eval({"u": u0}) for e in eqs]
+        if any(e.is_constant() and not e.is_zero() for e in restricted):
+            continue
+        vpolys = [e.as_unipoly("v") for e in restricted if not e.is_zero()]
+        if not vpolys:
+            points.append((u0, to_scalar(0, field)))
+            complete = False
+            continue
+        vroots, vcomplete = common_roots(vpolys, field)
+        complete = complete and vcomplete
+        points.extend((u0, v0) for v0 in vroots)
+    return points, complete
 
 
 # -- formal square roots -----------------------------------------------------

@@ -11,8 +11,9 @@ where l1, l2 are the lines joining A to the two cyclic points and
 q = l1 * l2 is the homogenized squared distance to A.  The solver pins H1
 (resp. H2) by forcing the restriction of G to each branch line to be a
 square up to scalar, then settles the few remaining coefficients by linear
-steps, an eigen-line extraction, or pairwise resultant elimination with
-rational root finding over Q(i).  Complete through delta = 4 on the
+steps, an eigen-line extraction, or the shared zero-dimensional solver
+``roots.solve_zero_dim`` over Q(i) (``roots.common_roots`` for the
+one-unknown rank condition).  Complete through delta = 4 on the
 rational branches; a non-square branch scalar (witness outside Q(i)) is
 reported, not guessed.
 """
@@ -25,7 +26,7 @@ from itertools import combinations
 from typing import List, Optional, Tuple
 
 from .curves import CURVE_VARS, PlaneCurve
-from .errors import CyclicTangentError, DegenerateConicError, NotSquarefreeError
+from .errors import ConchoidError, CyclicTangentError, DegenerateConicError, NotSquarefreeError
 from .fields import (
     FIELD_Q,
     FIELD_QI,
@@ -39,7 +40,7 @@ from .gcd import is_squarefree
 from .linalg import solve_linear
 from .multipoly import MultiPoly, UniPoly, poly_exact_div
 from .resultant import det_scalar, sylvester_resultant
-from .roots import rational_roots, square_root_up_to_scalar
+from .roots import common_roots, solve_zero_dim, square_root_up_to_scalar
 
 ST = ("s", "t")
 
@@ -303,16 +304,8 @@ def _even_high(C, G, A, q, H1p, scale, m):
         candidates = [to_scalar(0, FIELD_QI)]
         algebraic_possible = False
     else:
-        g = minors[0]
-        for mnr in minors[1:]:
-            g = g.gcd(mnr)
-            if g.degree() == 0:
-                break
-        if g.degree() == 0:
-            return None
-        roots = rational_roots(g, FIELD_QI)
-        candidates = [r for r, _ in roots]
-        algebraic_possible = sum(m for _, m in roots) < g.degree()
+        candidates, complete = common_roots(minors, FIELD_QI)
+        algebraic_possible = not complete
     for h0 in candidates:
         M0 = Mh.partial_eval({"w": h0}).with_vars(CURVE_VARS)
         got = _as_linear_square(M0)
@@ -465,7 +458,7 @@ def _odd_solve(G, scale, l1, l2, U1, U2, m):
          - l1.with_vars(uv) * H1 * H1
          + l2.with_vars(uv) * H2 * H2)
     eqs = _coefficient_system(E, ("u", "v"))
-    sols, definitive = _solve_2var_system(eqs)
+    sols, definitive = solve_zero_dim(eqs, FIELD_QI) or ([], False)
     for u0, v0 in sols:
         H1s = (U1 + l2 * u0).promote(FIELD_QI)
         H2s = (U2 + l1 * v0).promote(FIELD_QI)
@@ -486,60 +479,6 @@ def _coefficient_system(E: MultiPoly, unknowns) -> List[MultiPoly]:
         uexp = tuple(exp[k] for k in idx)
         groups.setdefault(key, {})[uexp] = c
     return [MultiPoly.make(tuple(unknowns), E.field, terms) for terms in groups.values()]
-
-
-def _solve_2var_system(eqs: List[MultiPoly]) -> Tuple[List[Tuple[Scalar, Scalar]], bool]:
-    """Common rational solutions of polynomials in (u, v) over Q(i);
-    second result reports whether the search certifies completeness over
-    the closure (no solutions missed)."""
-    eqs = [e for e in eqs if not e.is_zero()]
-    for e in eqs:
-        if e.is_constant():
-            return [], True
-    if not eqs:
-        return [], False  # identically satisfied: a positive-dimensional family
-    u_only = [e for e in eqs if not e.uses_var("v")]
-    res_list: List[UniPoly] = [e.as_unipoly("u") for e in u_only]
-    with_v = [e for e in eqs if e.uses_var("v")]
-    for e1, e2 in combinations(with_v, 2):
-        r = sylvester_resultant(e1, e2, "v")
-        if not r.is_zero() and not r.is_constant():
-            res_list.append(r.as_unipoly("u"))
-        elif not r.is_zero() and r.is_constant():
-            return [], True
-    g: Optional[UniPoly] = None
-    for r in res_list:
-        g = r if g is None else g.gcd(r)
-        if g.degree() == 0:
-            return [], True
-    if g is None:
-        # a single genuinely bivariate equation: positive-dimensional locus
-        return [], False
-    uroots = rational_roots(g, FIELD_QI)
-    candidates = [r for r, _ in uroots]
-    definitive = sum(m for _, m in uroots) == g.degree()
-    sols = []
-    for u0 in candidates:
-        restricted = [e.partial_eval({"u": u0}) for e in eqs]
-        vpolys = [e.as_unipoly("v") for e in restricted if e.uses_var("v")]
-        consts = [e for e in restricted if not e.uses_var("v")]
-        if any(not c.is_zero() for c in consts):
-            continue
-        if not vpolys:
-            sols.append((u0, to_scalar(0, FIELD_QI)))
-            continue
-        gv: Optional[UniPoly] = None
-        for vp in vpolys:
-            gv = vp if gv is None else gv.gcd(vp)
-        if gv.degree() == 0:
-            continue
-        vroots = rational_roots(gv, FIELD_QI)
-        if sum(m for _, m in vroots) < gv.degree():
-            definitive = False
-        for v0, _ in vroots:
-            if all(e.evaluate({"u": u0, "v": v0}) == 0 for e in eqs):
-                sols.append((u0, v0))
-    return sols, definitive
 
 
 # -- the conic shortcut ---------------------------------------------------------
@@ -624,7 +563,7 @@ def witness_components(C: PlaneCurve, A: Tuple[Scalar, Scalar], r2,
         comp_h = comp.homogenize("z", deg)
         try:
             comps.append(PlaneCurve(comp_h))
-        except Exception:
+        except (ConchoidError, ValueError):
             return None
     return comps[0], comps[1]
 

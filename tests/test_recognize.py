@@ -203,3 +203,15 @@ def test_recognize_proper_circle_is_a_genuine_yes():
     assert rep.verdict == "yes"
     assert PlaneCurve(rep.candidates[0].witness).equation == \
         PlaneCurve.from_text("x^2+y^2-z^2").equation
+
+
+def test_recognize_complete_gaussian_center_is_not_a_certified_no():
+    # the conchoid of a line moved to the center (0, i): the 2-fold point
+    # has a non-rational y-coordinate, so the search cannot certify "no"
+    from conchoidal.curves import recenter
+    from conchoidal.fields import GaussianRational
+
+    r4 = CircleSpec((Fraction(0), Fraction(0)), Fraction(4)).curve()
+    T = conchoidal_transform(r4, PlaneCurve.from_text("x-3*z"))
+    D = recenter(T, (Fraction(0), GaussianRational(0, -1)))
+    assert recognize_complete(D).verdict == "inconclusive"

@@ -4,8 +4,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from conchoidal import MultiPoly, UniPoly, factor_binary_form, formal_square_root, parse_poly, rational_roots
-from conchoidal.fields import FIELD_Q, FIELD_QI, GaussianRational
-from conchoidal.roots import _rational_roots_big, square_root_up_to_scalar
+from conchoidal.fields import FIELD_Q, FIELD_QI, GaussianRational, to_scalar
+from conchoidal.roots import _rational_roots_big, common_roots, solve_zero_dim, square_root_up_to_scalar
 
 from helpers import random_poly
 
@@ -157,3 +157,93 @@ def test_big_coefficient_nonsquarefree_multiplicities():
     got = rational_roots(f)
     assert (Fraction(1), 2) in got
     assert (Fraction(-2 * big, 3), 1) in got
+
+
+def _primes_from(p, count):
+    out = []
+    while len(out) < count:
+        if all(p % q for q in range(2, int(p ** 0.5) + 1)):
+            out.append(p)
+        p += 1
+    return out
+
+
+def test_big_roots_survive_many_bad_primes():
+    # the leading coefficient is divisible by 4001 and the next 60 primes,
+    # so the lifting prime lies beyond all of them
+    P = 1
+    for p in _primes_from(4001, 61):
+        P *= p
+    assert rational_roots(UniPoly([Fraction(-1), Fraction(P)])) == [(Fraction(1, P), 1)]
+    f = UniPoly([Fraction(-3), Fraction(P)]) * UniPoly([Fraction(1), Fraction(1)])
+    assert rational_roots(f) == [(Fraction(-1), 1), (Fraction(3, P), 1)]
+
+
+UV = ("u", "v")
+
+
+def _uv(text):
+    """Parse a polynomial written in x, y as one in u, v."""
+    p = parse_poly(text).with_vars(("x", "y"))
+    return MultiPoly(UV, p.field, p.terms)
+
+
+def test_common_roots_examples():
+    t1, t2 = uni([-1, 1]), uni([-2, 0, 1])              # t - 1, t^2 - 2
+    assert common_roots([t1 * t2, t1 * t2 * uni([-3, 1])], FIELD_Q) == ([Fraction(1)], False)
+    assert common_roots([t1 * uni([-3, 1]), t1], FIELD_Q) == ([Fraction(1)], True)
+    assert common_roots([t1, uni([-3, 1])], FIELD_Q) == ([], True)
+    assert common_roots([uni([5])], FIELD_Q) == ([], True)
+
+
+def test_solve_zero_dim_degenerate_systems():
+    # u^2 = 2 has no rational root: nothing found, nothing certified
+    assert solve_zero_dim([_uv("x^2-2"), _uv("y")], FIELD_Q) == ([], False)
+    # inconsistent: coprime eliminants, or a constant resultant
+    assert solve_zero_dim([_uv("x-1"), _uv("x-2")], FIELD_Q) == ([], True)
+    assert solve_zero_dim([_uv("y-x"), _uv("y-x-1")], FIELD_Q) == ([], True)
+    assert solve_zero_dim([_uv("x*y-1"), _uv("3")], FIELD_Q) == ([], True)
+    # every equation vanishes on the line u = 0: (0, 0) stands for it
+    points, complete = solve_zero_dim([_uv("x^2-x"), _uv("x*y")], FIELD_Q)
+    assert points == [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))]
+    assert not complete
+    # one genuinely bivariate equation has no eliminant
+    assert solve_zero_dim([_uv("x^2+y^2-1")], FIELD_Q) is None
+    assert solve_zero_dim([_uv("x^2+y^2-1"), MultiPoly.zero(UV)], FIELD_Q) is None
+
+
+def _key(point):
+    return tuple((c.re, c.im) for c in (to_scalar(x, FIELD_QI) for x in point))
+
+
+fracs = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.booleans(), st.lists(st.tuples(fracs, fracs, fracs, fracs), min_size=1, max_size=3),
+       st.integers(min_value=1, max_value=3))
+def test_solve_zero_dim_recovers_planted_points(gaussian, coords, c):
+    # points (a_k, b_k) with distinct u-coordinates; g = v - L(u) with L
+    # the interpolant through them and f = prod (u - a_k), so the system
+    # {g, f + c g^2, 2 f + (u + v) g} has exactly the planted solutions
+    field = FIELD_QI if gaussian else FIELD_Q
+    if gaussian:
+        pts = [(GaussianRational(a, ai), GaussianRational(b, bi)) for a, ai, b, bi in coords]
+    else:
+        pts = [(a, b) for a, _, b, _ in coords]
+    pts = list({a: (a, b) for a, b in pts}.values())
+    u = MultiPoly.variable("u", UV, field)
+    v = MultiPoly.variable("v", UV, field)
+    f = MultiPoly.constant(1, UV, field)
+    L = MultiPoly.zero(UV, field)
+    for k, (a, b) in enumerate(pts):
+        f = f * (u - a)
+        basis = MultiPoly.constant(b, UV, field)
+        for j, (aj, _) in enumerate(pts):
+            if j != k:
+                basis = basis * (u - aj) * (1 / to_scalar(a - aj, field))
+        L = L + basis
+    g = v - L
+    points, complete = solve_zero_dim([g, f + g * g * c, f * 2 + (u + v) * g], field)
+    assert complete
+    assert sorted(map(_key, points)) == sorted(map(_key, pts))
