@@ -17,6 +17,7 @@ from .errors import (
     DegreeBoundError,
     EliminationDegenerateError,
     IdenticallyZeroError,
+    InternalError,
     InvalidSceneError,
     NotHomogeneousError,
     NotSquarefreeError,
@@ -37,7 +38,7 @@ from .recognize import (
     recognize_complete,
     recognize_proper,
 )
-from .resultant import PolyMatrix, conchoid_matrix, phi_forms, poly_matrix_det, sylvester_resultant
+from .resultant import conchoid_matrix, phi_forms, poly_matrix_det, sylvester_resultant
 from .roots import factor_binary_form, formal_square_root, rational_roots
 from .splitting import (
     SplitResult,
@@ -64,8 +65,8 @@ __all__ = [
     "Divisor", "DivisorComponent", "DecompositionMismatchError", "DegenerateConicError",
     "DegenerateMembershipError", "DegreeBoundError", "EliminationDegenerateError",
     "FIELD_Q", "FIELD_QI", "GaussianRational", "IdenticallyZeroError",
-    "InvalidSceneError", "Membership", "MultiPoly", "NotHomogeneousError",
-    "NotSquarefreeError", "ParseError", "PlaneCurve", "PlotSpec", "PolyMatrix",
+    "InternalError", "InvalidSceneError", "Membership", "MultiPoly", "NotHomogeneousError",
+    "NotSquarefreeError", "ParseError", "PlaneCurve", "PlotSpec",
     "ProjPoint", "Rational", "RecognitionReport", "Scene", "SplitResult",
     "SplitWitness", "UniPoly", "candidate_radii", "conchoid_matrix",
     "conchoidal_transform", "conic_focus_split", "cyclic_tangent_pair",

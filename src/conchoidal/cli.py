@@ -1,7 +1,7 @@
 """Command-line front end: conchoid <subcommand> [flags].
 
 Exit codes: 0 success, 1 mathematical "no"/irreducible/degenerate,
-2 usage error (argparse default), 3 inconclusive.
+2 usage error (argparse default), 3 inconclusive, 4 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from .curves import PlaneCurve, ProjPoint, Scene
-from .errors import ConchoidError, ParseError
+from .errors import ConchoidError, InternalError, ParseError
 from .fields import FIELD_Q, FIELD_QI
 from .grammar import parse_poly, poly_to_text, scalar_to_text
 from .plotting import PlotSpec, render_svg
@@ -27,7 +27,7 @@ from .transform import (
     membership_value,
 )
 
-OK, MATH_NO, USAGE, INCONCLUSIVE = 0, 1, 2, 3
+OK, MATH_NO, USAGE, INCONCLUSIVE, INTERNAL = 0, 1, 2, 3, 4
 
 
 def parse_curve(text: str, field: str = FIELD_Q, affine: bool = False) -> PlaneCurve:
@@ -146,6 +146,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL
 
 
 def _dispatch(args) -> int:

@@ -55,3 +55,9 @@ class DegenerateConicError(ConchoidError):
 
 class DecompositionMismatchError(ConchoidError):
     """The iterated-conchoid decomposition did not match the generic pattern."""
+
+
+class InternalError(ArithmeticError):
+    """An internal invariant broke: a bug, never a mathematical answer.
+    Deliberately not a ConchoidError or ValueError, so that no handler
+    for those turns it into a verdict."""

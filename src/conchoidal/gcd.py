@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from .errors import InternalError
 from .multipoly import MultiPoly, UniPoly, poly_exact_div
 
 
@@ -129,7 +130,7 @@ def _gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 def _exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     q = poly_exact_div(f, g)
     if q is None:
-        raise ArithmeticError("internal: expected exact division in subresultant PRS")
+        raise InternalError("expected exact division in subresultant PRS")
     return q
 
 

@@ -2,9 +2,11 @@
 
 Both recognizers run a pipeline of necessary checks (each recorded in the
 report), enumerate finitely many candidate centers and squared radii, and
-verify candidates by an exact forward conchoid computation.  Only rational
-(Q or Q(i)) solution points are searched: irrational candidates yield an
-"inconclusive" verdict, never a "no".
+verify candidates by an exact forward conchoid computation.  Only centers
+in Q^2 and rational squared radii are searched (the proper mode reads its
+center off a tangent line through a cyclic point, solved over Q(i)).  A
+center with an irrational or non-real Q(i) coordinate, like any irrational
+candidate, yields an "inconclusive" verdict, never a "no".
 """
 
 from __future__ import annotations

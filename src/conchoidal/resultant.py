@@ -1,46 +1,32 @@
 """The conchoid Sylvester-type matrix and exact determinants.
 
-poly_matrix_det evaluates determinants of matrices with polynomial entries
-on one exact integer kernel.  The entries are dehomogenized (z = 1) and
-each row is scaled to integer coefficients, or to Gaussian-integer ones
-over Q(i).  The determinant, of total degree at most D, is then sampled on
-the triangular grid x0 + y0 <= D; every sample is a Z or Z[i] determinant
-by fraction-free Bareiss.  Integer forward differences along x, then along
-y, give its Newton form on that lattice, and Horner steps in the
-falling-factorial basis turn it into monomials; the row scales are divided
-out once at the end.  An off-grid residual check guards the degree bound,
-and homogeneous matrices are re-homogenized to their known total degree.
-Only matrices that are neither homogeneous in (x, y, z) nor bivariate fall
-back to Bareiss elimination on the polynomial entries.
+poly_matrix_det is the one polynomial determinant, and every resultant
+goes through it: the classical evaluation-interpolation scheme on an exact
+integer kernel.  Each row is scaled to integer coefficients, or to
+Gaussian-integer ones over Q(i).  When every row is homogeneous, each of
+one degree in the variables the matrix uses, the determinant is
+homogeneous of the sum D of those degrees: the last used variable is set
+to 1 and put back at the end.  Otherwise D is the caller's degree bound.
+The determinant is sampled on the simplex |p| <= D in the k remaining
+variables; every sample is a Z or Z[i] determinant by fraction-free
+Bareiss.  Integer forward differences along the first variable, then the
+same interpolation on smaller simplices in the rest, give its Newton form,
+and Horner steps in the falling-factorial basis turn it into monomials;
+the row scales are divided out once at the end.  An off-grid residual
+check guards the degree bound.  One row builder lays out every Sylvester
+matrix, of scalars or of polynomials; the conchoid matrix is one of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb, lcm
 from typing import Iterable, List, Optional, Sequence
 
-from .errors import DegreeBoundError
+from .errors import DegreeBoundError, InternalError
 from .fields import FIELD_Q, FIELD_QI, GaussianRational, Scalar, im_part, re_part
 from .multipoly import MultiPoly, homogeneous_decompose, merge_vars, poly_exact_div
-
-
-@dataclass
-class PolyMatrix:
-    rows: int
-    cols: int
-    entries: List[MultiPoly]  # row-major
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match matrix shape")
-
-    def at(self, i: int, j: int) -> MultiPoly:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> List[MultiPoly]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
 
 
 def _equation_of(curve) -> MultiPoly:
@@ -71,11 +57,13 @@ def phi_forms(F) -> List[MultiPoly]:
     return out
 
 
-def conchoid_matrix(B, C) -> PolyMatrix:
+def conchoid_matrix(B, C) -> List[List[MultiPoly]]:
     """The (d+delta)x(d+delta) matrix whose determinant is the conchoidal
-    transform: delta rows of shifts of (Phi_d ... Phi_0), then d rows of
-    shifts of (G_delta, z G_(delta-1), ..., z^delta G_0).  This exact row
-    order fixes the sign of the determinant."""
+    transform: the Sylvester matrix in the line parameter of
+    [Phi_0, ..., Phi_d] and [z^delta G_0, ..., z G_(delta-1), G_delta], that
+    is delta rows of shifts of (Phi_d ... Phi_0), then d rows of shifts of
+    (G_delta, z G_(delta-1), ..., z^delta G_0).  This exact row order fixes
+    the sign of the determinant."""
     f = _equation_of(B)
     g = _equation_of(C)
     d, delta = f.total_degree(), g.total_degree()
@@ -86,17 +74,9 @@ def conchoid_matrix(B, C) -> PolyMatrix:
     phis = [p.with_vars(vars).promote(field_join) for p in phi_forms(f)]
     gparts = homogeneous_decompose(g)          # [G_delta, ..., G_0]
     z = MultiPoly.variable("z", vars, field_join)
-    grow = [gparts[k].with_vars(vars).promote(field_join) * z ** k for k in range(delta + 1)]
-    n = d + delta
-    zero = MultiPoly.zero(vars, field_join)
-    entries = [zero] * (n * n)
-    for r in range(delta):
-        for k in range(d + 1):
-            entries[r * n + r + k] = phis[d - k]
-    for r in range(d):
-        for k in range(delta + 1):
-            entries[(delta + r) * n + r + k] = grow[k]
-    return PolyMatrix(n, n, entries)
+    gc = [gparts[delta - h].with_vars(vars).promote(field_join) * z ** (delta - h)
+          for h in range(delta + 1)]
+    return sylvester_rows(phis, gc, MultiPoly.zero(vars, field_join))
 
 
 # -- scalar determinants -----------------------------------------------------
@@ -211,7 +191,8 @@ def _det_gauss(rows) -> tuple:
 
 
 def det_bareiss_poly(rows: List[List[MultiPoly]]) -> MultiPoly:
-    """Fraction-free Bareiss on polynomial entries; divisions are exact."""
+    """Fraction-free Bareiss on polynomial entries; divisions are exact.
+    The tests' independent oracle for poly_matrix_det."""
     n = len(rows)
     sample = rows[0][0]
     one = MultiPoly.constant(1, sample.vars, sample.field)
@@ -234,7 +215,7 @@ def det_bareiss_poly(rows: List[List[MultiPoly]]) -> MultiPoly:
                 num = pivot * mat[i][j] - mik * mat[k][j]
                 q = poly_exact_div(num, prev)
                 if q is None:
-                    raise ArithmeticError("internal: Bareiss division was not exact")
+                    raise InternalError("Bareiss division was not exact")
                 mat[i][j] = q
             mat[i][k] = MultiPoly.zero(sample.vars, sample.field)
         prev = pivot
@@ -265,24 +246,39 @@ def _falling_to_monomial(coeffs: Sequence[int]) -> List[int]:
     return out
 
 
-def _interp_triangle(values: List[List[int]]) -> dict:
-    """{(a, b): c} of the integer polynomial of total degree <= D through
-    values[x0][y0] = p(x0, y0) for x0 + y0 <= D, D = len(values) - 1.
+def _simplex(k: int, D: int):
+    """Every point p of N^k with p_1 + ... + p_k <= D, in lexicographic order."""
+    if k == 0:
+        yield ()
+        return
+    for t in range(D + 1):
+        for rest in _simplex(k - 1, D - t):
+            yield (t,) + rest
 
-    Differences along x for each y0, then along y for each x-order i, give
-    the Newton form sum c_ij x(x-1)..(x-i+1) y(y-1)..(y-j+1) on the
-    triangular lattice; both factors are then converted to monomials."""
-    D = len(values) - 1
-    along_x = [_falling_coefficients([values[x0][y0] for x0 in range(D + 1 - y0)])
-               for y0 in range(D + 1)]
-    along_y = [_falling_to_monomial(_falling_coefficients(
-        [along_x[y0][i] for y0 in range(D + 1 - i)])) for i in range(D + 1)]
+
+def _interp_simplex(values: dict, k: int, D: int) -> dict:
+    """{exponent: c} of the integer polynomial in k variables of total degree
+    <= D through values[p] = P(p) for every p of the simplex |p| <= D.
+
+    Differences along the first variable at each point q of the rest give
+    the Newton coefficients c_i(q), i <= D - |q|.  Each c_i has degree
+    <= D - i and is interpolated the same way on the simplex of that degree
+    in the rest; the Newton form in the first variable is then converted to
+    monomials."""
+    if k == 0:
+        return {(): values[()]} if values[()] else {}
+    newton = {q: _falling_coefficients([values[(t,) + q] for t in range(D + 1 - sum(q))])
+              for q in _simplex(k - 1, D)}
+    in_rest = {}           # monomial m of the rest -> Newton coefficients in the first variable
+    for i in range(D + 1):
+        order_i = {q: c[i] for q, c in newton.items() if len(c) > i}
+        for m, c in _interp_simplex(order_i, k - 1, D - i).items():
+            in_rest.setdefault(m, [0] * (D + 1 - sum(m)))[i] = c
     terms = {}
-    for b in range(D + 1):
-        column = _falling_to_monomial([along_y[i][b] for i in range(D + 1 - b)])
-        for a, c in enumerate(column):
+    for m, coeffs in in_rest.items():
+        for a, c in enumerate(_falling_to_monomial(coeffs)):
             if c:
-                terms[(a, b)] = c
+                terms[(a,) + m] = c
     return terms
 
 
@@ -315,156 +311,132 @@ def _horner(coeffs: Sequence[int], t: int) -> int:
     return total
 
 
-def _at_x(part: dict, x0: int) -> List[int]:
-    """Ascending coefficients in y of p(x0, y), p given as {(a, b): c}."""
-    ycoef = [0] * (max((b for _, b in part), default=-1) + 1)
-    for (a, b), c in part.items():
-        ycoef[b] += c * x0 ** a
-    return ycoef
+def _at_prefix(part: dict, prefix: tuple) -> List[int]:
+    """Ascending coefficients in the last variable of p(prefix, t), p given
+    as {exponent: c}."""
+    out = [0] * (max((e[-1] for e in part), default=-1) + 1)
+    for e, c in part.items():
+        for x, a in zip(prefix, e):
+            c *= x ** a
+        out[e[-1]] += c
+    return out
+
+
+def _dets_on_line(parts, prefix: tuple, ts, gaussian: bool) -> list:
+    """[det of the integer matrix ``parts`` at prefix + (t,) for t in ts].
+    parts[i][j] is entry (i, j) as [{exponent: c}], or as its [re, im] pair
+    over Z[i].  The entries are reduced once at the prefix and evaluated by
+    Horner in the last variable."""
+    dense = [[[_at_prefix(p, prefix) for p in e] for e in row] for row in parts]
+    out = []
+    for t in ts:
+        if gaussian:
+            mat = [[(_horner(re, t), _horner(im, t)) if re or im else (0, 0)
+                    for re, im in row] for row in dense]
+        else:
+            mat = [[_horner(c, t) if c else 0 for (c,) in row] for row in dense]
+        out.append(det_scalar(mat))
+    return out
 
 
 # -- polynomial matrix determinants --------------------------------------------
 
 
-def _row_degrees(M: PolyMatrix) -> Optional[List[int]]:
-    """Degree r_i when every nonzero entry of row i is homogeneous of the same
-    degree in (x, y, z); None when the matrix does not have that shape."""
+def _row_degrees(rows: List[List[MultiPoly]]) -> Optional[List[int]]:
+    """Degree r_i when every nonzero entry of row i is homogeneous of that
+    one degree (0 for a zero row); None when the matrix does not have that
+    shape."""
     degs = []
-    for i in range(M.rows):
-        row_deg = None
-        for e in M.row(i):
-            if e.is_zero():
-                continue
-            if not e.is_homogeneous():
-                return None
-            for v in e.vars:
-                if e.uses_var(v) and v not in ("x", "y", "z"):
-                    return None
-            d = e.total_degree()
-            if row_deg is None:
-                row_deg = d
-            elif row_deg != d:
-                return None
-        if row_deg is None:
-            return [-1]  # a zero row: determinant is zero
-        degs.append(row_deg)
+    for row in rows:
+        nonzero = [e for e in row if e]
+        found = {e.total_degree() for e in nonzero}
+        if len(found) > 1 or not all(e.is_homogeneous() for e in nonzero):
+            return None
+        degs.append(found.pop() if found else 0)
     return degs
 
 
-def _bivariate_only(M: PolyMatrix) -> bool:
-    """True when no entry involves any variable outside (x, y), so the
-    interpolated affine determinant already is the answer."""
-    for e in M.entries:
-        for v in e.vars:
-            if e.uses_var(v) and v not in ("x", "y"):
-                return False
-    return True
+def _interpolated_det(rows: List[List[MultiPoly]], index: List[int], D: int) -> dict:
+    """{exponent: c} of the determinant in the variables at ``index``, the
+    others dropped, sampled on the simplex of degree D in them.  Each row is
+    scaled to Z (or Z[i]) coefficients first; the scales are divided out at
+    the end."""
+    gaussian = any(im_part(c) for row in rows for e in row for c in e.terms.values())
+
+    def key(exp):
+        return tuple(exp[i] for i in index)
+
+    scale = 1
+    parts = []
+    for row in rows:
+        row_lcm = _denominator_lcm(c for e in row for c in e.terms.values())
+        scale *= row_lcm
+        parts.append([_integer_parts(e, row_lcm, gaussian, key) for e in row])
+    k = len(index)
+    values = {}
+    for prefix in _simplex(k - 1, D):
+        ts = range(D + 1 - sum(prefix))
+        values.update(zip([prefix + (t,) for t in ts], _dets_on_line(parts, prefix, ts, gaussian)))
+    if gaussian:
+        interpolated = [_interp_simplex({p: v[j] for p, v in values.items()}, k, D)
+                        for j in (0, 1)]
+    else:
+        interpolated = [_interp_simplex(values, k, D)]
+
+    # Residual check at a point outside the grid.
+    off = (D + 1,) * k
+    expected = _dets_on_line(parts, off[:-1], off[-1:], gaussian)[0]
+    got = tuple(_horner(_at_prefix(poly, off[:-1]), D + 1) for poly in interpolated)
+    if got != (expected if gaussian else (expected,)):
+        raise DegreeBoundError("interpolation residual nonzero: degree bound violated")
+    return _divide_out(interpolated, scale)
 
 
-def _xy_key(e: MultiPoly):
-    """Exponent vector -> (deg x, deg y), dropping z (dehomogenization)."""
-    xi = e.vars.index("x") if "x" in e.vars else None
-    yi = e.vars.index("y") if "y" in e.vars else None
-    return lambda exp: (exp[xi] if xi is not None else 0, exp[yi] if yi is not None else 0)
-
-
-def poly_matrix_det(M: PolyMatrix, degree_bound: int) -> MultiPoly:
-    """Exact determinant; degree_bound must be >= deg det(M)."""
-    if M.rows != M.cols:
+def poly_matrix_det(rows: List[List[MultiPoly]], degree_bound: int) -> MultiPoly:
+    """Exact determinant of a square matrix of polynomials, over the union
+    of the entries' variables; degree_bound must be >= its total degree."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    n = M.rows
     if n == 0:
-        return MultiPoly.constant(1, ("x", "y", "z"), FIELD_Q)
-    sample = M.entries[0]
-    degs = _row_degrees(M)
-    if degs == [-1]:
-        return MultiPoly.zero(sample.vars, sample.field)
-    homogeneous = degs is not None
-    if not homogeneous and not _bivariate_only(M):
-        return det_bareiss_poly([M.row(i) for i in range(n)])
-    D = sum(degs) if homogeneous else degree_bound
+        return MultiPoly.constant(1, (), FIELD_Q)
+    vars = reduce(merge_vars, {e.vars for row in rows for e in row})
+    rows = [[e if e.vars == vars else e.with_vars(vars) for e in row] for row in rows]
+    entries = [e for row in rows for e in row]
+    used = [v for v in vars if any(e.uses_var(v) for e in entries)]
+    degs = _row_degrees(rows)
+    hom = used[-1] if degs is not None and used else None
+    D = sum(degs) if hom else degree_bound
     if D > degree_bound:
         raise DegreeBoundError(
             f"matrix rows force determinant degree {D} > bound {degree_bound}")
-    field = FIELD_QI if any(e.field == FIELD_QI for e in M.entries) else sample.field
-    gaussian = any(im_part(c) for e in M.entries for c in e.terms.values())
+    axes = [v for v in used if v != hom]
+    field = FIELD_QI if any(e.field == FIELD_QI for e in entries) else FIELD_Q
 
-    # Scale each dehomogenized row to Z (or Z[i]) coefficients.
-    scale = 1
-    parts = []
-    for i in range(n):
-        row = M.row(i)
-        row_lcm = _denominator_lcm(c for e in row for c in e.terms.values())
-        scale *= row_lcm
-        parts += [_integer_parts(e, row_lcm, gaussian, _xy_key(e)) for e in row]
-
-    # Sample on the triangle x0 + y0 <= D, one column x = x0 at a time.
-    # Entries are evaluated point by point, so memory stays at the size of
-    # the input plus one value per sample.
-    values = []
-    for x0 in range(D + 1):
-        rows = [[[_at_x(part, x0) for part in e] for e in parts[i * n:(i + 1) * n]]
-                for i in range(n)]
-        column = []
-        for y0 in range(D + 1 - x0):
-            if gaussian:
-                mat = [[(_horner(re, y0), _horner(im, y0)) if re or im else (0, 0)
-                        for re, im in row] for row in rows]
-            else:
-                mat = [[_horner(c, y0) if c else 0 for (c,) in row] for row in rows]
-            column.append(det_scalar(mat))
-        values.append(column)
-
-    if gaussian:
-        interpolated = [_interp_triangle([[v[p] for v in col] for col in values]) for p in (0, 1)]
-    else:
-        interpolated = [_interp_triangle(values)]
-    det_aff = MultiPoly.make(("x", "y"), field, _divide_out(interpolated, scale))
-
-    # Residual check at a point outside the grid.
-    extra = Fraction(D + 1)
-    point = {"x": extra, "y": extra, "z": Fraction(1)}
-    expected = det_scalar([[e.evaluate(point) for e in M.row(i)] for i in range(n)])
-    if det_aff.evaluate(point) != expected:
-        raise DegreeBoundError("interpolation residual nonzero: degree bound violated")
-
-    if not homogeneous:          # z-free matrix: the affine result is final
-        return det_aff.with_vars(("x", "y", "z"))
-
-    # Re-homogenize each monomial to the known total degree.
-    out_terms = {}
-    for (a, b), c in det_aff.terms.items():
-        zc = D - a - b
-        if zc < 0:
-            raise DegreeBoundError("dehomogenized determinant exceeds the homogeneous degree")
-        out_terms[(a, b, zc)] = c
-    return MultiPoly.make(("x", "y", "z"), field, out_terms)
+    if axes:
+        coeffs = _interpolated_det(rows, [vars.index(v) for v in axes], D)
+        det_aff = MultiPoly.make(axes, field, coeffs)
+    else:                    # nothing left to sample: a constant matrix
+        point = {hom: Fraction(1)} if hom else {}
+        value = det_scalar([[e.evaluate(point) for e in row] for row in rows])
+        det_aff = MultiPoly.constant(value, (), field)
+    if hom:                  # re-homogenize to the known total degree
+        det_aff = det_aff.homogenize(hom, D)
+    return det_aff.with_vars(vars)
 
 
 # -- Sylvester resultants ----------------------------------------------------
 
 
-def sylvester_matrix_scalars(fc: List[Scalar], gc: List[Scalar]) -> List[List[Scalar]]:
-    """Sylvester matrix from ascending coefficient lists taken at their
-    NOMINAL degrees (leading entries may be zero).  Entries are scalars,
-    ints, or (re, im) int pairs, as det_scalar takes them."""
-    m = len(fc) - 1
-    n = len(gc) - 1
-    size = m + n
-    if all(isinstance(c, int) for c in fc + gc):
-        pad: object = 0
-    elif all(isinstance(c, tuple) for c in fc + gc):
-        pad = (0, 0)
-    else:
-        pad = Fraction(0)
-    rows = []
-    frow = list(reversed(fc))
-    grow = list(reversed(gc))
-    for r in range(n):
-        rows.append([pad] * r + frow + [pad] * (size - r - m - 1))
-    for r in range(m):
-        rows.append([pad] * r + grow + [pad] * (size - r - n - 1))
-    return rows
+def sylvester_rows(fc: List, gc: List, zero) -> List[List]:
+    """Sylvester matrix of f and g from their ascending coefficient lists at
+    NOMINAL degrees m and n (leading entries may be zero): n shifts of
+    (f_m ... f_0), then m shifts of (g_n ... g_0), padded with ``zero``.
+    The entries may be scalars or polynomials."""
+    m, n = len(fc) - 1, len(gc) - 1
+    frow, grow = fc[::-1], gc[::-1]
+    return ([[zero] * r + frow + [zero] * (n - 1 - r) for r in range(n)]
+            + [[zero] * r + grow + [zero] * (m - 1 - r) for r in range(m)])
 
 
 def resultant_nominal(fc: List[Scalar], gc: List[Scalar]) -> Scalar:
@@ -475,7 +447,7 @@ def resultant_nominal(fc: List[Scalar], gc: List[Scalar]) -> Scalar:
         return fc[0] ** (len(gc) - 1)
     if len(gc) - 1 == 0:
         return gc[0] ** (len(fc) - 1)
-    return det_scalar(sylvester_matrix_scalars(fc, gc))
+    return det_scalar(sylvester_rows(fc, gc, fc[0] - fc[0]))
 
 
 def sylvester_resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
@@ -497,55 +469,5 @@ def sylvester_resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         return fc[0] ** n
     if n == 0:
         return gc[0] ** m
-    used = [v for v in rest if any(c.uses_var(v) for c in fc + gc)]
-    if not used:
-        det = resultant_nominal([c.constant_value() for c in fc],
-                                [c.constant_value() for c in gc])
-        return MultiPoly.constant(det, rest, f2.field)
-    if len(used) == 1:
-        return _resultant_interp_1var(fc, gc, used[0], rest, f2.field)
-    size = m + n
-    zero = MultiPoly.zero(rest, f2.field)
-    rows: List[List[MultiPoly]] = []
-    frow = list(reversed(fc))
-    grow = list(reversed(gc))
-    for r in range(n):
-        rows.append([zero] * r + frow + [zero] * (size - r - m - 1))
-    for r in range(m):
-        rows.append([zero] * r + grow + [zero] * (size - r - n - 1))
-    return det_bareiss_poly(rows)
-
-
-def _resultant_interp_1var(fc: List[MultiPoly], gc: List[MultiPoly], var: str,
-                           rest, field) -> MultiPoly:
-    """Evaluation-interpolation resultant when the coefficients involve a
-    single variable: the determinant degree is bounded by row count times
-    entry degree.  The coefficients are scaled to Z (or Z[i]), each sample
-    at var = 0..bound is a scalar nominal-degree resultant, and integer
-    differences interpolate it."""
-    m, n = len(fc) - 1, len(gc) - 1
-    df = max(c.degree_in(var) for c in fc)
-    dg = max(c.degree_in(var) for c in gc)
-    bound = n * max(df, 0) + m * max(dg, 0)
-    gaussian = any(im_part(c) for p in fc + gc for c in p.terms.values())
-    vi = rest.index(var)
-
-    def integer_coeffs(polys):
-        multiple = _denominator_lcm(c for p in polys for c in p.terms.values())
-        return multiple, [_integer_parts(p, multiple, gaussian, lambda exp: exp[vi])
-                          for p in polys]
-
-    def sample(parts, t):
-        vals = tuple(sum(c * t ** k for k, c in part.items()) for part in parts)
-        return vals if gaussian else vals[0]
-
-    lf, fu = integer_coeffs(fc)
-    lg, gu = integer_coeffs(gc)
-    values = [resultant_nominal([sample(p, t) for p in fu], [sample(p, t) for p in gu])
-              for t in range(bound + 1)]
-    samples = [[v[p] for v in values] for p in (0, 1)] if gaussian else [values]
-    interpolated = [dict(enumerate(_falling_to_monomial(_falling_coefficients(s))))
-                    for s in samples]
-    coeffs = _divide_out(interpolated, lf ** n * lg ** m)
-    out = MultiPoly.make((var,), field, {(k,): c for k, c in coeffs.items()})
-    return out.with_vars(rest)
+    rows = sylvester_rows(fc, gc, MultiPoly.zero(rest, f2.field))
+    return poly_matrix_det(rows, sum(max(e.total_degree() for e in row) for row in rows))

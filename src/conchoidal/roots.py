@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd as int_gcd, isqrt
+from math import gcd as int_gcd, isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
 
+from .errors import InternalError
 from .fields import (
     FIELD_Q,
     FIELD_QI,
@@ -92,46 +93,13 @@ def _int_content_strip(coeffs: List[int]) -> List[int]:
     return [c // g for c in coeffs] if g > 1 else coeffs
 
 
-def _int_prs_gcd(a: List[int], b: List[int]) -> List[int]:
-    """Primitive gcd of two integer polynomials by a primitive-PRS."""
-    a, b = _int_content_strip(list(a)), _int_content_strip(list(b))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        # pseudo-remainder of a by b, then content strip
-        r = list(a)
-        db = len(b) - 1
-        lcb = b[-1]
-        while r and len(r) - 1 >= db:
-            lcr = r[-1]
-            k = len(r) - 1 - db
-            r = [c * lcb for c in r[:-1]]
-            for i in range(db):
-                r[k + i] -= lcr * b[i]
-            while r and not r[-1]:
-                r.pop()
-        a, b = b, _int_content_strip(r) if r else []
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
-
-
 def _int_squarefree_part(coeffs: List[int]) -> List[int]:
-    d = _deriv_int(coeffs)
-    g = _int_prs_gcd(coeffs, d)
-    if len(g) <= 1:
-        return list(coeffs)
-    # exact quotient over Q; integral by Gauss's lemma on primitive parts
-    num = UniPoly([Fraction(c) for c in coeffs], FIELD_Q)
-    den = UniPoly([Fraction(c) for c in g], FIELD_Q)
-    q, rem = num.divmod(den)
-    if not rem.is_zero():
-        return list(coeffs)
-    out = [Fraction(c) for c in q.coeffs]
-    lcm = 1
-    for c in out:
-        lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-    return _int_content_strip([int(c * lcm) for c in out])
+    """Primitive squarefree part of an integer polynomial: f / gcd(f, f')
+    over Q, content stripped."""
+    f = UniPoly([Fraction(c) for c in coeffs], FIELD_Q)
+    q = f.divmod(f.gcd(f.derivative()))[0].coeffs
+    den = lcm(*(c.denominator for c in q))
+    return _int_content_strip([int(c * den) for c in q])
 
 
 def _roots_mod_p(coeffs: List[int], p: int) -> List[int]:
@@ -183,7 +151,6 @@ def _rational_roots_big(ints: List[int]) -> List[Fraction]:
     """All rational roots of a primitive integer polynomial whose endpoint
     coefficients are too large for divisor enumeration."""
     w = _int_squarefree_part(ints)
-    w = _int_content_strip(w)
     a0, an = abs(w[0]), abs(w[-1])
     target = 2 * a0 * an + 1
     # w is squarefree, so only the finitely many primes dividing
@@ -372,7 +339,7 @@ def _rational_zeros_uv(A: MultiPoly, B: MultiPoly) -> List[Tuple[Fraction, Fract
     """Common rational zeros of two polynomials over Q in (u, v)."""
     solved = solve_zero_dim([A, B], FIELD_Q)
     if solved is None:
-        raise ArithmeticError("internal: resultant of the zero-split parts vanished")
+        raise InternalError("resultant of the zero-split parts vanished")
     return solved[0]
 
 

@@ -26,7 +26,13 @@ from itertools import combinations
 from typing import List, Optional, Tuple
 
 from .curves import CURVE_VARS, PlaneCurve
-from .errors import ConchoidError, CyclicTangentError, DegenerateConicError, NotSquarefreeError
+from .errors import (
+    ConchoidError,
+    CyclicTangentError,
+    DegenerateConicError,
+    InternalError,
+    NotSquarefreeError,
+)
 from .fields import (
     FIELD_Q,
     FIELD_QI,
@@ -238,7 +244,7 @@ def _split_even(C: PlaneCurve, G: MultiPoly, A, delta: int) -> SplitResult:
         notes.extend(extra_notes)
         if status == "witness":
             if not witness.identity_holds(C, A):
-                raise ArithmeticError("internal: split witness failed verification")
+                raise InternalError("split witness failed verification")
             witness.field_used = _witness_field(witness.H1, witness.H2)
             return SplitResult("split", witness, notes)
         if status == "split-no-witness":

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from conchoidal import cli
 from conchoidal.cli import main
+from conchoidal.errors import InternalError
 
 
 def run(capsys, *argv):
@@ -64,6 +66,17 @@ def test_split_cyclic_tangent_is_math_error(capsys):
         code, _, err = run(capsys, "split", "--C", curve)
         assert code == 1
         assert err.startswith("error:") and "cyclic tangent line" in err
+
+
+def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
+    # a broken invariant exits 4, never 1 ("no") or 2 (usage)
+    def broken(*args):
+        raise InternalError("split witness failed verification")
+
+    monkeypatch.setattr(cli, "split_test", broken)
+    code, _, err = run(capsys, "split", "--C", "(y+z)^2-(x^2+y^2)")
+    assert code == 4
+    assert err.startswith("internal error: split witness failed verification")
 
 
 def test_split_components(capsys):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from math import prod
 
 import pytest
 
@@ -9,7 +10,6 @@ from conchoidal import (
     GaussianRational,
     MultiPoly,
     PlaneCurve,
-    PolyMatrix,
     conchoid_matrix,
     parse_poly,
     phi_forms,
@@ -20,7 +20,7 @@ from conchoidal.errors import DegreeBoundError
 from conchoidal.resultant import (
     _falling_coefficients,
     _falling_to_monomial,
-    _interp_triangle,
+    _interp_simplex,
     det_bareiss_poly,
     det_scalar,
     resultant_nominal,
@@ -72,25 +72,25 @@ def test_phi_identity():
 
 def test_conchoid_matrix_two_lines():
     M = conchoid_matrix(parse_poly("x+y+z"), parse_poly("x-y+2*z"))
-    assert (M.rows, M.cols) == (2, 2)
-    assert M.at(0, 0) == parse_poly("-x-y")
-    assert M.at(0, 1) == parse_poly("x+y+z")
-    assert M.at(1, 0) == parse_poly("x-y")
-    assert M.at(1, 1) == parse_poly("2*z")
+    assert [len(row) for row in M] == [2, 2]
+    assert M[0][0] == parse_poly("-x-y")
+    assert M[0][1] == parse_poly("x+y+z")
+    assert M[1][0] == parse_poly("x-y")
+    assert M[1][1] == parse_poly("2*z")
 
 
 def test_conchoid_matrix_line_conic_shape():
     # d = 1, delta = 2: 3x3 with last row (G_2, z G_1, z^2 G_0)
     G = parse_poly("x^2+y^2-z^2")
     M = conchoid_matrix(parse_poly("x+y+z"), G)
-    assert (M.rows, M.cols) == (3, 3)
-    assert M.at(2, 0) == parse_poly("x^2+y^2")
-    assert M.at(2, 1).is_zero()
-    assert M.at(2, 2) == parse_poly("-z^2")
+    assert [len(row) for row in M] == [3, 3, 3]
+    assert M[2][0] == parse_poly("x^2+y^2")
+    assert M[2][1].is_zero()
+    assert M[2][2] == parse_poly("-z^2")
     # the two Phi rows are shifts of each other
-    assert M.at(0, 0) == M.at(1, 1)
-    assert M.at(0, 1) == M.at(1, 2)
-    assert M.at(1, 0).is_zero()
+    assert M[0][0] == M[1][1]
+    assert M[0][1] == M[1][2]
+    assert M[1][0].is_zero()
 
 
 def test_swapped_roles_same_determinant_up_to_sign():
@@ -104,11 +104,11 @@ def test_swapped_roles_same_determinant_up_to_sign():
 def test_det_trivia():
     x = parse_poly("x")
     y = parse_poly("y")
-    M = PolyMatrix(2, 2, [x, y, y, x])
+    M = [[x, y], [y, x]]
     assert poly_matrix_det(M, 2) == parse_poly("x^2-y^2")
     one = MultiPoly.constant(1, VARS)
     zero = MultiPoly.zero(VARS)
-    eye = PolyMatrix(4, 4, [one if i == j else zero for i in range(4) for j in range(4)])
+    eye = [[one if i == j else zero for j in range(4)] for i in range(4)]
     assert poly_matrix_det(eye, 0) == one
 
 
@@ -125,10 +125,9 @@ def test_det_dual_route():
     rng = random.Random(13)
     for size in (3, 4):
         for _ in range(6):
-            entries = [random_poly(rng, ("x", "y"), 2).with_vars(VARS)
-                       for _ in range(size * size)]
-            M = PolyMatrix(size, size, entries)
-            direct = det_bareiss_poly([M.row(i) for i in range(size)])
+            M = [[random_poly(rng, ("x", "y"), 2).with_vars(VARS) for _ in range(size)]
+                 for _ in range(size)]
+            direct = det_bareiss_poly(M)
             bound = 2 * size
             via_grid = poly_matrix_det(M, bound)
             assert via_grid == direct
@@ -141,8 +140,7 @@ def test_det_interpolation_matches_bareiss_homogeneous():
         degs = [1, 2, 1]
         for d in degs:
             rows.append([random_form(rng, d) for _ in range(3)])
-        M = PolyMatrix(3, 3, [e for row in rows for e in row])
-        got = poly_matrix_det(M, sum(degs))
+        got = poly_matrix_det(rows, sum(degs))
         direct = det_bareiss_poly(rows)
         assert got == direct
 
@@ -155,8 +153,7 @@ def test_det_evaluation_commutes():
     det = poly_matrix_det(M, 8)
     for _ in range(4):
         pt = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for v in VARS}
-        scalar_rows = [[M.at(i, j).evaluate(pt) for j in range(M.cols)]
-                       for i in range(M.rows)]
+        scalar_rows = [[e.evaluate(pt) for e in row] for row in M]
         from conchoidal.resultant import det_scalar
 
         assert det.evaluate(pt) == det_scalar(scalar_rows)
@@ -164,7 +161,7 @@ def test_det_evaluation_commutes():
 
 def test_degree_bound_violation_detected():
     x = parse_poly("x")
-    M = PolyMatrix(2, 2, [x * x, MultiPoly.zero(VARS), MultiPoly.zero(VARS), x * x])
+    M = [[x * x, MultiPoly.zero(VARS)], [MultiPoly.zero(VARS), x * x]]
     with pytest.raises(DegreeBoundError):
         poly_matrix_det(M, 1)
 
@@ -282,10 +279,9 @@ def test_det_dual_route_gaussian_z_free():
     rng = random.Random(59)
     for size in (2, 3):
         for _ in range(4):
-            entries = [_gaussian(lambda: random_poly(rng, ("x", "y"), 2)).with_vars(VARS)
-                       for _ in range(size * size)]
-            M = PolyMatrix(size, size, entries)
-            direct = det_bareiss_poly([M.row(i) for i in range(size)])
+            M = [[_gaussian(lambda: random_poly(rng, ("x", "y"), 2)).with_vars(VARS)
+                  for _ in range(size)] for _ in range(size)]
+            direct = det_bareiss_poly(M)
             assert poly_matrix_det(M, 2 * size) == direct
 
 
@@ -294,8 +290,7 @@ def test_det_dual_route_gaussian_homogeneous():
     for degs in ([1, 2, 1], [2, 1, 1, 1]):
         for _ in range(3):
             rows = [[_gaussian(lambda: random_form(rng, d)) for _ in degs] for d in degs]
-            M = PolyMatrix(len(degs), len(degs), [e for row in rows for e in row])
-            got = poly_matrix_det(M, sum(degs))
+            got = poly_matrix_det(rows, sum(degs))
             assert got.field == FIELD_QI
             assert got == det_bareiss_poly(rows)
 
@@ -305,7 +300,57 @@ def test_gaussian_conchoid_matches_bareiss():
     B = _gaussian(lambda: random_form(rng, 2))
     C = _gaussian(lambda: random_form(rng, 2))
     M = conchoid_matrix(B, C)
-    assert poly_matrix_det(M, 8) == det_bareiss_poly([M.row(i) for i in range(M.rows)])
+    assert poly_matrix_det(M, 8) == det_bareiss_poly(M)
+
+
+# make() over Q, and make() + i*make() over Q(i)
+OVER_Q_AND_QI = (lambda make: make(), _gaussian)
+
+
+def _sylvester_by_hand(f, g, var):
+    """The Sylvester matrix of f and g in var, written out for the oracle."""
+    rest = tuple(v for v in f.vars if v != var)
+    fc = [c.with_vars(rest) for c in reversed(f.coefficients_in(var))]
+    gc = [c.with_vars(rest) for c in reversed(g.coefficients_in(var))]
+    m, n = len(fc) - 1, len(gc) - 1
+    zero = MultiPoly.zero(rest, f.field)
+
+    def shifted(coeffs, i):
+        return [coeffs[j - i] if 0 <= j - i < len(coeffs) else zero for j in range(m + n)]
+
+    return [shifted(fc, i) for i in range(n)] + [shifted(gc, i) for i in range(m)]
+
+
+def test_sylvester_resultant_in_two_and_three_variables():
+    rng = random.Random(83)
+    for rest in (("x", "y"), ("x", "y", "z")):
+        tv = rest + ("t",)
+        t = MultiPoly.variable("t", tv)
+        for over in OVER_Q_AND_QI * 2:
+            f = over(lambda: random_poly(rng, tv, 2) + t ** 2)
+            g = over(lambda: random_poly(rng, tv, 2) * t + 1)
+            direct = det_bareiss_poly(_sylvester_by_hand(f, g, "t"))
+            assert sylvester_resultant(f, g, "t") == direct
+
+
+def test_det_homogeneous_in_other_variables():
+    # rows homogeneous in (a, b, c): c is dehomogenized and put back
+    rng = random.Random(89)
+    for degs in ([1, 2, 1], [2, 1, 1, 1]):
+        for over in OVER_Q_AND_QI:
+            rows = [[over(lambda: random_form(rng, d, ("a", "b", "c"))) for _ in degs]
+                    for d in degs]
+            got = poly_matrix_det(rows, sum(degs))
+            assert got.is_homogeneous() and got == det_bareiss_poly(rows)
+
+
+def test_det_non_homogeneous_three_variables():
+    rng = random.Random(97)
+    for size in (2, 3):
+        for over in OVER_Q_AND_QI * 2:
+            rows = [[over(lambda: random_poly(rng, VARS, 2)) for _ in range(size)]
+                    for _ in range(size)]
+            assert poly_matrix_det(rows, 2 * size) == det_bareiss_poly(rows)
 
 
 def test_degree_80_homogeneous_determinant_is_exact():
@@ -314,8 +359,7 @@ def test_degree_80_homogeneous_determinant_is_exact():
     x, y, z = (MultiPoly.variable(v, VARS) for v in VARS)
     rows = [[(x + 2 * z) ** 40, (y - z) ** 20 * x ** 20],
             [(x - y) ** 40 + z ** 40, (3 * x + y) ** 30 * z ** 10]]
-    M = PolyMatrix(2, 2, [e for row in rows for e in row])
-    det = poly_matrix_det(M, 80)
+    det = poly_matrix_det(rows, 80)
     assert det.is_homogeneous() and det.total_degree() == 80
     rng = random.Random(71)
     for _ in range(5):
@@ -325,17 +369,18 @@ def test_degree_80_homogeneous_determinant_is_exact():
 
 
 def test_integer_triangle_interpolation_recovers_polynomials():
+    # the simplex interpolation in k = 2 variables (the triangle), and in
+    # k = 0, 1 and 3
     rng = random.Random(73)
-    for D in (0, 1, 2, 5, 9, 14):
-        for _ in range(3):
-            poly = {}
-            for a in range(D + 1):
-                for b in range(D + 1 - a):
-                    if rng.random() < 0.6:
-                        poly[(a, b)] = rng.randint(-10 ** 6, 10 ** 6)
-            values = [[sum(c * x0 ** a * y0 ** b for (a, b), c in poly.items())
-                       for y0 in range(D + 1 - x0)] for x0 in range(D + 1)]
-            assert _interp_triangle(values) == {k: c for k, c in poly.items() if c}
+    for k, degrees in ((2, (0, 1, 2, 5, 9, 14)), (0, (0, 4)), (1, (0, 1, 7, 20)),
+                       (3, (0, 1, 4, 8))):
+        for D in degrees:
+            simplex = [p for p in product(range(D + 1), repeat=k) if sum(p) <= D]
+            for _ in range(3):
+                poly = {p: rng.randint(-10 ** 6, 10 ** 6) for p in simplex if rng.random() < 0.6}
+                values = {q: sum(c * prod(t ** a for t, a in zip(q, p)) for p, c in poly.items())
+                          for q in simplex}
+                assert _interp_simplex(values, k, D) == {p: c for p, c in poly.items() if c}
 
 
 def test_integer_falling_factorial_round_trip():

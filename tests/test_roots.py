@@ -177,6 +177,9 @@ def test_big_roots_survive_many_bad_primes():
     assert rational_roots(UniPoly([Fraction(-1), Fraction(P)])) == [(Fraction(1, P), 1)]
     f = UniPoly([Fraction(-3), Fraction(P)]) * UniPoly([Fraction(1), Fraction(1)])
     assert rational_roots(f) == [(Fraction(-1), 1), (Fraction(3, P), 1)]
+    # a repeated root: the lifting runs on the squarefree part
+    f = UniPoly([Fraction(-3), Fraction(P)]) * f
+    assert rational_roots(f) == [(Fraction(-1), 1), (Fraction(3, P), 2)]
 
 
 UV = ("u", "v")
