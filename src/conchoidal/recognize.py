@@ -276,26 +276,13 @@ def recognize_complete(D: PlaneCurve) -> RecognitionReport:
 
     ir = infinity_restriction(D)
     cyc = MultiPoly.make(("x", "y"), D.field, {(2, 0): 1, (0, 2): 1})
-    rest = ir
-    ok = not rest.is_zero()
-    for _ in range(delta):
-        if not ok:
-            break
-        q = poly_exact_div(rest, cyc)
-        if q is None:
-            ok = False
-        else:
-            rest = q
-    h_delta = None
-    if ok:
-        got = square_root_up_to_scalar(rest)
-        if got is None:
-            ok = False
-        else:
-            h_delta = got[1]
+    # a zero ir leaves rest = 0, which has no square root up to a scalar
+    rest = poly_exact_div(ir, cyc ** delta)
+    got = None if rest is None else square_root_up_to_scalar(rest)
+    ok = got is not None
     report.checks.append(CheckRecord(
         "infinity-splits", ok,
-        f"restriction = const*(x^2+y^2)^{delta} * ({poly_to_text(h_delta)})^2" if ok
+        f"restriction = const*(x^2+y^2)^{delta} * ({poly_to_text(got[1])})^2" if ok
         else "restriction to z=0 does not split as (x^2+y^2)^delta * square"))
     if not ok:
         return report

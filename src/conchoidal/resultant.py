@@ -470,4 +470,6 @@ def sylvester_resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     if n == 0:
         return gc[0] ** m
     rows = sylvester_rows(fc, gc, MultiPoly.zero(rest, f2.field))
-    return poly_matrix_det(rows, sum(max(e.total_degree() for e in row) for row in rows))
+    # the coefficient of var**i has total degree <= deg - i, so every term
+    # of the determinant has degree <= n deg f + m deg g - m n
+    return poly_matrix_det(rows, n * f2.total_degree() + m * g2.total_degree() - m * n)

@@ -1,7 +1,9 @@
 """Root finding in Q and Q(i), formal square roots, binary form factorization.
 
-Rational roots over Q use divisor enumeration on the content-normalized
-integer polynomial.  Over Q(i) the unknown is split as t = u + i*v, the
+Rational roots over Q come from one algorithm, p-adic lifting (Loos 1983):
+the roots of the squarefree part modulo a small prime are Newton-lifted,
+rationally reconstructed, and each candidate's multiplicity is found by
+deflation.  Over Q(i) the unknown is split as t = u + i*v, the
 real/imaginary parts give a bivariate rational system that is reduced to Q
 by a resultant and then verified exactly.
 
@@ -39,26 +41,6 @@ from .multipoly import MultiPoly, UniPoly
 from .resultant import sylvester_resultant
 
 
-def _int_divisors(n: int) -> List[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-# Rational roots of integer polynomials with large endpoints: p-adic lifting
-# of roots modulo a prime plus rational reconstruction, instead of divisor
-# enumeration (which needs to factor the endpoints).
-
-_DIVISOR_ENUM_LIMIT = 10 ** 12
-
-
 def _int_poly_mod(coeffs: List[int], p: int) -> List[int]:
     out = [c % p for c in coeffs]
     while out and not out[-1]:
@@ -93,9 +75,9 @@ def _int_content_strip(coeffs: List[int]) -> List[int]:
     return [c // g for c in coeffs] if g > 1 else coeffs
 
 
-def _int_squarefree_part(coeffs: List[int]) -> List[int]:
-    """Primitive squarefree part of an integer polynomial: f / gcd(f, f')
-    over Q, content stripped."""
+def _int_squarefree_part(coeffs: Sequence[Fraction]) -> List[int]:
+    """Primitive integer squarefree part of a polynomial over Q:
+    f / gcd(f, f') scaled to coprime integer coefficients."""
     f = UniPoly([Fraction(c) for c in coeffs], FIELD_Q)
     q = f.divmod(f.gcd(f.derivative()))[0].coeffs
     den = lcm(*(c.denominator for c in q))
@@ -114,19 +96,17 @@ def _horner_mod(coeffs: List[int], x: int, m: int) -> int:
     return total
 
 
-def _lift_root(coeffs: List[int], r: int, p: int, target: int) -> Optional[int]:
-    """Newton-lift a simple root of f mod p to a root mod p**k >= target."""
+def _lift_root(coeffs: List[int], r: int, p: int, target: int) -> Tuple[int, int]:
+    """Newton-lift a root r of f mod p with f'(r) a unit mod p to a root
+    mod m = p**(2**j) >= target; returns (root, m)."""
     dcoeffs = _deriv_int(coeffs)
     modulus = p
     while modulus < target:
         modulus = modulus * modulus
         fr = _horner_mod(coeffs, r, modulus)
         dr = _horner_mod(dcoeffs, r, modulus)
-        if dr % p == 0:
-            return None
-        inv = pow(dr, -1, modulus)
-        r = (r - fr * inv) % modulus
-    return r
+        r = (r - fr * pow(dr, -1, modulus)) % modulus
+    return r, modulus
 
 
 def _rat_reconstruct(a: int, m: int, num_bound: int, den_bound: int
@@ -147,35 +127,26 @@ def _rat_reconstruct(a: int, m: int, num_bound: int, den_bound: int
     return Fraction(r1, s1)
 
 
-def _rational_roots_big(ints: List[int]) -> List[Fraction]:
-    """All rational roots of a primitive integer polynomial whose endpoint
-    coefficients are too large for divisor enumeration."""
-    w = _int_squarefree_part(ints)
+def _lifted_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
+    """Candidate rational roots of a polynomial with rational coefficients
+    and a nonzero constant term, by p-adic lifting (Loos 1983).  A root
+    a/b in lowest terms of the primitive squarefree part w has |a| <= |w_0|
+    and b <= |w_n|.  Modulo the first odd prime dividing neither w_n nor
+    disc(w) it is a simple root, and its Newton lift to a modulus above
+    2 |w_0 w_n| gives a/b back by rational reconstruction.  The caller
+    discards the candidates that are not roots."""
+    w = _int_squarefree_part(coeffs)
     a0, an = abs(w[0]), abs(w[-1])
-    target = 2 * a0 * an + 1
-    # w is squarefree, so only the finitely many primes dividing
-    # an * disc(w) are skipped
-    p = 4001
+    p = 3
     while not an % p or len(_poly_gcd_mod_p(_int_poly_mod(w, p),
                                             _int_poly_mod(_deriv_int(w), p), p)) > 1:
         p = _next_prime(p)
     found: List[Fraction] = []
-    f_frac = UniPoly([Fraction(c) for c in ints], FIELD_Q)
     for r in _roots_mod_p(w, p):
-        lifted = _lift_root(w, r, p, target)
-        if lifted is None:
-            continue
-        cand = _rat_reconstruct(lifted, _next_pow(p, target), a0, an)
-        if cand is not None and f_frac.eval(cand) == 0:
+        cand = _rat_reconstruct(*_lift_root(w, r, p, 2 * a0 * an + 1), a0, an)
+        if cand is not None:
             found.append(cand)
-    return sorted(set(found))
-
-
-def _next_pow(p: int, target: int) -> int:
-    m = p
-    while m < target:
-        m = m * m
-    return m
+    return found
 
 
 def _next_prime(p: int) -> int:
@@ -184,15 +155,6 @@ def _next_prime(p: int) -> int:
         if all(candidate % q for q in range(3, isqrt(candidate) + 1, 2)):
             return candidate
         candidate += 2
-
-
-def _strip_zero_root(f: UniPoly) -> Tuple[int, UniPoly]:
-    k = 0
-    coeffs = list(f.coeffs)
-    while coeffs and not coeffs[0]:
-        coeffs.pop(0)
-        k += 1
-    return k, UniPoly(coeffs, f.field)
 
 
 def _mult_of_root(f: UniPoly, root: Scalar) -> Tuple[int, UniPoly]:
@@ -207,41 +169,18 @@ def _mult_of_root(f: UniPoly, root: Scalar) -> Tuple[int, UniPoly]:
 
 
 def _rational_roots_q(f: UniPoly) -> List[Tuple[Fraction, int]]:
-    out: List[Tuple[Fraction, int]] = []
-    k, f = _strip_zero_root(f)
-    if k:
-        out.append((Fraction(0), k))
+    k, f = _mult_of_root(f, Fraction(0))
+    out = [(Fraction(0), k)] if k else []
     if f.degree() < 1:
         return out
     fracs = [as_fraction(c) for c in f.coeffs]
     if any(q is None for q in fracs):
         raise ValueError("polynomial has non-rational coefficients")
-    den = 1
-    for q in fracs:
-        den = den * q.denominator // int_gcd(den, q.denominator)
-    ints = [int(q * den) for q in fracs]
-    content = 0
-    for c in ints:
-        content = int_gcd(content, abs(c))
-    ints = [c // content for c in ints]
-    a0, an = ints[0], ints[-1]
-    if abs(a0) * abs(an) > _DIVISOR_ENUM_LIMIT:
-        for cand in _rational_roots_big(ints):
-            out.append((cand, _mult_of_root(f, cand)[0]))
-        return sorted(out, key=lambda rm: rm[0])
-    for p in _int_divisors(a0):
-        for q in _int_divisors(an):
-            if int_gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if f.eval(cand) == 0:
-                    mult, f = _mult_of_root(f, cand)
-                    out.append((cand, mult))
-                    if f.degree() < 1:
-                        return sorted(out, key=lambda rm: rm[0])
-                    # divisor sets shrink after deflation, but re-testing
-                    # against the original a0, an stays sound
-    return sorted(out, key=lambda rm: rm[0])
+    for cand in _lifted_roots(fracs):
+        mult, f = _mult_of_root(f, cand)
+        if mult:
+            out.append((cand, mult))
+    return sorted(out)
 
 
 def _re_im_split(f: UniPoly) -> Tuple[MultiPoly, MultiPoly]:
@@ -268,10 +207,8 @@ def _re_im_split(f: UniPoly) -> Tuple[MultiPoly, MultiPoly]:
 
 
 def _rational_roots_qi(f: UniPoly) -> List[Tuple[GaussianRational, int]]:
-    out: List[Tuple[GaussianRational, int]] = []
-    k, f = _strip_zero_root(f)
-    if k:
-        out.append((GaussianRational(0), k))
+    k, f = _mult_of_root(f, GaussianRational(0))
+    out = [(GaussianRational(0), k)] if k else []
     if f.degree() < 1:
         return _sorted_qi(out)
     if f.degree() == 1:

@@ -42,7 +42,7 @@ from .fields import (
     sqrt_in_field,
     to_scalar,
 )
-from .gcd import is_squarefree
+from .gcd import is_squarefree, multiplicity_of_factor
 from .linalg import solve_linear
 from .multipoly import MultiPoly, UniPoly, poly_exact_div
 from .resultant import det_scalar, sylvester_resultant
@@ -166,22 +166,6 @@ def _quadratic_matrix(Mq: MultiPoly) -> List[List[Scalar]]:
         [c((1, 1, 0)) * half, c((0, 2, 0)), c((0, 1, 1)) * half],
         [c((1, 0, 1)) * half, c((0, 1, 1)) * half, c((0, 0, 2))],
     ]
-
-
-def _as_linear_square(Mq: MultiPoly) -> Optional[Tuple[Scalar, MultiPoly]]:
-    """(c, l) with Mq = c * l**2 for a monic linear form l, or None."""
-    if Mq.is_zero():
-        return to_scalar(0, FIELD_QI), MultiPoly.zero(CURVE_VARS, FIELD_QI)
-    S = _quadratic_matrix(Mq)
-    for v in range(3):
-        if S[v][v]:
-            coeffs = [S[v][w] / S[v][v] for w in range(3)]
-            l = MultiPoly.make(CURVE_VARS, FIELD_QI,
-                               {(1, 0, 0): coeffs[0], (0, 1, 0): coeffs[1], (0, 0, 1): coeffs[2]})
-            if l * l * S[v][v] == Mq:
-                return S[v][v], l
-            return None
-    return None
 
 
 def split_test(C: PlaneCurve, A: Tuple[Scalar, Scalar]) -> SplitResult:
@@ -314,12 +298,10 @@ def _even_high(C, G, A, q, H1p, scale, m):
         algebraic_possible = not complete
     for h0 in candidates:
         M0 = Mh.partial_eval({"w": h0}).with_vars(CURVE_VARS)
-        got = _as_linear_square(M0)
+        got = square_root_up_to_scalar(M0)
         if got is None:
             continue
         c, l = got
-        if not c:
-            continue
         e = sqrt_in_field(c, FIELD_QI)
         H1 = H1p + q * h0
         if e is None:
@@ -580,12 +562,8 @@ def _strip_extraneous(raw: MultiPoly, strippers: List[MultiPoly]) -> MultiPoly:
     last nonconstant part."""
     out = raw
     for factor in strippers:
-        if factor.is_constant() or factor.is_zero():
+        if factor.is_constant():
             continue
-        factor = factor.monic()
-        while True:
-            q = poly_exact_div(out, factor)
-            if q is None or q.is_constant():
-                break
-            out = q
+        k, rest = multiplicity_of_factor(out, factor)
+        out = factor if k and rest.is_constant() else rest
     return out.monic()

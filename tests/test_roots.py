@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conchoidal import MultiPoly, UniPoly, factor_binary_form, formal_square_root, parse_poly, rational_roots
 from conchoidal.fields import FIELD_Q, FIELD_QI, GaussianRational, to_scalar
-from conchoidal.roots import _rational_roots_big, common_roots, solve_zero_dim, square_root_up_to_scalar
+from conchoidal.roots import _lifted_roots, common_roots, solve_zero_dim, square_root_up_to_scalar
 
 from helpers import random_poly
 
@@ -38,8 +38,9 @@ def test_roots_multiplicity_and_zero():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4),
-                min_size=1, max_size=4))
+@given(st.lists(st.builds(Fraction, st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                          st.integers(min_value=1, max_value=10 ** 3)),
+                min_size=1, max_size=6))
 def test_constructed_roots_recovered(chosen):
     one = UniPoly([Fraction(1)])
     f = one
@@ -73,7 +74,7 @@ def test_big_coefficient_roots_use_lifting():
     roots = rational_roots(f)
     assert (Fraction(1), 1) in roots
     assert (Fraction(-2 * big, 3), 1) in roots
-    direct = _rational_roots_big([-2 * big, 2 * big - 3, 3])
+    direct = _lifted_roots([-2 * big, 2 * big - 3, 3])
     assert Fraction(1) in direct
 
 
@@ -169,8 +170,7 @@ def _primes_from(p, count):
 
 
 def test_big_roots_survive_many_bad_primes():
-    # the leading coefficient is divisible by 4001 and the next 60 primes,
-    # so the lifting prime lies beyond all of them
+    # the leading coefficient is divisible by 4001 and the next 60 primes
     P = 1
     for p in _primes_from(4001, 61):
         P *= p
@@ -180,6 +180,13 @@ def test_big_roots_survive_many_bad_primes():
     # a repeated root: the lifting runs on the squarefree part
     f = UniPoly([Fraction(-3), Fraction(P)]) * f
     assert rational_roots(f) == [(Fraction(-1), 1), (Fraction(3, P), 2)]
+    # the leading coefficient is divisible by the first 61 odd primes, so
+    # the search for a lifting prime, which starts at 3, skips all of them
+    Q = 1
+    for p in _primes_from(3, 61):
+        Q *= p
+    f = UniPoly([Fraction(-1), Fraction(Q)]) * UniPoly([Fraction(2), Fraction(1)])
+    assert rational_roots(f) == [(Fraction(-2), 1), (Fraction(1, Q), 1)]
 
 
 UV = ("u", "v")
