@@ -155,10 +155,6 @@ def to_scalar(x, field: str) -> Scalar:
     raise ValueError(f"unknown field tag {field!r}")
 
 
-def scalar_field(x) -> str:
-    return FIELD_QI if isinstance(x, GaussianRational) else FIELD_Q
-
-
 def join_fields(f1: str, f2: str) -> str:
     return FIELD_QI if FIELD_QI in (f1, f2) else FIELD_Q
 

@@ -54,10 +54,6 @@ class PlotSpec:
         self.window = (xmin, xmax, ymin, ymax)
 
 
-def _corner(i: int, x0, x1, y0, y1):
-    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)][i]
-
-
 def marching_segments(curve: PlaneCurve, spec: PlotSpec) -> List[Tuple[float, float, float, float]]:
     """Line segments approximating the real affine locus, from exact sign
     samples with linear interpolation along cell edges."""

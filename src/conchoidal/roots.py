@@ -5,7 +5,10 @@ the roots of the squarefree part modulo a small prime are Newton-lifted,
 rationally reconstructed, and each candidate's multiplicity is found by
 deflation.  Over Q(i) the unknown is split as t = u + i*v, the
 real/imaginary parts give a bivariate rational system that is reduced to Q
-by a resultant and then verified exactly.
+by a resultant and then verified exactly.  The modular helpers (reduction
+mod p, the univariate gcd mod p, Horner evaluation, rational
+reconstruction and the prime search) live in ``modular``, shared with the
+multivariate gcd.
 
 ``solve_zero_dim`` is the one solver for small polynomial systems in two
 unknowns (pairwise resultants, then ``common_roots`` on the gcd of the
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd as int_gcd, isqrt, lcm
+from math import gcd as int_gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalError
@@ -37,31 +40,9 @@ from .fields import (
     to_scalar,
 )
 from .gcd import squarefree_decompose_uni
+from .modular import horner_mod, int_poly_mod, next_prime, poly_gcd_mod_p, rat_reconstruct
 from .multipoly import MultiPoly, UniPoly
 from .resultant import sylvester_resultant
-
-
-def _int_poly_mod(coeffs: List[int], p: int) -> List[int]:
-    out = [c % p for c in coeffs]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _poly_gcd_mod_p(a: List[int], b: List[int], p: int) -> List[int]:
-    a, b = list(a), list(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        db = len(b) - 1
-        while len(a) - 1 >= db and a:
-            c = (a[-1] * inv) % p
-            k = len(a) - 1 - db
-            for i in range(db + 1):
-                a[k + i] = (a[k + i] - c * b[i]) % p
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return a
 
 
 def _deriv_int(coeffs: List[int]) -> List[int]:
@@ -85,15 +66,8 @@ def _int_squarefree_part(coeffs: Sequence[Fraction]) -> List[int]:
 
 
 def _roots_mod_p(coeffs: List[int], p: int) -> List[int]:
-    cp = _int_poly_mod(coeffs, p)
-    return [r for r in range(p) if not _horner_mod(cp, r, p)]
-
-
-def _horner_mod(coeffs: List[int], x: int, m: int) -> int:
-    total = 0
-    for c in reversed(coeffs):
-        total = (total * x + c) % m
-    return total
+    cp = int_poly_mod(coeffs, p)
+    return [r for r in range(p) if not horner_mod(cp, r, p)]
 
 
 def _lift_root(coeffs: List[int], r: int, p: int, target: int) -> Tuple[int, int]:
@@ -103,28 +77,10 @@ def _lift_root(coeffs: List[int], r: int, p: int, target: int) -> Tuple[int, int
     modulus = p
     while modulus < target:
         modulus = modulus * modulus
-        fr = _horner_mod(coeffs, r, modulus)
-        dr = _horner_mod(dcoeffs, r, modulus)
+        fr = horner_mod(coeffs, r, modulus)
+        dr = horner_mod(dcoeffs, r, modulus)
         r = (r - fr * pow(dr, -1, modulus)) % modulus
     return r, modulus
-
-
-def _rat_reconstruct(a: int, m: int, num_bound: int, den_bound: int
-                     ) -> Optional[Fraction]:
-    """p/q with p = a*q mod m, |p| <= num_bound, 0 < q <= den_bound."""
-    r0, r1 = m, a % m
-    s0, s1 = 0, 1
-    while r1 > num_bound:
-        qt = r0 // r1
-        r0, r1 = r1, r0 - qt * r1
-        s0, s1 = s1, s0 - qt * s1
-    if r1 == 0 or abs(s1) > den_bound:
-        return None
-    if s1 < 0:
-        r1, s1 = -r1, -s1
-    if int_gcd(abs(r1), s1) != 1:
-        return None
-    return Fraction(r1, s1)
 
 
 def _lifted_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
@@ -138,23 +94,15 @@ def _lifted_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
     w = _int_squarefree_part(coeffs)
     a0, an = abs(w[0]), abs(w[-1])
     p = 3
-    while not an % p or len(_poly_gcd_mod_p(_int_poly_mod(w, p),
-                                            _int_poly_mod(_deriv_int(w), p), p)) > 1:
-        p = _next_prime(p)
+    while not an % p or len(poly_gcd_mod_p(int_poly_mod(w, p),
+                                           int_poly_mod(_deriv_int(w), p), p)) > 1:
+        p = next_prime(p)
     found: List[Fraction] = []
     for r in _roots_mod_p(w, p):
-        cand = _rat_reconstruct(*_lift_root(w, r, p, 2 * a0 * an + 1), a0, an)
+        cand = rat_reconstruct(*_lift_root(w, r, p, 2 * a0 * an + 1), a0, an)
         if cand is not None:
             found.append(cand)
     return found
-
-
-def _next_prime(p: int) -> int:
-    candidate = p + 2
-    while True:
-        if all(candidate % q for q in range(3, isqrt(candidate) + 1, 2)):
-            return candidate
-        candidate += 2
 
 
 def _mult_of_root(f: UniPoly, root: Scalar) -> Tuple[int, UniPoly]:

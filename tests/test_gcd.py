@@ -73,6 +73,17 @@ def test_multiplicity_of_factor():
     assert k == 0 and rest == f
 
 
+def test_multiplicity_of_factor_in_zero_is_an_error():
+    # every power of x divides 0; the loop would never end
+    with pytest.raises(ValueError):
+        multiplicity_of_factor(MultiPoly.zero(("x", "y", "z")), parse_poly("x"))
+
+
+def test_multiplicity_of_constant_factor_is_an_error():
+    with pytest.raises(ValueError):
+        multiplicity_of_factor(parse_poly("x^2+y^2-z^2"), parse_poly("3"))
+
+
 def test_yun_decomposition():
     # t^2 (t-1) (t+1)^3
     t = UniPoly([Fraction(0), Fraction(1)])

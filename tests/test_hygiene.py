@@ -1,6 +1,6 @@
 """Source checks: no handler in the package may swallow arbitrary errors,
 so a bug surfaces as a traceback instead of turning into a verdict; and
-the package has one polynomial determinant."""
+the package has one polynomial determinant and one gcd."""
 
 import re
 from pathlib import Path
@@ -9,6 +9,7 @@ import conchoidal
 
 BROAD = re.compile(r"except\s*:|except\b[^:\n]*\bException\b")
 BAREISS_CALL = re.compile(r"(?<!def )\bdet_bareiss_poly\(")
+PRS_ORACLE = re.compile(r"\bgcd_oracle\b|\bprs_gcd\b|\b_pseudo_rem\b|\bsubresultant\b", re.I)
 
 
 def _source_hits(pattern):
@@ -30,3 +31,10 @@ def test_no_library_call_to_the_bareiss_oracle():
     # stays as the tests' independent oracle
     hits = _source_hits(BAREISS_CALL)
     assert not hits, "calls to det_bareiss_poly:\n" + "\n".join(hits)
+
+
+def test_no_library_use_of_the_prs_oracle():
+    # the modular gcd is the only gcd; the subresultant PRS lives in
+    # tests/gcd_oracle.py as the independent oracle
+    hits = _source_hits(PRS_ORACLE)
+    assert not hits, "uses of the PRS gcd:\n" + "\n".join(hits)

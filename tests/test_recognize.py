@@ -173,6 +173,20 @@ def test_recognize_complete_off_origin_center():
     assert PlaneCurve(cand.witness).equation == recenter(line0, (-A[0], -A[1])).equation
 
 
+def test_recognize_complete_conic_with_double_component():
+    # the complete conchoid of this conic once took minutes, nearly all of
+    # it in the gcds that look for the double component
+    from conchoidal import recenter
+
+    conic = PlaneCurve.from_text("x^2-1/9*x*y-5/12*y^2-1/3*y*z")
+    D = recenter(conchoidal_transform(UNIT.curve(), conic), (Fraction(-2), Fraction(0)))
+    rep = recognize_complete(D)
+    assert rep.verdict == "yes"
+    cand = rep.candidates[0]
+    assert cand.center == (Fraction(2), Fraction(0)) and cand.r2 == Fraction(1)
+    assert PlaneCurve(cand.witness).equation == recenter(conic, (Fraction(-2), Fraction(0))).equation
+
+
 def test_recognize_proper_off_origin_center():
     from conchoidal import recenter
 
