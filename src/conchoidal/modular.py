@@ -20,6 +20,7 @@ interpolated densely (Newton) up to the degree bound.  Primes are combined
 by CRT and rational reconstruction of the lex-monic gcd.  Unlucky primes
 and points show up as images of larger lex-leading monomial and are
 dropped.  See ``gcd`` for the two certificates that make the answer exact.
+``line_image_misses`` is the miss certificate of ``multipoly.poly_exact_div``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from itertools import count
 from math import gcd as int_gcd, isqrt, lcm
 from typing import Dict, List, Optional, Tuple
 
+from .errors import InternalError
 from .fields import FIELD_Q, GaussianRational, join_fields
 from .multipoly import MultiPoly, merge_vars, poly_exact_div
 
@@ -102,6 +104,13 @@ def next_prime(n: int) -> int:
 _PRIME_START = 10 ** 9
 _POINT_STEP = 123456791   # a prime below every gcd prime, so k -> k*step is injective mod p
 _PRIMES: List[Tuple[int, int]] = []   # (p, s) with p = 1 (mod 4) and s^2 = -1 (mod p)
+_MAX_SKIPPED = 32   # bad or unlucky primes, or points in one prime: finitely many
+
+
+def _skip(skipped: int, what: str) -> int:
+    if skipped >= _MAX_SKIPPED:
+        raise InternalError(f"modular gcd skipped more than {_MAX_SKIPPED} {what}")
+    return skipped + 1
 
 
 def _gcd_prime(k: int) -> Tuple[int, int]:
@@ -216,11 +225,12 @@ def _pgcd(a: Dict[Exp, int], b: Dict[Exp, int], n: int, p: int) -> Dict[Exp, int
     # gamma * G / lc(G) has degree at most this in x_n
     bound = len(gamma) - 2 + min(max(map(len, A.values())), max(map(len, B.values())))
     H: Dict[Exp, List[int]] = {}
-    q, lead, points = [1], None, 0
+    q, lead, points, skipped = [1], None, 0, 0
     for k in range(1, p):
         alpha = _POINT_STEP * k % p
         g_alpha = horner_mod(gamma, alpha, p)
         if not g_alpha:
+            skipped = _skip(skipped, "points")
             continue
         image = _pgcd(_eval_last(A, alpha, p), _eval_last(B, alpha, p), n - 1, p)
         m = max(image)
@@ -230,6 +240,7 @@ def _pgcd(a: Dict[Exp, int], b: Dict[Exp, int], n: int, p: int) -> Dict[Exp, int
         if lead is None or m < lead:
             H, q, lead, points = {}, [1], m, 0
         elif m > lead:
+            skipped = _skip(skipped, "points")
             continue
         inv = pow(horner_mod(q, alpha, p), p - 2, p)
         for key in set(H) | set(image):
@@ -338,20 +349,19 @@ def modular_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if not any(max(a)) or not any(max(b)):
         return one
     gaussian = field != FIELD_Q
-    residues, modulus, lead, last = {}, 1, None, None
+    residues, modulus, lead, last, skipped = {}, 1, None, None, 0
     for k in count():
         p, s = _gcd_prime(k)
         image = _image(a, b, len(used), p, s, gaussian)
-        if image is None:
+        m = None if image is None else max(image)
+        if m is None or (lead is not None and m > lead):
+            skipped = _skip(skipped, "primes")
             continue
-        m = max(image)
         if not any(m):
             # a degree-0 image certifies a constant gcd (see gcd.py)
             return one
         if lead is None or m < lead:
             residues, modulus, lead = image, p, m
-        elif m > lead:
-            continue
         else:
             inv = pow(modulus, p - 2, p)
             combined = {}
@@ -367,3 +377,38 @@ def modular_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
                 return h
             candidate = None
         last = candidate
+
+
+# -- the line image of an exact division ----------------------------------------------
+
+
+def line_image_misses(f: MultiPoly, g: MultiPoly) -> bool:
+    """True when the images of f and g (same variables and field) on one
+    line modulo the first gcd prime show that g does not divide f."""
+    p, s = _gcd_prime(0)
+    degrees = [max(e[k] for e in g.terms) for k in range(len(g.vars))]
+    if not any(degrees):
+        return False
+    keep = degrees.index(max(degrees))
+    b = _line_image(g, keep, p, s)
+    a = _line_image(f, keep, p, s) if b is not None and len(b) > 1 else None
+    # g_L divides f_L iff their gcd has the degree of g_L
+    return a is not None and len(poly_gcd_mod_p(a, b, p)) < len(b)
+
+
+def _line_image(h: MultiPoly, keep: int, p: int, s: int) -> Optional[List[int]]:
+    """h modulo p (i -> s) where each variable number k but the kept one is
+    (k+1)*step, dense in the kept one; None if p divides a denominator."""
+    powers = [[1 if k == keep else pow(_POINT_STEP * (k + 1), j, p)
+               for j in range(max(e[k] for e in h.terms) + 1)] for k in range(len(h.vars))]
+    out = [0] * len(powers[keep])
+    for e, c in h.terms.items():
+        r = 0
+        for x, t in ((c.re, 1), (c.im, s)) if isinstance(c, GaussianRational) else ((c, 1),):
+            if x.denominator % p == 0:
+                return None
+            r += x.numerator * pow(x.denominator, -1, p) * t
+        for row, x in zip(powers, e):
+            r = r * row[x] % p
+        out[e[keep]] += r
+    return int_poly_mod(out, p)

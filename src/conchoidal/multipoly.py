@@ -10,6 +10,7 @@ coefficients, canonical "monic" forms and the serialization order.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import NotHomogeneousError
@@ -475,31 +476,55 @@ def _aligned(a: MultiPoly, b: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
 def poly_exact_div(f: MultiPoly, g: MultiPoly) -> Optional[MultiPoly]:
     """Quotient q with f = q*g exactly, or None when g does not divide f.
 
-    Single-divisor graded-lex reduction; for one divisor the remainder is
-    zero iff the division is exact, so the first non-divisible leading
-    term settles the question.
+    Misses.  With p and s the first gcd prime of ``modular`` and its square
+    root of -1, keep the variable in which g has the largest degree, set
+    the others to fixed points and reduce modulo p (i -> s over Q(i)) to
+    f_L and g_L in F_p[t].  Suppose no denominator is divisible by p and
+    g_L is nonconstant.  Then f and g lie over the discrete valuation ring
+    R = Z localized at p (Z[i] at (p, i - s)), and g is nonzero modulo p,
+    so its content is a unit.  If f = q*g, Gauss's lemma over R puts q in
+    R[x], so f_L = q_L*g_L: a nonzero remainder of f_L by g_L certifies
+    that g does not divide f.  Otherwise (a p in a denominator, a constant
+    or zero g_L, a zero remainder) the division decides.
+
+    Division.  Graded-lex reduction, the remainder kept in one dict with a
+    lazy max-heap of its exponents (Johnson 1974): q costs |q|*|g|.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     f, g = _aligned(f, g)
     if f.is_zero():
         return f
+    from .modular import line_image_misses   # modular imports this module
+    if line_image_misses(f, g):
+        return None
     g_exp, g_c = g.leading()
+    g_rest = [(e, c) for e, c in g.terms.items() if e != g_exp]
+    rem = dict(f.terms)
+    heap = sorted(map(_heap_entry, rem))   # a sorted list is a heap
     q_terms: Dict[Tuple[int, ...], Scalar] = {}
-    rem = f
-    while rem.terms:
-        r_exp, r_c = rem.leading()
-        diff = tuple(a - b for a, b in zip(r_exp, g_exp))
+    while heap:
+        r_exp = heappop(heap)[1]
+        r_c = rem.pop(r_exp, None)
+        if r_c is None:
+            continue   # cancelled, or pushed twice
+        diff = tuple([a - b for a, b in zip(r_exp, g_exp)])
         if any(d < 0 for d in diff):
             return None
-        c = r_c / g_c
-        q_terms[diff] = c
-        rem = rem - MultiPoly(f.vars, f.field, {diff: c}) * g
+        c = q_terms[diff] = r_c / g_c
+        for e, gc in g_rest:
+            exp = tuple([a + b for a, b in zip(diff, e)])
+            t, old = c * gc, rem.pop(exp, None)
+            if old is None:
+                rem[exp] = -t
+                heappush(heap, _heap_entry(exp))
+            elif old != t:
+                rem[exp] = old - t
     return MultiPoly(f.vars, f.field, {e: to_scalar(c, f.field) for e, c in q_terms.items()})
 
 
-def divides(g: MultiPoly, f: MultiPoly) -> bool:
-    return poly_exact_div(f, g) is not None
+def _heap_entry(exp: Tuple[int, ...]):   # pops in descending graded-lex order
+    return (-sum(exp), tuple([-e for e in exp])), exp
 
 
 # -- homogeneous decomposition ---------------------------------------------

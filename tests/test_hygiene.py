@@ -1,6 +1,7 @@
 """Source checks: no handler in the package may swallow arbitrary errors,
 so a bug surfaces as a traceback instead of turning into a verdict; and
-the package has one polynomial determinant and one gcd."""
+the package has one polynomial determinant, one gcd and one exact
+division."""
 
 import re
 from pathlib import Path
@@ -10,6 +11,7 @@ import conchoidal
 BROAD = re.compile(r"except\s*:|except\b[^:\n]*\bException\b")
 BAREISS_CALL = re.compile(r"(?<!def )\bdet_bareiss_poly\(")
 PRS_ORACLE = re.compile(r"\bgcd_oracle\b|\bprs_gcd\b|\b_pseudo_rem\b|\bsubresultant\b", re.I)
+DIVISION_ORACLE = re.compile(r"\bdivision_oracle\b|\bgrlex_exact_div\b")
 
 
 def _source_hits(pattern):
@@ -38,3 +40,10 @@ def test_no_library_use_of_the_prs_oracle():
     # tests/gcd_oracle.py as the independent oracle
     hits = _source_hits(PRS_ORACLE)
     assert not hits, "uses of the PRS gcd:\n" + "\n".join(hits)
+
+
+def test_no_library_use_of_the_division_oracle():
+    # poly_exact_div is the only exact division; the whole-remainder
+    # grlex reduction lives in tests/division_oracle.py as the oracle
+    hits = _source_hits(DIVISION_ORACLE)
+    assert not hits, "uses of the grlex division oracle:\n" + "\n".join(hits)

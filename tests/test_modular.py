@@ -2,10 +2,14 @@
 subresultant PRS oracle."""
 
 import random
+import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import conchoidal.modular as modular
 from conchoidal import MultiPoly, parse_poly, poly_exact_div, poly_gcd
+from conchoidal.errors import InternalError
 from conchoidal.fields import FIELD_Q, FIELD_QI, GaussianRational
 from conchoidal.modular import _POINT_STEP, _gcd_prime, next_prime
 
@@ -94,3 +98,18 @@ def test_gcd_survives_unlucky_primes_and_points():
     f = hi * parse_poly(f"{p0}*x*y+{p1}*i*y+x+1", FIELD_QI)
     g = hi * parse_poly(f"{p0}*x*y+x+1", FIELD_QI)
     assert poly_gcd(f, g) == hi == prs_gcd(f, g)
+
+
+def test_gcd_gives_up_after_too_many_bad_primes(monkeypatch):
+    monkeypatch.setattr(modular, "_image", lambda *args: None)
+    start = time.perf_counter()
+    with pytest.raises(InternalError):
+        poly_gcd(parse_poly("x^2+y^2-1"), parse_poly("x+2*y"))
+    assert time.perf_counter() - start < 1
+
+
+def test_gcd_gives_up_after_too_many_bad_points(monkeypatch):
+    # every point a root of gamma: no image in the last variable
+    monkeypatch.setattr(modular, "horner_mod", lambda *args: 0)
+    with pytest.raises(InternalError):
+        poly_gcd(parse_poly("(x+y+1)*(x-y)"), parse_poly("(x+y+1)*(x+2*y+3)"))
