@@ -9,11 +9,14 @@ homogeneous of the sum D of those degrees: the last used variable is set
 to 1 and put back at the end.  Otherwise D is the caller's degree bound.
 The determinant is sampled on the simplex |p| <= D in the k remaining
 variables; every sample is a Z or Z[i] determinant by fraction-free
-Bareiss.  Integer forward differences along the first variable, then the
-same interpolation on smaller simplices in the rest, give its Newton form,
-and Horner steps in the falling-factorial basis turn it into monomials;
-the row scales are divided out once at the end.  An off-grid residual
-check guards the degree bound.  One row builder lays out every Sylvester
+Bareiss.  When the rows are a Sylvester matrix of nominal degrees m, n,
+only its m + n + 2 coefficients are sampled, and each sample is the
+max(m, n) hybrid Bezout determinant of their values.  Integer forward
+differences along the first variable, then the same interpolation on
+smaller simplices in the rest, give its Newton form, and Horner steps in
+the falling-factorial basis turn it into monomials; the row scales are
+divided out once at the end.  An off-grid residual, taken on the full
+matrix, guards the degree.  One row builder lays out every Sylvester
 matrix, of scalars or of polynomials; the conchoid matrix is one of them.
 """
 
@@ -24,7 +27,7 @@ from functools import reduce
 from math import comb, lcm
 from typing import Iterable, List, Optional, Sequence
 
-from .errors import DegreeBoundError
+from .errors import DegreeBoundError, InternalError
 from .fields import FIELD_Q, FIELD_QI, GaussianRational, Scalar, im_part, re_part
 from .multipoly import MultiPoly, homogeneous_decompose, merge_vars
 
@@ -289,21 +292,53 @@ def _at_prefix(part: dict, prefix: tuple) -> List[int]:
     return out
 
 
-def _dets_on_line(parts, prefix: tuple, ts, gaussian: bool) -> list:
-    """[det of the integer matrix ``parts`` at prefix + (t,) for t in ts].
-    parts[i][j] is entry (i, j) as [{exponent: c}], or as its [re, im] pair
-    over Z[i].  The entries are reduced once at the prefix and evaluated by
-    Horner in the last variable."""
-    dense = [[[_at_prefix(p, prefix) for p in e] for e in row] for row in parts]
+def _dets_on_line(parts, prefix: tuple, ts, gaussian: bool, build) -> list:
+    """[det_scalar(build(values)) for t in ts], values being the integer
+    polynomials ``parts`` at prefix + (t,).  Each part is [{exponent: c}],
+    or its [re, im] pair over Z[i]; the parts are reduced once at the
+    prefix and evaluated by Horner in the last variable."""
+    dense = [[_at_prefix(p, prefix) for p in e] for e in parts]
     out = []
     for t in ts:
         if gaussian:
-            mat = [[(_horner(re, t), _horner(im, t)) if re or im else (0, 0)
-                    for re, im in row] for row in dense]
+            values = [(_horner(re, t), _horner(im, t)) if re or im else (0, 0)
+                      for re, im in dense]
         else:
-            mat = [[_horner(c, t) if c else 0 for (c,) in row] for row in dense]
-        out.append(det_scalar(mat))
+            values = [_horner(c, t) if c else 0 for (c,) in dense]
+        out.append(det_scalar(build(values)))
     return out
+
+
+def _hybrid_bezout(fc: List, gc: List) -> List[List]:
+    """The max(m, n)-square hybrid Bezout matrix of the ascending Z or Z[i]
+    coefficient lists fc, gc at nominal degrees m, n >= 1 (Diaz-Toca and
+    Gonzalez-Vega 2004), columns ascending; its determinant is
+    resultant_nominal(fc, gc).  For m >= n: the rows g, u g, ...,
+    u^(m-n-1) g, then H_1, ..., H_n with H_k = u H_(k-1) + a_(m-k+1) g~
+    - b~_(m-k+1) f, g~ = u^(m-n) g; the top coefficient of each H_k
+    cancels.  For m < n the roles swap, with the sign (-1)^(mn)."""
+    m, n = len(fc) - 1, len(gc) - 1
+    if m < n:
+        rows = _hybrid_bezout(gc, fc)
+        if m * n % 2:
+            rows[0], rows[1] = rows[1], rows[0]
+        return rows
+    gaussian = type(fc[0]) is tuple
+    zero = (0, 0) if gaussian else 0
+    gt = [zero] * (m - n) + gc
+    rows = [[zero] * j + gc + [zero] * (m - n - 1 - j) for j in range(m - n)]
+    h = [zero] * (m + 1)                      # u H_(k-1)
+    for k in range(m, m - n, -1):
+        a, b = fc[k], gt[k]
+        if gaussian:
+            (ar, ai), (br, bi) = a, b
+            h = [(x + ar * y - ai * yi - br * z + bi * zi, xi + ar * yi + ai * y - br * zi - bi * z)
+                 for (x, xi), (y, yi), (z, zi) in zip(h, gt, fc)]
+        else:
+            h = [x + a * y - b * z for x, y, z in zip(h, gt, fc)]
+        rows.append(h[:m])
+        h = [zero] + h[:m]
+    return rows
 
 
 # -- polynomial matrix determinants --------------------------------------------
@@ -323,27 +358,49 @@ def _row_degrees(rows: List[List[MultiPoly]]) -> Optional[List[int]]:
     return degs
 
 
-def _interpolated_det(rows: List[List[MultiPoly]], index: List[int], D: int) -> dict:
+def _interpolated_det(rows: List[List[MultiPoly]], index: List[int], D: int, error) -> dict:
     """{exponent: c} of the determinant in the variables at ``index``, the
     others dropped, sampled on the simplex of degree D in them.  Each row is
     scaled to Z (or Z[i]) coefficients first; the scales are divided out at
-    the end."""
+    the end.  A Sylvester layout samples only its m + n + 2 coefficients,
+    each sample a max(m, n) hybrid Bezout determinant.  The residual at a
+    point off the grid comes from the full matrix; if nonzero, ``error`` is
+    raised."""
     gaussian = any(im_part(c) for row in rows for e in row for c in e.terms.values())
 
     def key(exp):
         return tuple(exp[i] for i in index)
 
+    size = len(rows)
+    zero = MultiPoly.zero(rows[0][0].vars)
+    m = next((m for m in range(1, size) if rows == sylvester_rows(
+        rows[0][m::-1], rows[size - m][size - m::-1], zero)), None)
+    if m:                  # rows = sylvester_rows at nominal degrees m, size - m
+        groups = [(rows[0][m::-1], size - m), (rows[size - m][size - m::-1], m)]
+    else:
+        groups = [(row, 1) for row in rows]
+
+    def full(v):
+        """The whole matrix from the values v of the groups' entries."""
+        if not m:
+            return [v[i:i + size] for i in range(0, len(v), size)]
+        return sylvester_rows(v[:m + 1], v[m + 1:], (0, 0) if gaussian else 0)
+
+    def sample(v):
+        return _hybrid_bezout(v[:m + 1], v[m + 1:]) if m else full(v)
+
     scale = 1
     parts = []
-    for row in rows:
-        row_lcm = _denominator_lcm(c for e in row for c in e.terms.values())
-        scale *= row_lcm
-        parts.append([_integer_parts(e, row_lcm, gaussian, key) for e in row])
+    for entries, count in groups:
+        row_lcm = _denominator_lcm(c for e in entries for c in e.terms.values())
+        scale *= row_lcm ** count
+        parts += [_integer_parts(e, row_lcm, gaussian, key) for e in entries]
     k = len(index)
     values = {}
     for prefix in _simplex(k - 1, D):
         ts = range(D + 1 - sum(prefix))
-        values.update(zip([prefix + (t,) for t in ts], _dets_on_line(parts, prefix, ts, gaussian)))
+        dets = _dets_on_line(parts, prefix, ts, gaussian, sample)
+        values.update(zip([prefix + (t,) for t in ts], dets))
     if gaussian:
         interpolated = [_interp_simplex({p: v[j] for p, v in values.items()}, k, D)
                         for j in (0, 1)]
@@ -352,10 +409,10 @@ def _interpolated_det(rows: List[List[MultiPoly]], index: List[int], D: int) -> 
 
     # Residual check at a point outside the grid.
     off = (D + 1,) * k
-    expected = _dets_on_line(parts, off[:-1], off[-1:], gaussian)[0]
+    expected = _dets_on_line(parts, off[:-1], off[-1:], gaussian, full)[0]
     got = tuple(_horner(_at_prefix(poly, off[:-1]), D + 1) for poly in interpolated)
     if got != (expected if gaussian else (expected,)):
-        raise DegreeBoundError("interpolation residual nonzero: degree bound violated")
+        raise error(f"interpolation residual nonzero at degree {D}")
     return _divide_out(interpolated, scale)
 
 
@@ -381,7 +438,8 @@ def poly_matrix_det(rows: List[List[MultiPoly]], degree_bound: int) -> MultiPoly
     field = FIELD_QI if any(e.field == FIELD_QI for e in entries) else FIELD_Q
 
     if axes:
-        coeffs = _interpolated_det(rows, [vars.index(v) for v in axes], D)
+        error = InternalError if hom else DegreeBoundError    # D is certain when homogeneous
+        coeffs = _interpolated_det(rows, [vars.index(v) for v in axes], D, error)
         det_aff = MultiPoly.make(axes, field, coeffs)
     else:                    # nothing left to sample: a constant matrix
         point = {hom: Fraction(1)} if hom else {}

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conchoidal import cli
+from conchoidal import PlaneCurve, cli
 from conchoidal.cli import main
 from conchoidal.errors import InternalError
 
@@ -77,6 +77,32 @@ def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
     code, _, err = run(capsys, "split", "--C", "(y+z)^2-(x^2+y^2)")
     assert code == 4
     assert err.startswith("internal error: split witness failed verification")
+
+
+def test_broken_determinant_sample_is_an_internal_error(capsys, monkeypatch):
+    # the conchoid matrix has homogeneous rows, so its degree is certain and
+    # a nonzero residual can only be a bug: exit 4, not a "degree bound" no
+    from conchoidal import resultant
+    from conchoidal.transform import conchoidal_transform
+
+    samples = []
+    build = resultant._hybrid_bezout
+
+    def corrupted(fc, gc):
+        rows = build(fc, gc)
+        samples.append(rows)
+        if len(samples) == 1:
+            rows[-1][-1] += 1           # its cofactor here is -2
+        return rows
+
+    monkeypatch.setattr(resultant, "_hybrid_bezout", corrupted)
+    B, C = PlaneCurve.from_text("x^2+y^2-z^2"), PlaneCurve.from_text("x-2*z")
+    with pytest.raises(InternalError):
+        conchoidal_transform(B, C)
+    samples.clear()
+    code, _, err = run(capsys, "transform", "--B", "x^2+y^2-z^2", "--C", "x-2*z")
+    assert code == 4
+    assert err.startswith("internal error: interpolation residual nonzero")
 
 
 def test_split_components(capsys):

@@ -7,6 +7,8 @@ import re
 from pathlib import Path
 
 import conchoidal
+from conchoidal import PlaneCurve, ProjPoint, membership_value, resultant
+from conchoidal.errors import InternalError
 
 BROAD = re.compile(r"except\s*:|except\b[^:\n]*\bException\b")
 BAREISS_CALL = re.compile(r"(?<!def )\bdet_bareiss_poly\(")
@@ -47,3 +49,18 @@ def test_no_library_use_of_the_division_oracle():
     # grlex reduction lives in tests/division_oracle.py as the oracle
     hits = _source_hits(DIVISION_ORACLE)
     assert not hits, "uses of the grlex division oracle:\n" + "\n".join(hits)
+
+
+def test_membership_oracle_stays_on_bareiss(monkeypatch):
+    # the transform samples hybrid Bezout determinants; the membership
+    # oracle takes the whole Sylvester matrix, so it stays independent
+    def banned(*args):
+        raise InternalError("the membership oracle used the hybrid Bezout matrix")
+
+    monkeypatch.setattr(resultant, "_hybrid_bezout", banned)
+    B = PlaneCurve.from_text("x^2+y^2-z^2")
+    C = PlaneCurve.from_text("x-2*z")
+    assert membership_value(B, C, ProjPoint.affine(3, 0)).value == 0
+    assert membership_value(B, C, ProjPoint.affine(0, 5)).value != 0
+    # res(1 + u^2, -2 + u + 3u^3) = g(i) g(-i) = (-2 - 2i)(-2 + 2i)
+    assert resultant.resultant_nominal([1, 0, 1], [-2, 1, 0, 3]) == 8

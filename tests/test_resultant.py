@@ -4,8 +4,10 @@ from itertools import permutations, product
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conchoidal import (
+    FIELD_Q,
     FIELD_QI,
     GaussianRational,
     MultiPoly,
@@ -16,10 +18,12 @@ from conchoidal import (
     poly_matrix_det,
     sylvester_resultant,
 )
+from conchoidal import resultant
 from conchoidal.errors import DegreeBoundError
 from conchoidal.resultant import (
     _falling_coefficients,
     _falling_to_monomial,
+    _hybrid_bezout,
     _interp_simplex,
     det_scalar,
     resultant_nominal,
@@ -164,6 +168,13 @@ def test_degree_bound_violation_detected():
     M = [[x * x, MultiPoly.zero(VARS)], [MultiPoly.zero(VARS), x * x]]
     with pytest.raises(DegreeBoundError):
         poly_matrix_det(M, 1)
+
+
+def test_residual_catches_a_low_degree_bound():
+    # rows that are not homogeneous take the caller's bound, and the
+    # off-grid residual refuses one that is too low
+    with pytest.raises(DegreeBoundError):
+        poly_matrix_det([[parse_poly("x^2+1")]], 1)
 
 
 def test_sylvester_examples():
@@ -389,3 +400,100 @@ def test_integer_falling_factorial_round_trip():
         coeffs = [rng.randint(-10 ** 9, 10 ** 9) for _ in range(n)]
         values = [sum(c * t ** k for k, c in enumerate(coeffs)) for t in range(n)]
         assert _falling_to_monomial(_falling_coefficients(values)) == coeffs
+
+
+# -- the hybrid Bezout samples ---------------------------------------------------
+
+
+def _coefficient_lists(rng, m, n, draw, zero):
+    """Random nominal-degree lists with a zero leading coefficient, a zero
+    constant term or both leading coefficients zero, now and then."""
+    fc = [draw() for _ in range(m + 1)]
+    gc = [draw() for _ in range(n + 1)]
+    shape = rng.randrange(4)
+    if shape == 1:
+        fc[-1] = zero
+    elif shape == 2:
+        fc[0] = gc[0] = zero
+    elif shape == 3:
+        fc[-1] = gc[-1] = zero
+    return fc, gc
+
+
+def test_hybrid_bezout_is_the_nominal_resultant():
+    # m < n, m = n and m > n over Z and Z[i], against the Sylvester determinant
+    rng = random.Random(101)
+    for m, n in product(range(1, 9), repeat=2):
+        fc, gc = _coefficient_lists(rng, m, n, lambda: rng.randint(-6, 6), 0)
+        assert len(_hybrid_bezout(fc, gc)) == max(m, n)
+        assert det_scalar(_hybrid_bezout(fc, gc)) == resultant_nominal(fc, gc)
+        fc, gc = _coefficient_lists(rng, m, n, lambda: (rng.randint(-4, 4), rng.randint(-4, 4)),
+                                   (0, 0))
+        re, im = det_scalar(_hybrid_bezout(fc, gc))
+        gauss = [[GaussianRational(a, b) for a, b in c] for c in (fc, gc)]
+        assert GaussianRational(re, im) == resultant_nominal(*gauss)
+
+
+def _sizes_of_samples(monkeypatch):
+    """Patch det_scalar to record the size of every matrix it is given."""
+    sizes = []
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return det_scalar(rows)
+
+    monkeypatch.setattr(resultant, "det_scalar", counted)
+    return sizes
+
+
+def test_generic_conchoid_samples_are_half_size(monkeypatch):
+    # 561 samples on the triangle of degree 32, each a 4x4 hybrid Bezout
+    # determinant; the residual sample is the full 8x8 Sylvester matrix
+    rng = random.Random(103)
+    M = conchoid_matrix(random_form(rng, 4), random_form(rng, 4))
+    sizes = _sizes_of_samples(monkeypatch)
+    poly_matrix_det(M, 32)
+    assert sizes == [4] * 561 + [8]
+
+
+def test_broken_sylvester_layout_takes_the_full_matrix(monkeypatch):
+    rng = random.Random(107)
+    M = conchoid_matrix(random_form(rng, 2), random_form(rng, 2))
+    perturbed = [list(row) for row in M]
+    perturbed[1][2] = perturbed[1][2] + parse_poly("x^2")
+    swapped = [M[0], M[2], M[1], M[3]]
+    sizes = _sizes_of_samples(monkeypatch)
+    for rows in (perturbed, swapped):
+        sizes.clear()
+        assert poly_matrix_det(rows, 8) == det_bareiss_poly(rows)
+        assert set(sizes) == {4}
+
+
+def _form(draw, degree, field):
+    """A sparse random form of the degree, from at most three monomials,
+    with rational coefficients."""
+    exps = draw(st.lists(st.integers(0, degree).flatmap(
+        lambda a: st.integers(0, degree - a).map(lambda b: (a, b, degree - a - b))),
+        min_size=1, max_size=3))
+    coeffs = draw(st.lists(st.fractions(-4, 4, max_denominator=3).filter(bool),
+                           min_size=len(exps), max_size=len(exps)))
+    f = MultiPoly.make(VARS, FIELD_Q, dict(zip(exps, coeffs)))
+    if field == FIELD_QI:
+        f = f * GaussianRational(draw(st.integers(-2, 2)), draw(st.sampled_from((-1, 1))))
+    return f
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.sampled_from((FIELD_Q, FIELD_QI)),
+       st.booleans())
+def test_conchoid_determinant_matches_the_bareiss_oracle(data, d, delta, field, top_zero):
+    # d < delta, d = delta and d > delta; top_zero takes a B = z * (form of
+    # degree d - 1), whose top form, and so its Phi_d, is 0
+    z = MultiPoly.variable("z", VARS)
+    B = z * _form(data.draw, d - 1, field) if top_zero else _form(data.draw, d, field)
+    C = _form(data.draw, delta, field)
+    M = conchoid_matrix(B, C)
+    assert poly_matrix_det(M, 2 * d * delta) == det_bareiss_poly(M)
+    if max(B.degree_in("z"), C.degree_in("z")) > 0:
+        direct = det_bareiss_poly(_sylvester_by_hand(B, C, "z"))
+        assert sylvester_resultant(B, C, "z") == direct
