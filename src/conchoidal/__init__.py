@@ -38,7 +38,7 @@ from .recognize import (
     recognize_complete,
     recognize_proper,
 )
-from .resultant import conchoid_matrix, phi_forms, poly_matrix_det, sylvester_resultant
+from .resultant import conchoid_coefficients, phi_forms, poly_matrix_det, sylvester_resultant
 from .roots import factor_binary_form, formal_square_root, rational_roots
 from .splitting import (
     SplitResult,
@@ -68,7 +68,7 @@ __all__ = [
     "InternalError", "InvalidSceneError", "Membership", "MultiPoly", "NotHomogeneousError",
     "NotSquarefreeError", "ParseError", "PlaneCurve", "PlotSpec",
     "ProjPoint", "Rational", "RecognitionReport", "Scene", "SplitResult",
-    "SplitWitness", "UniPoly", "candidate_radii", "conchoid_matrix",
+    "SplitWitness", "UniPoly", "candidate_radii", "conchoid_coefficients",
     "conchoidal_transform", "conic_focus_split", "cyclic_tangent_pair",
     "degree_genus_predict", "elimination_crosscheck", "extract_known_components",
     "factor_binary_form", "formal_square_root", "homogeneous_decompose",

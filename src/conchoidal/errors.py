@@ -25,7 +25,9 @@ class IdenticallyZeroError(ConchoidError):
 
 
 class DegreeBoundError(ConchoidError):
-    """poly_matrix_det detected that the supplied degree bound was violated."""
+    """poly_matrix_det detected that the caller's degree bound was violated:
+    the coefficient lists force a higher degree, or the off-grid residual
+    is nonzero."""
 
 
 class DegenerateMembershipError(ConchoidError):

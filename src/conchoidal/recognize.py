@@ -117,10 +117,7 @@ def candidate_radii(D: PlaneCurve, A: Tuple[Scalar, Scalar],
         if restricted.is_zero():
             notes.append("a probe line is contained in the curve; skipped")
             continue
-        try:
-            u = restricted.with_vars(("t",)).as_unipoly("t")
-        except ValueError:
-            continue
+        u = restricted.with_vars(("t",)).as_unipoly("t")
         if u.degree() < 1:
             continue
         pts = []

@@ -1,23 +1,23 @@
-"""The conchoid Sylvester-type matrix and exact determinants.
+"""The conchoid coefficient lists and exact Sylvester determinants.
 
 poly_matrix_det is the one polynomial determinant, and every resultant
-goes through it: the classical evaluation-interpolation scheme on an exact
-integer kernel.  Each row is scaled to integer coefficients, or to
-Gaussian-integer ones over Q(i).  When every row is homogeneous, each of
-one degree in the variables the matrix uses, the determinant is
-homogeneous of the sum D of those degrees: the last used variable is set
-to 1 and put back at the end.  Otherwise D is the caller's degree bound.
-The determinant is sampled on the simplex |p| <= D in the k remaining
-variables; every sample is a Z or Z[i] determinant by fraction-free
-Bareiss.  When the rows are a Sylvester matrix of nominal degrees m, n,
-only its m + n + 2 coefficients are sampled, and each sample is the
-max(m, n) hybrid Bezout determinant of their values.  Integer forward
-differences along the first variable, then the same interpolation on
-smaller simplices in the rest, give its Newton form, and Horner steps in
-the falling-factorial basis turn it into monomials; the row scales are
+goes through it: the determinant of the Sylvester matrix of two ascending
+lists of polynomial coefficients at nominal degrees m, n >= 1, by the
+classical evaluation-interpolation scheme on an exact integer kernel.  Each
+list is scaled to integer coefficients, or to Gaussian-integer ones over
+Q(i).  When every nonzero entry of each list is a form of one degree, a and
+b, the determinant is homogeneous of degree D = n a + m b: the last
+variable the lists use is set to 1 and put back at the end.  Otherwise D
+is the caller's degree bound.  The determinant is sampled on the simplex
+|p| <= D in the k remaining variables; only the m + n + 2 coefficients are
+evaluated, and each sample is the max(m, n) hybrid Bezout determinant of
+their values, a Z or Z[i] determinant by fraction-free Bareiss.  Integer
+forward differences along the first variable, then the same interpolation
+on smaller simplices in the rest, give its Newton form, and Horner steps
+in the falling-factorial basis turn it into monomials; the list scales are
 divided out once at the end.  An off-grid residual, taken on the full
-matrix, guards the degree.  One row builder lays out every Sylvester
-matrix, of scalars or of polynomials; the conchoid matrix is one of them.
+Sylvester matrix, guards the degree.  One row builder lays out every
+Sylvester matrix, and only this module calls it.
 """
 
 from __future__ import annotations
@@ -25,21 +25,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import comb, lcm
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import DegreeBoundError, InternalError
 from .fields import FIELD_Q, FIELD_QI, GaussianRational, Scalar, im_part, re_part
 from .multipoly import MultiPoly, homogeneous_decompose, merge_vars
 
 
-def _equation_of(curve) -> MultiPoly:
-    return curve.equation if hasattr(curve, "equation") else curve
-
-
-def phi_forms(F) -> List[MultiPoly]:
+def phi_forms(f: MultiPoly) -> List[MultiPoly]:
     """[Phi_0, ..., Phi_d] with Phi_i = (-1)^i sum_{j>=i} C(j,i) F_j z^(d-j);
     each homogeneous of degree d, and Phi_0 = F."""
-    f = _equation_of(F)
     parts = homogeneous_decompose(f)          # [F_d, ..., F_0]
     d = f.total_degree()
     if d < 1:
@@ -60,18 +55,16 @@ def phi_forms(F) -> List[MultiPoly]:
     return out
 
 
-def conchoid_matrix(B, C) -> List[List[MultiPoly]]:
-    """The (d+delta)x(d+delta) matrix whose determinant is the conchoidal
-    transform: the Sylvester matrix in the line parameter of
-    [Phi_0, ..., Phi_d] and [z^delta G_0, ..., z G_(delta-1), G_delta], that
-    is delta rows of shifts of (Phi_d ... Phi_0), then d rows of shifts of
-    (G_delta, z G_(delta-1), ..., z^delta G_0).  This exact row order fixes
-    the sign of the determinant."""
-    f = _equation_of(B)
-    g = _equation_of(C)
+def conchoid_coefficients(f: MultiPoly, g: MultiPoly) -> Tuple[List[MultiPoly], List[MultiPoly]]:
+    """The ascending coefficient lists in the line parameter whose Sylvester
+    determinant is the conchoidal transform of the curves f, g:
+    [Phi_0, ..., Phi_d] and [z^delta G_0, ..., z G_(delta-1), G_delta].
+    sylvester_rows lays them out as delta rows of shifts of
+    (Phi_d ... Phi_0), then d rows of shifts of (G_delta, z G_(delta-1),
+    ..., z^delta G_0); this exact row order fixes the sign."""
     d, delta = f.total_degree(), g.total_degree()
     if d < 1 or delta < 1:
-        raise ValueError("conchoid matrix needs curves of degree >= 1")
+        raise ValueError("conchoid coefficients need curves of degree >= 1")
     vars = merge_vars(f.vars, g.vars)
     field_join = (f + g).field
     phis = [p.with_vars(vars).promote(field_join) for p in phi_forms(f)]
@@ -79,7 +72,7 @@ def conchoid_matrix(B, C) -> List[List[MultiPoly]]:
     z = MultiPoly.variable("z", vars, field_join)
     gc = [gparts[delta - h].with_vars(vars).promote(field_join) * z ** (delta - h)
           for h in range(delta + 1)]
-    return sylvester_rows(phis, gc, MultiPoly.zero(vars, field_join))
+    return phis, gc
 
 
 # -- scalar determinants -----------------------------------------------------
@@ -341,57 +334,27 @@ def _hybrid_bezout(fc: List, gc: List) -> List[List]:
     return rows
 
 
-# -- polynomial matrix determinants --------------------------------------------
+# -- the Sylvester determinant ---------------------------------------------------
 
 
-def _row_degrees(rows: List[List[MultiPoly]]) -> Optional[List[int]]:
-    """Degree r_i when every nonzero entry of row i is homogeneous of that
-    one degree (0 for a zero row); None when the matrix does not have that
-    shape."""
-    degs = []
-    for row in rows:
-        nonzero = [e for e in row if e]
-        found = {e.total_degree() for e in nonzero}
-        if len(found) > 1 or not all(e.is_homogeneous() for e in nonzero):
-            return None
-        degs.append(found.pop() if found else 0)
-    return degs
-
-
-def _interpolated_det(rows: List[List[MultiPoly]], index: List[int], D: int, error) -> dict:
-    """{exponent: c} of the determinant in the variables at ``index``, the
-    others dropped, sampled on the simplex of degree D in them.  Each row is
-    scaled to Z (or Z[i]) coefficients first; the scales are divided out at
-    the end.  A Sylvester layout samples only its m + n + 2 coefficients,
-    each sample a max(m, n) hybrid Bezout determinant.  The residual at a
-    point off the grid comes from the full matrix; if nonzero, ``error`` is
-    raised."""
-    gaussian = any(im_part(c) for row in rows for e in row for c in e.terms.values())
+def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int], D: int,
+                      error) -> dict:
+    """{exponent: c} of the determinant of sylvester_rows(fc, gc) in the
+    variables at ``index``, the others dropped, sampled on the simplex of
+    degree D in them.  Each list is scaled to Z (or Z[i]) coefficients
+    first; the scales are divided out at the end.  Each sample is the
+    max(m, n) hybrid Bezout determinant of the m + n + 2 values.  The
+    residual at a point off the grid comes from the full Sylvester matrix;
+    if nonzero, ``error`` is raised."""
+    gaussian = any(im_part(c) for e in fc + gc for c in e.terms.values())
 
     def key(exp):
         return tuple(exp[i] for i in index)
 
-    size = len(rows)
-    zero = MultiPoly.zero(rows[0][0].vars)
-    m = next((m for m in range(1, size) if rows == sylvester_rows(
-        rows[0][m::-1], rows[size - m][size - m::-1], zero)), None)
-    if m:                  # rows = sylvester_rows at nominal degrees m, size - m
-        groups = [(rows[0][m::-1], size - m), (rows[size - m][size - m::-1], m)]
-    else:
-        groups = [(row, 1) for row in rows]
-
-    def full(v):
-        """The whole matrix from the values v of the groups' entries."""
-        if not m:
-            return [v[i:i + size] for i in range(0, len(v), size)]
-        return sylvester_rows(v[:m + 1], v[m + 1:], (0, 0) if gaussian else 0)
-
-    def sample(v):
-        return _hybrid_bezout(v[:m + 1], v[m + 1:]) if m else full(v)
-
+    m, n = len(fc) - 1, len(gc) - 1
     scale = 1
     parts = []
-    for entries, count in groups:
+    for entries, count in ((fc, n), (gc, m)):       # n rows of f, m rows of g
         row_lcm = _denominator_lcm(c for e in entries for c in e.terms.values())
         scale *= row_lcm ** count
         parts += [_integer_parts(e, row_lcm, gaussian, key) for e in entries]
@@ -399,7 +362,8 @@ def _interpolated_det(rows: List[List[MultiPoly]], index: List[int], D: int, err
     values = {}
     for prefix in _simplex(k - 1, D):
         ts = range(D + 1 - sum(prefix))
-        dets = _dets_on_line(parts, prefix, ts, gaussian, sample)
+        dets = _dets_on_line(parts, prefix, ts, gaussian,
+                             lambda v: _hybrid_bezout(v[:m + 1], v[m + 1:]))
         values.update(zip([prefix + (t,) for t in ts], dets))
     if gaussian:
         interpolated = [_interp_simplex({p: v[j] for p, v in values.items()}, k, D)
@@ -409,41 +373,46 @@ def _interpolated_det(rows: List[List[MultiPoly]], index: List[int], D: int, err
 
     # Residual check at a point outside the grid.
     off = (D + 1,) * k
-    expected = _dets_on_line(parts, off[:-1], off[-1:], gaussian, full)[0]
+    zero = (0, 0) if gaussian else 0
+    expected = _dets_on_line(parts, off[:-1], off[-1:], gaussian,
+                             lambda v: sylvester_rows(v[:m + 1], v[m + 1:], zero))[0]
     got = tuple(_horner(_at_prefix(poly, off[:-1]), D + 1) for poly in interpolated)
     if got != (expected if gaussian else (expected,)):
         raise error(f"interpolation residual nonzero at degree {D}")
     return _divide_out(interpolated, scale)
 
 
-def poly_matrix_det(rows: List[List[MultiPoly]], degree_bound: int) -> MultiPoly:
-    """Exact determinant of a square matrix of polynomials, over the union
-    of the entries' variables; degree_bound must be >= its total degree."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return MultiPoly.constant(1, (), FIELD_Q)
-    vars = reduce(merge_vars, {e.vars for row in rows for e in row})
-    rows = [[e if e.vars == vars else e.with_vars(vars) for e in row] for row in rows]
-    entries = [e for row in rows for e in row]
+def poly_matrix_det(fc: List[MultiPoly], gc: List[MultiPoly], degree_bound: int) -> MultiPoly:
+    """Exact determinant of sylvester_rows(fc, gc): the resultant of the
+    ascending polynomial coefficient lists fc, gc at nominal degrees
+    m, n >= 1, over the union of their variables; degree_bound must be >=
+    its total degree."""
+    m, n = len(fc) - 1, len(gc) - 1
+    if m < 1 or n < 1:
+        raise ValueError("Sylvester determinant of a nominal degree below 1")
+    vars = reduce(merge_vars, {e.vars for e in fc + gc})
+    fc, gc = ([e if e.vars == vars else e.with_vars(vars) for e in c] for c in (fc, gc))
+    entries = fc + gc
     used = [v for v in vars if any(e.uses_var(v) for e in entries)]
-    degs = _row_degrees(rows)
-    hom = used[-1] if degs is not None and used else None
-    D = sum(degs) if hom else degree_bound
+    # a, b when every nonzero entry of fc (of gc) is a form of degree a (b)
+    degrees = [{e.total_degree() for e in c if e} for c in (fc, gc)]
+    forms = all(len(s) < 2 for s in degrees) and all(e.is_homogeneous() for e in entries if e)
+    hom = used[-1] if forms and used else None
+    a, b = (max(s, default=0) for s in degrees)
+    D = n * a + m * b if hom else degree_bound
     if D > degree_bound:
         raise DegreeBoundError(
-            f"matrix rows force determinant degree {D} > bound {degree_bound}")
+            f"coefficient lists force determinant degree {D} > bound {degree_bound}")
     axes = [v for v in used if v != hom]
     field = FIELD_QI if any(e.field == FIELD_QI for e in entries) else FIELD_Q
 
     if axes:
         error = InternalError if hom else DegreeBoundError    # D is certain when homogeneous
-        coeffs = _interpolated_det(rows, [vars.index(v) for v in axes], D, error)
+        coeffs = _interpolated_det(fc, gc, [vars.index(v) for v in axes], D, error)
         det_aff = MultiPoly.make(axes, field, coeffs)
-    else:                    # nothing left to sample: a constant matrix
+    else:                    # nothing left to sample: a scalar resultant
         point = {hom: Fraction(1)} if hom else {}
-        value = det_scalar([[e.evaluate(point) for e in row] for row in rows])
+        value = resultant_nominal([e.evaluate(point) for e in fc], [e.evaluate(point) for e in gc])
         det_aff = MultiPoly.constant(value, (), field)
     if hom:                  # re-homogenize to the known total degree
         det_aff = det_aff.homogenize(hom, D)
@@ -494,7 +463,6 @@ def sylvester_resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         return fc[0] ** n
     if n == 0:
         return gc[0] ** m
-    rows = sylvester_rows(fc, gc, MultiPoly.zero(rest, f2.field))
     # the coefficient of var**i has total degree <= deg - i, so every term
     # of the determinant has degree <= n deg f + m deg g - m n
-    return poly_matrix_det(rows, n * f2.total_degree() + m * g2.total_degree() - m * n)
+    return poly_matrix_det(fc, gc, n * f2.total_degree() + m * g2.total_degree() - m * n)

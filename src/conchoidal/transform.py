@@ -1,10 +1,11 @@
 """The conchoidal transform and its local/global analysis.
 
-The transform of two curves is the determinant of the conchoid matrix,
-homogeneous of degree exactly 2*deg(B)*deg(C) whenever it is nonzero.  The
-membership oracle specializes the same construction to a single affine
-point, eliminating the line parameter by a scalar Sylvester resultant at
-nominal degrees (so that specialization commutes with the resultant).
+The transform of two curves is the Sylvester determinant of their
+conchoid coefficient lists in the line parameter, homogeneous of degree
+exactly 2*deg(B)*deg(C) whenever it is nonzero.  The membership oracle
+specializes the same construction to a single affine point, eliminating
+the line parameter by a scalar Sylvester resultant at nominal degrees (so
+that specialization commutes with the resultant).
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from .errors import (
 from .fields import Scalar, to_scalar
 from .gcd import multiplicity_of_factor, squarefree_part
 from .multipoly import MultiPoly, poly_exact_div
-from .resultant import conchoid_matrix, poly_matrix_det, resultant_nominal, sylvester_resultant
+from .resultant import (
+    conchoid_coefficients, poly_matrix_det, resultant_nominal, sylvester_resultant,
+)
 from .roots import factor_binary_form
 
 
@@ -33,8 +36,7 @@ def conchoidal_transform(B: PlaneCurve, C: PlaneCurve) -> PlaneCurve:
     canonical-normalized.  Raises IdenticallyZeroError when the resultant
     vanishes identically (both curves are z-power multiples)."""
     d, delta = B.degree, C.degree
-    M = conchoid_matrix(B.equation, C.equation)
-    det = poly_matrix_det(M, 2 * d * delta)
+    det = poly_matrix_det(*conchoid_coefficients(B.equation, C.equation), 2 * d * delta)
     if det.is_zero():
         raise IdenticallyZeroError("conchoidal resultant is identically zero")
     return PlaneCurve(det)
@@ -225,13 +227,10 @@ def _prune_axis_factors(s: MultiPoly, B: PlaneCurve, C: PlaneCurve,
         for _ in range(samples):
             t = Fraction(rng.randint(-400, 400), rng.randint(1, 40))
             a, b = make_point(t)
-            try:
-                member = membership_value(B, C, ProjPoint(a, b, 1))
-                if not member.degenerate and member.value:
-                    keep = False
-                    break
-            except ValueError:
-                continue
+            member = membership_value(B, C, ProjPoint(a, b, 1))
+            if not member.degenerate and member.value:
+                keep = False
+                break
         if not keep:
             s = q
     return s

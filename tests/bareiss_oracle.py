@@ -1,6 +1,8 @@
 """Fraction-free Bareiss elimination on polynomial entries, kept as the
-tests' independent oracle for ``poly_matrix_det``, which samples the
-determinant on an integer kernel and interpolates it instead."""
+tests' independent oracle for ``poly_matrix_det``.  That kernel takes two
+coefficient lists and samples hybrid Bezout determinants of their values
+on an integer kernel, then interpolates; the tests hand this oracle the
+whole Sylvester matrix, ``sylvester_rows(fc, gc, zero)``, instead."""
 
 from __future__ import annotations
 

@@ -80,7 +80,7 @@ def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
 
 
 def test_broken_determinant_sample_is_an_internal_error(capsys, monkeypatch):
-    # the conchoid matrix has homogeneous rows, so its degree is certain and
+    # the conchoid's coefficient lists are forms, so its degree is certain and
     # a nonzero residual can only be a bug: exit 4, not a "degree bound" no
     from conchoidal import resultant
     from conchoidal.transform import conchoidal_transform

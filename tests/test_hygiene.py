@@ -1,8 +1,9 @@
 """Source checks: no handler in the package may swallow arbitrary errors,
-so a bug surfaces as a traceback instead of turning into a verdict; and
-the package has one polynomial determinant, one gcd and one exact
-division."""
+so a bug surfaces as a traceback instead of turning into a verdict; the
+package has one Sylvester determinant, one gcd and one exact division;
+and every function the benchmark's tracer wraps by name still exists."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -14,6 +15,8 @@ BROAD = re.compile(r"except\s*:|except\b[^:\n]*\bException\b")
 BAREISS_CALL = re.compile(r"(?<!def )\bdet_bareiss_poly\(")
 PRS_ORACLE = re.compile(r"\bgcd_oracle\b|\bprs_gcd\b|\b_pseudo_rem\b|\bsubresultant\b", re.I)
 DIVISION_ORACLE = re.compile(r"\bdivision_oracle\b|\bgrlex_exact_div\b")
+SYLVESTER_LAYOUT = re.compile(r"\bsylvester_rows\(")
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
 def _source_hits(pattern):
@@ -49,6 +52,25 @@ def test_no_library_use_of_the_division_oracle():
     # grlex reduction lives in tests/division_oracle.py as the oracle
     hits = _source_hits(DIVISION_ORACLE)
     assert not hits, "uses of the grlex division oracle:\n" + "\n".join(hits)
+
+
+def test_sylvester_layout_is_one_module():
+    # poly_matrix_det takes two coefficient lists; only resultant.py lays
+    # them out as a matrix
+    hits = [h for h in _source_hits(SYLVESTER_LAYOUT) if not h.startswith("resultant.py:")]
+    assert not hits, "Sylvester matrices built outside resultant.py:\n" + "\n".join(hits)
+
+
+def test_traced_layers_resolve():
+    # perfbench wraps library functions by name: each of its targets must
+    # resolve, and transform.py must keep its own binding of the kernel
+    namespace = {}
+    exec(compile(LAYERS.read_text(), str(LAYERS), "exec"), namespace)
+    for target in namespace["TARGETS"]:
+        module, name = target.rsplit(".", 1)
+        found = getattr(importlib.import_module(f"conchoidal.{module}"), name, None)
+        assert callable(found), target
+    assert conchoidal.transform.poly_matrix_det is conchoidal.resultant.poly_matrix_det
 
 
 def test_membership_oracle_stays_on_bareiss(monkeypatch):

@@ -12,7 +12,7 @@ from conchoidal import (
     GaussianRational,
     MultiPoly,
     PlaneCurve,
-    conchoid_matrix,
+    conchoid_coefficients,
     parse_poly,
     phi_forms,
     poly_matrix_det,
@@ -27,12 +27,27 @@ from conchoidal.resultant import (
     _interp_simplex,
     det_scalar,
     resultant_nominal,
+    sylvester_rows,
 )
 
 from bareiss_oracle import det_bareiss_poly
 from helpers import random_form, random_poly
 
 VARS = ("x", "y", "z")
+
+
+def _gaussian(make):
+    """make() + i*make(): a polynomial with genuinely complex coefficients."""
+    return make() + make() * GaussianRational(0, 1)
+
+
+# make() over Q, and make() + i*make() over Q(i)
+OVER_Q_AND_QI = (lambda make: make(), _gaussian)
+
+
+def _oracle(fc, gc):
+    """The Bareiss determinant of the Sylvester matrix of the lists."""
+    return det_bareiss_poly(sylvester_rows(fc, gc, fc[0] - fc[0]))
 
 
 def test_phi_forms_line():
@@ -75,7 +90,10 @@ def test_phi_identity():
 
 
 def test_conchoid_matrix_two_lines():
-    M = conchoid_matrix(parse_poly("x+y+z"), parse_poly("x-y+2*z"))
+    fc, gc = conchoid_coefficients(parse_poly("x+y+z"), parse_poly("x-y+2*z"))
+    assert fc == [parse_poly("x+y+z"), parse_poly("-x-y")]
+    assert gc == [parse_poly("2*z"), parse_poly("x-y")]
+    M = sylvester_rows(fc, gc, MultiPoly.zero(VARS))
     assert [len(row) for row in M] == [2, 2]
     assert M[0][0] == parse_poly("-x-y")
     assert M[0][1] == parse_poly("x+y+z")
@@ -86,7 +104,9 @@ def test_conchoid_matrix_two_lines():
 def test_conchoid_matrix_line_conic_shape():
     # d = 1, delta = 2: 3x3 with last row (G_2, z G_1, z^2 G_0)
     G = parse_poly("x^2+y^2-z^2")
-    M = conchoid_matrix(parse_poly("x+y+z"), G)
+    fc, gc = conchoid_coefficients(parse_poly("x+y+z"), G)
+    assert gc == [parse_poly("-z^2"), MultiPoly.zero(VARS), parse_poly("x^2+y^2")]
+    M = sylvester_rows(fc, gc, MultiPoly.zero(VARS))
     assert [len(row) for row in M] == [3, 3, 3]
     assert M[2][0] == parse_poly("x^2+y^2")
     assert M[2][1].is_zero()
@@ -100,81 +120,78 @@ def test_conchoid_matrix_line_conic_shape():
 def test_swapped_roles_same_determinant_up_to_sign():
     B = parse_poly("x+2*y-z")
     C = parse_poly("x^2-y*z+3*z^2")
-    d1 = poly_matrix_det(conchoid_matrix(B, C), 4)
-    d2 = poly_matrix_det(conchoid_matrix(C, B), 4)
+    d1 = poly_matrix_det(*conchoid_coefficients(B, C), 4)
+    d2 = poly_matrix_det(*conchoid_coefficients(C, B), 4)
     assert d1.proportional_to(d2)
 
 
 def test_det_trivia():
-    x = parse_poly("x")
-    y = parse_poly("y")
-    M = [[x, y], [y, x]]
-    assert poly_matrix_det(M, 2) == parse_poly("x^2-y^2")
-    one = MultiPoly.constant(1, VARS)
-    zero = MultiPoly.zero(VARS)
-    eye = [[one if i == j else zero for j in range(4)] for i in range(4)]
-    assert poly_matrix_det(eye, 0) == one
+    # constant lists, and forms in z alone, leave no variable to sample;
+    # a nominal degree below 1 is refused
+    one, two = MultiPoly.constant(1, VARS), MultiPoly.constant(2, VARS)
+    z = parse_poly("z")
+    for fc, gc, bound, expected in (([one, two], [two, one], 0, 3),
+                                    ([one, two, one], [one, one], 0, 0),
+                                    ([z, 2 * z], [2 * z, z], 2, 3 * z * z)):
+        det = poly_matrix_det(fc, gc, bound)
+        assert det == MultiPoly.constant(1, VARS) * expected == _oracle(fc, gc)
+    with pytest.raises(ValueError):
+        poly_matrix_det([one], [one, two], 0)
 
 
 def test_det_example_32():
-    M = conchoid_matrix(parse_poly("x+y+z"), parse_poly("x-y+2*z"))
-    det = poly_matrix_det(M, 2)
+    det = poly_matrix_det(*conchoid_coefficients(parse_poly("x+y+z"), parse_poly("x-y+2*z")), 2)
     assert det == -(parse_poly("(x+y+z)*(x-y+2*z)-2*z^2"))
 
 
 def test_det_dual_route():
     # evaluation-interpolation against direct Bareiss on random 3x3 and 4x4
-    # matrices with entry degrees <= 2 (z-free entries so the grid route is
-    # genuinely taken)
+    # Sylvester matrices with entry degrees <= 2 (z-free entries so the
+    # grid route is genuinely taken), over Q and Q(i)
     rng = random.Random(13)
-    for size in (3, 4):
-        for _ in range(6):
-            M = [[random_poly(rng, ("x", "y"), 2).with_vars(VARS) for _ in range(size)]
-                 for _ in range(size)]
-            direct = det_bareiss_poly(M)
-            bound = 2 * size
-            via_grid = poly_matrix_det(M, bound)
-            assert via_grid == direct
+    for m, n in ((1, 2), (2, 1), (2, 2), (3, 1)):
+        for over in OVER_Q_AND_QI * 2:
+            fc, gc = ([over(lambda: random_poly(rng, ("x", "y"), 2)).with_vars(VARS)
+                       for _ in range(k + 1)] for k in (m, n))
+            assert poly_matrix_det(fc, gc, 2 * (m + n)) == _oracle(fc, gc)
 
 
 def test_det_interpolation_matches_bareiss_homogeneous():
+    # lists of forms of degrees a and b: D = n a + m b, z dehomogenized
     rng = random.Random(29)
-    for _ in range(6):
-        rows = []
-        degs = [1, 2, 1]
-        for d in degs:
-            rows.append([random_form(rng, d) for _ in range(3)])
-        got = poly_matrix_det(rows, sum(degs))
-        direct = det_bareiss_poly(rows)
-        assert got == direct
+    for (m, a), (n, b) in (((1, 1), (2, 2)), ((2, 2), (1, 1)), ((3, 1), (1, 2))):
+        for over in OVER_Q_AND_QI * 2:
+            fc = [over(lambda: random_form(rng, a)) for _ in range(m + 1)]
+            gc = [over(lambda: random_form(rng, b)) for _ in range(n + 1)]
+            got = poly_matrix_det(fc, gc, n * a + m * b)
+            assert (got.field == FIELD_QI) == (over is _gaussian)
+            assert got == _oracle(fc, gc)
 
 
 def test_det_evaluation_commutes():
     rng = random.Random(31)
     B = random_form(rng, 2)
     C = random_form(rng, 2)
-    M = conchoid_matrix(B, C)
-    det = poly_matrix_det(M, 8)
+    fc, gc = conchoid_coefficients(B, C)
+    det = poly_matrix_det(fc, gc, 8)
     for _ in range(4):
         pt = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for v in VARS}
-        scalar_rows = [[e.evaluate(pt) for e in row] for row in M]
-        from conchoidal.resultant import det_scalar
-
-        assert det.evaluate(pt) == det_scalar(scalar_rows)
+        values = [[e.evaluate(pt) for e in c] for c in (fc, gc)]
+        assert det.evaluate(pt) == resultant_nominal(*values)
 
 
 def test_degree_bound_violation_detected():
-    x = parse_poly("x")
-    M = [[x * x, MultiPoly.zero(VARS)], [MultiPoly.zero(VARS), x * x]]
-    with pytest.raises(DegreeBoundError):
-        poly_matrix_det(M, 1)
+    x2, zero = parse_poly("x^2"), MultiPoly.zero(VARS)
+    with pytest.raises(DegreeBoundError):       # forms force degree 4
+        poly_matrix_det([x2, zero], [zero, x2], 1)
 
 
 def test_residual_catches_a_low_degree_bound():
-    # rows that are not homogeneous take the caller's bound, and the
-    # off-grid residual refuses one that is too low
+    # lists that are not forms take the caller's bound, and the off-grid
+    # residual refuses one that is too low: the determinant is -(x^2 + 1)
+    zero, one = MultiPoly.zero(VARS), MultiPoly.constant(1, VARS)
     with pytest.raises(DegreeBoundError):
-        poly_matrix_det([[parse_poly("x^2+1")]], 1)
+        poly_matrix_det([parse_poly("x^2+1"), zero], [zero, one], 1)
 
 
 def test_sylvester_examples():
@@ -248,11 +265,6 @@ def test_sylvester_gaussian_coefficients():
 # -- the integer kernel ----------------------------------------------------------
 
 
-def _gaussian(make):
-    """make() + i*make(): a polynomial with genuinely complex coefficients."""
-    return make() + make() * GaussianRational(0, 1)
-
-
 def _leibniz_det(rows):
     """Determinant by the permutation expansion, independent of Bareiss."""
     n = len(rows)
@@ -286,36 +298,12 @@ def test_det_scalar_gaussian_integer_kernel():
             assert det_scalar(rational) == _leibniz_det(rational)
 
 
-def test_det_dual_route_gaussian_z_free():
-    rng = random.Random(59)
-    for size in (2, 3):
-        for _ in range(4):
-            M = [[_gaussian(lambda: random_poly(rng, ("x", "y"), 2)).with_vars(VARS)
-                  for _ in range(size)] for _ in range(size)]
-            direct = det_bareiss_poly(M)
-            assert poly_matrix_det(M, 2 * size) == direct
-
-
-def test_det_dual_route_gaussian_homogeneous():
-    rng = random.Random(61)
-    for degs in ([1, 2, 1], [2, 1, 1, 1]):
-        for _ in range(3):
-            rows = [[_gaussian(lambda: random_form(rng, d)) for _ in degs] for d in degs]
-            got = poly_matrix_det(rows, sum(degs))
-            assert got.field == FIELD_QI
-            assert got == det_bareiss_poly(rows)
-
-
 def test_gaussian_conchoid_matches_bareiss():
     rng = random.Random(67)
     B = _gaussian(lambda: random_form(rng, 2))
     C = _gaussian(lambda: random_form(rng, 2))
-    M = conchoid_matrix(B, C)
-    assert poly_matrix_det(M, 8) == det_bareiss_poly(M)
-
-
-# make() over Q, and make() + i*make() over Q(i)
-OVER_Q_AND_QI = (lambda make: make(), _gaussian)
+    fc, gc = conchoid_coefficients(B, C)
+    assert poly_matrix_det(fc, gc, 8) == _oracle(fc, gc)
 
 
 def _sylvester_by_hand(f, g, var):
@@ -345,38 +333,38 @@ def test_sylvester_resultant_in_two_and_three_variables():
 
 
 def test_det_homogeneous_in_other_variables():
-    # rows homogeneous in (a, b, c): c is dehomogenized and put back
+    # lists of forms in (a, b, c): c is dehomogenized and put back
     rng = random.Random(89)
-    for degs in ([1, 2, 1], [2, 1, 1, 1]):
+    for (m, a), (n, b) in (((1, 1), (2, 2)), ((3, 2), (1, 1))):
         for over in OVER_Q_AND_QI:
-            rows = [[over(lambda: random_form(rng, d, ("a", "b", "c"))) for _ in degs]
-                    for d in degs]
-            got = poly_matrix_det(rows, sum(degs))
-            assert got.is_homogeneous() and got == det_bareiss_poly(rows)
+            fc = [over(lambda: random_form(rng, a, ("a", "b", "c"))) for _ in range(m + 1)]
+            gc = [over(lambda: random_form(rng, b, ("a", "b", "c"))) for _ in range(n + 1)]
+            got = poly_matrix_det(fc, gc, n * a + m * b)
+            assert got.is_homogeneous() and got == _oracle(fc, gc)
 
 
 def test_det_non_homogeneous_three_variables():
     rng = random.Random(97)
-    for size in (2, 3):
+    for m, n in ((1, 1), (1, 2), (2, 1)):
         for over in OVER_Q_AND_QI * 2:
-            rows = [[over(lambda: random_poly(rng, VARS, 2)) for _ in range(size)]
-                    for _ in range(size)]
-            assert poly_matrix_det(rows, 2 * size) == det_bareiss_poly(rows)
+            fc, gc = ([over(lambda: random_poly(rng, VARS, 2)) for _ in range(k + 1)]
+                      for k in (m, n))
+            assert poly_matrix_det(fc, gc, 2 * (m + n)) == _oracle(fc, gc)
 
 
 def test_degree_80_homogeneous_determinant_is_exact():
     # degree 80 on the grid path: 3321 triangular samples, where a square
     # grid would need 81^2 = 6561
     x, y, z = (MultiPoly.variable(v, VARS) for v in VARS)
-    rows = [[(x + 2 * z) ** 40, (y - z) ** 20 * x ** 20],
-            [(x - y) ** 40 + z ** 40, (3 * x + y) ** 30 * z ** 10]]
-    det = poly_matrix_det(rows, 80)
+    fc = [(y - z) ** 20 * x ** 20, (x + 2 * z) ** 40]
+    gc = [(3 * x + y) ** 30 * z ** 10, (x - y) ** 40 + z ** 40]
+    det = poly_matrix_det(fc, gc, 80)
     assert det.is_homogeneous() and det.total_degree() == 80
     rng = random.Random(71)
     for _ in range(5):
         pt = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for v in VARS}
-        values = [[e.evaluate(pt) for e in row] for row in rows]
-        assert det.evaluate(pt) == values[0][0] * values[1][1] - values[0][1] * values[1][0]
+        (f0, f1), (g0, g1) = ([e.evaluate(pt) for e in c] for c in (fc, gc))
+        assert det.evaluate(pt) == f1 * g0 - f0 * g1
 
 
 def test_integer_triangle_interpolation_recovers_polynomials():
@@ -450,23 +438,10 @@ def test_generic_conchoid_samples_are_half_size(monkeypatch):
     # 561 samples on the triangle of degree 32, each a 4x4 hybrid Bezout
     # determinant; the residual sample is the full 8x8 Sylvester matrix
     rng = random.Random(103)
-    M = conchoid_matrix(random_form(rng, 4), random_form(rng, 4))
+    fc, gc = conchoid_coefficients(random_form(rng, 4), random_form(rng, 4))
     sizes = _sizes_of_samples(monkeypatch)
-    poly_matrix_det(M, 32)
+    poly_matrix_det(fc, gc, 32)
     assert sizes == [4] * 561 + [8]
-
-
-def test_broken_sylvester_layout_takes_the_full_matrix(monkeypatch):
-    rng = random.Random(107)
-    M = conchoid_matrix(random_form(rng, 2), random_form(rng, 2))
-    perturbed = [list(row) for row in M]
-    perturbed[1][2] = perturbed[1][2] + parse_poly("x^2")
-    swapped = [M[0], M[2], M[1], M[3]]
-    sizes = _sizes_of_samples(monkeypatch)
-    for rows in (perturbed, swapped):
-        sizes.clear()
-        assert poly_matrix_det(rows, 8) == det_bareiss_poly(rows)
-        assert set(sizes) == {4}
 
 
 def _form(draw, degree, field):
@@ -492,8 +467,8 @@ def test_conchoid_determinant_matches_the_bareiss_oracle(data, d, delta, field, 
     z = MultiPoly.variable("z", VARS)
     B = z * _form(data.draw, d - 1, field) if top_zero else _form(data.draw, d, field)
     C = _form(data.draw, delta, field)
-    M = conchoid_matrix(B, C)
-    assert poly_matrix_det(M, 2 * d * delta) == det_bareiss_poly(M)
+    fc, gc = conchoid_coefficients(B, C)
+    assert poly_matrix_det(fc, gc, 2 * d * delta) == _oracle(fc, gc)
     if max(B.degree_in("z"), C.degree_in("z")) > 0:
         direct = det_bareiss_poly(_sylvester_by_hand(B, C, "z"))
         assert sylvester_resultant(B, C, "z") == direct
