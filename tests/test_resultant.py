@@ -144,28 +144,42 @@ def test_det_example_32():
     assert det == -(parse_poly("(x+y+z)*(x-y+2*z)-2*z^2"))
 
 
-def test_det_dual_route():
+def _check_dual_route_z_free(rng, over):
     # evaluation-interpolation against direct Bareiss on random 3x3 and 4x4
     # Sylvester matrices with entry degrees <= 2 (z-free entries so the
-    # grid route is genuinely taken), over Q and Q(i)
-    rng = random.Random(13)
+    # grid route is genuinely taken)
     for m, n in ((1, 2), (2, 1), (2, 2), (3, 1)):
-        for over in OVER_Q_AND_QI * 2:
+        for _ in range(2):
             fc, gc = ([over(lambda: random_poly(rng, ("x", "y"), 2)).with_vars(VARS)
                        for _ in range(k + 1)] for k in (m, n))
             assert poly_matrix_det(fc, gc, 2 * (m + n)) == _oracle(fc, gc)
 
 
-def test_det_interpolation_matches_bareiss_homogeneous():
+def _check_dual_route_homogeneous(rng, over):
     # lists of forms of degrees a and b: D = n a + m b, z dehomogenized
-    rng = random.Random(29)
     for (m, a), (n, b) in (((1, 1), (2, 2)), ((2, 2), (1, 1)), ((3, 1), (1, 2))):
-        for over in OVER_Q_AND_QI * 2:
+        for _ in range(2):
             fc = [over(lambda: random_form(rng, a)) for _ in range(m + 1)]
             gc = [over(lambda: random_form(rng, b)) for _ in range(n + 1)]
             got = poly_matrix_det(fc, gc, n * a + m * b)
             assert (got.field == FIELD_QI) == (over is _gaussian)
             assert got == _oracle(fc, gc)
+
+
+def test_det_dual_route():
+    _check_dual_route_z_free(random.Random(13), OVER_Q_AND_QI[0])
+
+
+def test_det_dual_route_gaussian_z_free():
+    _check_dual_route_z_free(random.Random(59), _gaussian)
+
+
+def test_det_interpolation_matches_bareiss_homogeneous():
+    _check_dual_route_homogeneous(random.Random(29), OVER_Q_AND_QI[0])
+
+
+def test_det_dual_route_gaussian_homogeneous():
+    _check_dual_route_homogeneous(random.Random(61), _gaussian)
 
 
 def test_det_evaluation_commutes():
