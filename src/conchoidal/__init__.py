@@ -26,7 +26,7 @@ from .errors import (
 from .fields import FIELD_Q, FIELD_QI, GaussianRational, Rational
 from .gcd import poly_gcd, squarefree_part
 from .grammar import parse_poly, poly_to_text
-from .multipoly import MultiPoly, UniPoly, homogeneous_decompose, poly_exact_div
+from .multipoly import MultiPoly, homogeneous_decompose, poly_exact_div
 from .plotting import PlotSpec, render_svg
 from .recognize import (
     Candidate,
@@ -68,7 +68,7 @@ __all__ = [
     "InternalError", "InvalidSceneError", "Membership", "MultiPoly", "NotHomogeneousError",
     "NotSquarefreeError", "ParseError", "PlaneCurve", "PlotSpec",
     "ProjPoint", "Rational", "RecognitionReport", "Scene", "SplitResult",
-    "SplitWitness", "UniPoly", "candidate_radii", "conchoid_coefficients",
+    "SplitWitness", "candidate_radii", "conchoid_coefficients",
     "conchoidal_transform", "conic_focus_split", "cyclic_tangent_pair",
     "degree_genus_predict", "elimination_crosscheck", "extract_known_components",
     "factor_binary_form", "formal_square_root", "homogeneous_decompose",

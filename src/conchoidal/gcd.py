@@ -1,4 +1,10 @@
-"""Multivariate polynomial gcd and squarefree machinery.
+"""Polynomial gcd and squarefree machinery, in any number of variables.
+
+The univariate work of the engine (rational roots, binary forms, the
+circle-case conditions) runs on MultiPolys in one variable through the same
+functions: ``poly_gcd``, ``squarefree_part``, ``multiplicity_of_factor``,
+and ``squarefree_decompose_uni`` (Yun's algorithm on ``poly_gcd`` and
+``multipoly.poly_exact_div``).
 
 ``poly_gcd`` runs Brown's dense modular algorithm (``modular.modular_gcd``)
 on inputs over Q and Q(i) in any variables, homogeneous or not, and
@@ -29,7 +35,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from .modular import modular_gcd
-from .multipoly import MultiPoly, UniPoly, poly_exact_div
+from .multipoly import MultiPoly, poly_exact_div
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -67,26 +73,25 @@ def is_squarefree(f: MultiPoly) -> bool:
     return True
 
 
-def squarefree_decompose_uni(u: UniPoly) -> List[Tuple[UniPoly, int]]:
-    """Yun's algorithm: u (monic-normalized) = prod a_i**i with a_i squarefree
-    and pairwise coprime; returns the nonconstant (a_i, i)."""
-    u = u.monic()
-    if u.degree() < 1:
+def squarefree_decompose_uni(f: MultiPoly) -> List[Tuple[MultiPoly, int]]:
+    """Yun's algorithm on f in at most one variable: monic f = prod a_i**i
+    with a_i monic, squarefree and pairwise coprime; returns the
+    nonconstant (a_i, i)."""
+    var = f.sole_var()
+    if var is None:
         return []
-    du = u.derivative()
-    a = u.gcd(du)
-    b = u.divmod(a)[0]
-    c = du.divmod(a)[0]
-    d = c - b.derivative()
-    out: List[Tuple[UniPoly, int]] = []
+    f = f.monic()
+    df = f.derivative(var)
+    a = poly_gcd(f, df)
+    b, c = poly_exact_div(f, a), poly_exact_div(df, a)
+    out: List[Tuple[MultiPoly, int]] = []
     i = 1
-    while b.degree() >= 1:
-        a = b.gcd(d)
-        if a.degree() >= 1:
+    while not b.is_constant():
+        d = c - b.derivative(var)
+        a = poly_gcd(b, d)
+        if not a.is_constant():
             out.append((a, i))
-        b = b.divmod(a)[0]
-        c = d.divmod(a)[0]
-        d = c - b.derivative()
+        b, c = poly_exact_div(b, a), poly_exact_div(d, a)
         i += 1
     return out
 

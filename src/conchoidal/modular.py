@@ -2,8 +2,8 @@
 
 The rational-root finder (``roots``) and the multivariate gcd (``gcd``)
 share the helpers here: reduction of integer coefficient lists modulo p,
-Horner evaluation, the univariate Euclidean gcd mod p, rational
-reconstruction and the prime search.
+Horner evaluation, the monic univariate Euclidean gcd mod p (the only
+Euclid in the package), rational reconstruction and the prime search.
 
 ``modular_gcd`` is Brown's dense modular algorithm (Brown 1971, "On
 Euclid's algorithm and the computation of polynomial greatest common
@@ -48,7 +48,8 @@ def int_poly_mod(coeffs: List[int], p: int) -> List[int]:
 
 
 def poly_gcd_mod_p(a: List[int], b: List[int], p: int) -> List[int]:
-    """A gcd (not normalized) of two dense coefficient lists modulo p."""
+    """The monic gcd of two dense coefficient lists modulo p; [] when both
+    are zero."""
     a, b = list(a), list(b)
     while b:
         inv = pow(b[-1], p - 2, p)
@@ -61,7 +62,10 @@ def poly_gcd_mod_p(a: List[int], b: List[int], p: int) -> List[int]:
             while a and not a[-1]:
                 a.pop()
         a, b = b, a
-    return a
+    if not a:
+        return a
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
 
 
 def horner_mod(coeffs: List[int], x: int, m: int) -> int:
@@ -131,13 +135,6 @@ def _gcd_prime(k: int) -> Tuple[int, int]:
 # -- dense univariate arithmetic mod p -------------------------------------------------
 
 
-def _ugcd(a: List[int], b: List[int], p: int) -> List[int]:
-    """The monic gcd modulo p."""
-    g = poly_gcd_mod_p(a, b, p)
-    inv = pow(g[-1], p - 2, p)
-    return [c * inv % p for c in g]
-
-
 def _umul(a: List[int], b: List[int], p: int) -> List[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -167,7 +164,7 @@ def _uquo(a: List[int], b: List[int], p: int) -> List[int]:
 def _ucontent(coeffs: Dict[Exp, List[int]], p: int) -> List[int]:
     acc: List[int] = []
     for v in coeffs.values():
-        acc = _ugcd(acc, v, p)
+        acc = poly_gcd_mod_p(acc, v, p)
         if len(acc) == 1:
             break
     return acc
@@ -213,7 +210,7 @@ def _pgcd(a: Dict[Exp, int], b: Dict[Exp, int], n: int, p: int) -> Dict[Exp, int
     unlucky.  With n = 1 the gcd is that of the contents."""
     A, B = _split_last(a), _split_last(b)
     ca, cb = _ucontent(A, p), _ucontent(B, p)
-    c = _ugcd(ca, cb, p)
+    c = poly_gcd_mod_p(ca, cb, p)
     zero = (0,) * (n - 1)
     cont = {zero: [1]}
     lead_a, lead_b = max(A), max(B)
@@ -221,7 +218,7 @@ def _pgcd(a: Dict[Exp, int], b: Dict[Exp, int], n: int, p: int) -> Dict[Exp, int
         return _join_last(cont, c, p)
     A = {k: _uquo(v, ca, p) for k, v in A.items()}
     B = {k: _uquo(v, cb, p) for k, v in B.items()}
-    gamma = _ugcd(A[lead_a], B[lead_b], p)
+    gamma = poly_gcd_mod_p(A[lead_a], B[lead_b], p)
     # gamma * G / lc(G) has degree at most this in x_n
     bound = len(gamma) - 2 + min(max(map(len, A.values())), max(map(len, B.values())))
     H: Dict[Exp, List[int]] = {}

@@ -1,4 +1,4 @@
-"""Sparse multivariate and dense univariate polynomials over Q and Q(i).
+"""Sparse multivariate polynomials over Q and Q(i).
 
 MultiPoly is the universal carrier of curve equations: a map from exponent
 vectors to nonzero scalars, tagged with an ordered variable tuple and a
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotHomogeneousError
 from .fields import (
@@ -122,6 +122,14 @@ class MultiPoly:
             return False
         i = self.vars.index(var)
         return any(e[i] for e in self.terms)
+
+    def sole_var(self) -> Optional[str]:
+        """The one variable a univariate polynomial uses: None for a
+        constant, ValueError when two or more are in use."""
+        used = [v for v in self.vars if self.uses_var(v)]
+        if len(used) > 1:
+            raise ValueError(f"polynomial uses {len(used)} variables {tuple(used)}, expected one")
+        return used[0] if used else None
 
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}
@@ -440,18 +448,6 @@ class MultiPoly:
             coeffs[exp[i]][rexp] = c
         return [MultiPoly(rest, self.field, t) for t in coeffs]
 
-    def as_unipoly(self, var: str) -> "UniPoly":
-        """Dense view in ``var``; all other variables must be unused."""
-        for v in self.vars:
-            if v != var and self.uses_var(v):
-                raise ValueError(f"polynomial still uses {v}")
-        i = self.vars.index(var) if var in self.vars else None
-        d = self.degree_in(var) if i is not None else 0
-        coeffs = [to_scalar(0, self.field)] * (d + 1)
-        for exp, c in self.terms.items():
-            coeffs[exp[i] if i is not None else 0] = c
-        return UniPoly(coeffs, self.field)
-
 
 def scalar_field_of(val) -> str:
     return FIELD_QI if isinstance(val, GaussianRational) else FIELD_Q
@@ -546,131 +542,3 @@ def homogeneous_decompose(f: MultiPoly, var: str = "z") -> List[MultiPoly]:
         rexp = tuple(e for j, e in enumerate(exp) if j != i)
         parts[h][rexp] = c
     return [MultiPoly(rest, f.field, parts[d - k]) for k in range(d + 1)]
-
-
-# -- dense univariate polynomials ---------------------------------------------
-
-
-class UniPoly:
-    """Dense univariate polynomial: coefficient list, ascending degree."""
-
-    __slots__ = ("coeffs", "field")
-
-    def __init__(self, coeffs: Iterable[Scalar], field: str = FIELD_Q):
-        cs = [to_scalar(c, field) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = cs
-        self.field = field
-
-    @classmethod
-    def zero(cls, field: str = FIELD_Q) -> "UniPoly":
-        return cls([], field)
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def lc(self) -> Scalar:
-        if not self.coeffs:
-            raise ValueError("zero polynomial")
-        return self.coeffs[-1]
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
-    def __repr__(self):
-        return f"UniPoly({self.coeffs!r})"
-
-    def _join(self, other: "UniPoly") -> str:
-        return join_fields(self.field, other.field)
-
-    def __add__(self, other):
-        field = self._join(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [0] * (n - len(self.coeffs))
-        b = other.coeffs + [0] * (n - len(other.coeffs))
-        return UniPoly([x + y for x, y in zip(a, b)], field)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs], self.field)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return UniPoly([c * other for c in self.coeffs],
-                           join_fields(self.field, scalar_field_of(other)))
-        field = self._join(other)
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero(field)
-        out = [to_scalar(0, field)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(out, field)
-
-    __rmul__ = __mul__
-
-    def divmod(self, other: "UniPoly") -> Tuple["UniPoly", "UniPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("univariate division by zero")
-        field = self._join(other)
-        rem = [to_scalar(c, field) for c in self.coeffs]
-        q = [to_scalar(0, field)] * max(0, len(rem) - len(other.coeffs) + 1)
-        dlc = other.lc()
-        dd = other.degree()
-        while len(rem) - 1 >= dd and any(rem):
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            k = len(rem) - 1 - dd
-            c = rem[-1] / dlc
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - c * b
-            rem.pop()
-        return UniPoly(q, field), UniPoly(rem, field)
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        lead = self.lc()
-        return UniPoly([c / lead for c in self.coeffs], self.field)
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:], self.field)
-
-    def eval(self, x: Scalar) -> Scalar:
-        total = to_scalar(0, join_fields(self.field, scalar_field_of(x)))
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
-    def deflate_root(self, r: Scalar) -> Optional["UniPoly"]:
-        """Divide by (t - r) if r is a root, else None."""
-        q, rem = self.divmod(UniPoly([-r, 1], join_fields(self.field, scalar_field_of(r))))
-        return q if rem.is_zero() else None
-
-    def to_multipoly(self, var: str) -> MultiPoly:
-        return MultiPoly.make((var,), self.field, {(i,): c for i, c in enumerate(self.coeffs)})

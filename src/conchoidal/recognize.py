@@ -21,7 +21,7 @@ from .errors import ConchoidError, DecompositionMismatchError
 from .fields import FIELD_Q, FIELD_QI, GaussianRational, Scalar, as_fraction, to_scalar
 from .gcd import is_squarefree, poly_gcd
 from .grammar import poly_to_text, scalar_to_text
-from .multipoly import MultiPoly, UniPoly, poly_exact_div
+from .multipoly import MultiPoly, poly_exact_div
 from .roots import common_roots, rational_roots, solve_zero_dim, square_root_up_to_scalar
 from .transform import (
     conchoidal_transform,
@@ -117,11 +117,10 @@ def candidate_radii(D: PlaneCurve, A: Tuple[Scalar, Scalar],
         if restricted.is_zero():
             notes.append("a probe line is contained in the curve; skipped")
             continue
-        u = restricted.with_vars(("t",)).as_unipoly("t")
-        if u.degree() < 1:
+        if restricted.is_constant():
             continue
         pts = []
-        for r, _ in rational_roots(u, restricted.field):
+        for r, _ in rational_roots(restricted, restricted.field):
             rr = as_fraction(r)
             if rr is None:
                 continue
@@ -380,24 +379,16 @@ def _tangent_cyclic_lines(D: PlaneCurve) -> Tuple[List[GaussianRational], bool]:
     return confirmed, definitive
 
 
-def _s_coefficients(p: MultiPoly, n: int) -> List[UniPoly]:
+def _s_coefficients(p: MultiPoly, n: int) -> List[MultiPoly]:
     """Coefficients a_k(c) of s^(n-k) t^k in a (s,t)-binary form over Q(i)[c]."""
-    si = p.vars.index("s")
-    ti = p.vars.index("t")
-    ci = p.vars.index("c")
-    buckets: List[dict] = [dict() for _ in range(n + 1)]
+    ti, ci = p.vars.index("t"), p.vars.index("c")
+    buckets: List[list] = [[] for _ in range(n + 1)]
     for exp, coeff in p.terms.items():
-        k = exp[ti]
-        buckets[k][exp[ci]] = buckets[k].get(exp[ci], to_scalar(0, FIELD_QI)) + coeff
-    out = []
-    for bucket in buckets:
-        deg = max(bucket) if bucket else 0
-        out.append(UniPoly([bucket.get(j, to_scalar(0, FIELD_QI)) for j in range(deg + 1)],
-                           FIELD_QI))
-    return out
+        buckets[exp[ti]].append(((exp[ci],), coeff))
+    return [MultiPoly.make(("c",), FIELD_QI, b) for b in buckets]
 
 
-def _square_remainder_conditions(a: List[UniPoly], n: int) -> Optional[List[UniPoly]]:
+def _square_remainder_conditions(a: List[MultiPoly], n: int) -> Optional[List[MultiPoly]]:
     """Polynomial conditions on c for sum a_k s^(n-k) t^k to be proportional
     to a square.  Writing b_k = B_k / (2^(2k-1) a_0^k) for the monic square
     root coefficients, the B_k satisfy an integer recursion and the trailing
@@ -406,9 +397,9 @@ def _square_remainder_conditions(a: List[UniPoly], n: int) -> Optional[List[UniP
     a0 = a[0]
     if a0.is_zero():
         return None
-    B: List[UniPoly] = [UniPoly([to_scalar(1, FIELD_QI)], FIELD_QI)]
+    B: List[MultiPoly] = [MultiPoly.constant(1, ("c",), FIELD_QI)]
     for k in range(1, m + 1):
-        acc = a[k] * (to_scalar(2, FIELD_QI) ** max(2 * k - 2, 0))
+        acc = a[k] * 2 ** max(2 * k - 2, 0)
         for _ in range(k - 1):
             acc = acc * a0
         for j in range(1, k):
@@ -416,10 +407,10 @@ def _square_remainder_conditions(a: List[UniPoly], n: int) -> Optional[List[UniP
         B.append(acc)
     conds = []
     for k in range(m + 1, n + 1):
-        acc = a[k] * (to_scalar(2, FIELD_QI) ** (2 * k - 2))
+        acc = a[k] * 2 ** (2 * k - 2)
         for _ in range(k - 1):
             acc = acc * a0
-        lhs = UniPoly.zero(FIELD_QI)
+        lhs = MultiPoly.zero(("c",), FIELD_QI)
         for j in range(k - m, m + 1):
             if k - j <= m:
                 lhs = lhs + B[j] * B[k - j]

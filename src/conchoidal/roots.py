@@ -1,14 +1,16 @@
 """Root finding in Q and Q(i), formal square roots, binary form factorization.
 
-Rational roots over Q come from one algorithm, p-adic lifting (Loos 1983):
-the roots of the squarefree part modulo a small prime are Newton-lifted,
-rationally reconstructed, and each candidate's multiplicity is found by
-deflation.  Over Q(i) the unknown is split as t = u + i*v, the
-real/imaginary parts give a bivariate rational system that is reduced to Q
-by a resultant and then verified exactly.  The modular helpers (reduction
-mod p, the univariate gcd mod p, Horner evaluation, rational
-reconstruction and the prime search) live in ``modular``, shared with the
-multivariate gcd.
+A univariate polynomial is a MultiPoly that uses at most one variable; the
+gcds, squarefree parts, multiplicities and divisions below are those of
+``gcd`` and ``multipoly.poly_exact_div``.  Rational roots over Q come from
+one algorithm, p-adic lifting (Loos 1983): the roots of the squarefree part
+modulo a small prime are Newton-lifted, rationally reconstructed, and each
+candidate's multiplicity is ``gcd.multiplicity_of_factor`` of t - r.  Over
+Q(i) the unknown is split as t = u + i*v, the real/imaginary parts give a
+bivariate rational system that is reduced to Q by a resultant and then
+verified exactly.  The modular helpers (reduction mod p, the monic gcd mod
+p, Horner evaluation, rational reconstruction and the prime search) live
+in ``modular``, shared with the multivariate gcd.
 
 ``solve_zero_dim`` is the one solver for small polynomial systems in two
 unknowns (pairwise resultants, then ``common_roots`` on the gcd of the
@@ -39,10 +41,12 @@ from .fields import (
     sqrt_in_field,
     to_scalar,
 )
-from .gcd import squarefree_decompose_uni
+from .gcd import multiplicity_of_factor, poly_gcd, squarefree_decompose_uni, squarefree_part
 from .modular import horner_mod, int_poly_mod, next_prime, poly_gcd_mod_p, rat_reconstruct
-from .multipoly import MultiPoly, UniPoly
+from .multipoly import MultiPoly, poly_exact_div
 from .resultant import sylvester_resultant
+
+UV = ("u", "v")
 
 
 def _deriv_int(coeffs: List[int]) -> List[int]:
@@ -54,15 +58,6 @@ def _int_content_strip(coeffs: List[int]) -> List[int]:
     for c in coeffs:
         g = int_gcd(g, abs(c))
     return [c // g for c in coeffs] if g > 1 else coeffs
-
-
-def _int_squarefree_part(coeffs: Sequence[Fraction]) -> List[int]:
-    """Primitive integer squarefree part of a polynomial over Q:
-    f / gcd(f, f') scaled to coprime integer coefficients."""
-    f = UniPoly([Fraction(c) for c in coeffs], FIELD_Q)
-    q = f.divmod(f.gcd(f.derivative()))[0].coeffs
-    den = lcm(*(c.denominator for c in q))
-    return _int_content_strip([int(c * den) for c in q])
 
 
 def _roots_mod_p(coeffs: List[int], p: int) -> List[int]:
@@ -83,15 +78,17 @@ def _lift_root(coeffs: List[int], r: int, p: int, target: int) -> Tuple[int, int
     return r, modulus
 
 
-def _lifted_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
-    """Candidate rational roots of a polynomial with rational coefficients
-    and a nonzero constant term, by p-adic lifting (Loos 1983).  A root
-    a/b in lowest terms of the primitive squarefree part w has |a| <= |w_0|
-    and b <= |w_n|.  Modulo the first odd prime dividing neither w_n nor
+def _lifted_roots(f: MultiPoly) -> List[Fraction]:
+    """Candidate rational roots of f over Q in one variable with a nonzero
+    constant term, by p-adic lifting (Loos 1983).  A root a/b in lowest
+    terms of the primitive integer squarefree part w has |a| <= |w_0| and
+    b <= |w_n|.  Modulo the first odd prime dividing neither w_n nor
     disc(w) it is a simple root, and its Newton lift to a modulus above
     2 |w_0 w_n| gives a/b back by rational reconstruction.  The caller
     discards the candidates that are not roots."""
-    w = _int_squarefree_part(coeffs)
+    q = _dense(squarefree_part(f))
+    den = lcm(*(c.denominator for c in q))
+    w = _int_content_strip([int(c * den) for c in q])
     a0, an = abs(w[0]), abs(w[-1])
     p = 3
     while not an % p or len(poly_gcd_mod_p(int_poly_mod(w, p),
@@ -105,43 +102,33 @@ def _lifted_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
     return found
 
 
-def _mult_of_root(f: UniPoly, root: Scalar) -> Tuple[int, UniPoly]:
-    """Largest k with (t - root)**k | f; returns (k, f / (t - root)**k)."""
-    k = 0
-    while True:
-        q = f.deflate_root(root)
-        if q is None:
-            return k, f
-        f = q
-        k += 1
+def _dense(f: MultiPoly) -> List[Scalar]:
+    """Ascending coefficients of f in its one variable f.vars[0]."""
+    return [c.constant_value() for c in f.coefficients_in(f.vars[0])]
 
 
-def _rational_roots_q(f: UniPoly) -> List[Tuple[Fraction, int]]:
-    k, f = _mult_of_root(f, Fraction(0))
+def _rational_roots_q(f: MultiPoly) -> List[Tuple[Fraction, int]]:
+    t = MultiPoly.variable(f.vars[0], f.vars, f.field)
+    k, f = multiplicity_of_factor(f, t)
     out = [(Fraction(0), k)] if k else []
-    if f.degree() < 1:
+    if f.is_constant():
         return out
-    fracs = [as_fraction(c) for c in f.coeffs]
-    if any(q is None for q in fracs):
+    fracs = {e: as_fraction(c) for e, c in f.terms.items()}
+    if None in fracs.values():
         raise ValueError("polynomial has non-rational coefficients")
-    for cand in _lifted_roots(fracs):
-        mult, f = _mult_of_root(f, cand)
+    f = MultiPoly(f.vars, FIELD_Q, fracs)
+    t = t.promote(FIELD_Q)
+    for cand in _lifted_roots(f):
+        mult, f = multiplicity_of_factor(f, t - cand)
         if mult:
             out.append((cand, mult))
     return sorted(out)
 
 
-def _re_im_split(f: UniPoly) -> Tuple[MultiPoly, MultiPoly]:
+def _re_im_split(f: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
     """f(u + i v) = A(u,v) + i B(u,v) with A, B over Q."""
-    uv = ("u", "v")
-    s = MultiPoly.make(uv, FIELD_QI, {(1, 0): 1, (0, 1): GaussianRational(0, 1)})
-    acc = MultiPoly.zero(uv, FIELD_QI)
-    power = MultiPoly.constant(1, uv, FIELD_QI)
-    for k, c in enumerate(f.coeffs):
-        if k:
-            power = power * s
-        if c:
-            acc = acc + power * c
+    s = MultiPoly.make(UV, FIELD_QI, {(1, 0): 1, (0, 1): GaussianRational(0, 1)})
+    acc = f.substitute({f.vars[0]: s}).with_vars(UV)
     a_terms, b_terms = {}, {}
     for exp, c in acc.terms.items():
         r, m = re_part(c), im_part(c)
@@ -149,72 +136,49 @@ def _re_im_split(f: UniPoly) -> Tuple[MultiPoly, MultiPoly]:
             a_terms[exp] = r
         if m:
             b_terms[exp] = m
-    return MultiPoly(uv, FIELD_Q, a_terms), MultiPoly(uv, FIELD_Q, b_terms)
+    return MultiPoly(UV, FIELD_Q, a_terms), MultiPoly(UV, FIELD_Q, b_terms)
 
 
-
-
-def _rational_roots_qi(f: UniPoly) -> List[Tuple[GaussianRational, int]]:
-    k, f = _mult_of_root(f, GaussianRational(0))
+def _rational_roots_qi(f: MultiPoly) -> List[Tuple[GaussianRational, int]]:
+    t = MultiPoly.variable(f.vars[0], f.vars, FIELD_QI)
+    k, f = multiplicity_of_factor(f, t)
     out = [(GaussianRational(0), k)] if k else []
-    if f.degree() < 1:
+    if f.total_degree() < 1:
         return _sorted_qi(out)
-    if f.degree() == 1:
-        root = to_scalar(-f.coeffs[0] / f.coeffs[1], FIELD_QI)
-        out.append((root, 1))
+    if f.total_degree() == 1:
+        c0, c1 = _dense(f)
+        out.append((to_scalar(-c0 / c1, FIELD_QI), 1))
         return _sorted_qi(out)
-    real_coeffs = [as_fraction(c) for c in f.coeffs]
     seen = set()
 
     def record(root: GaussianRational):
         key = (root.re, root.im)
         if key in seen:
             return
-        mult, _ = _mult_of_root(f, root)
+        mult, _ = multiplicity_of_factor(f, t - root)
         if mult:
             seen.add(key)
             out.append((root, mult))
 
-    if all(c is not None for c in real_coeffs):
-        # real roots directly, nonreal ones via u + iv with w = v^2:
-        # f(u+iv) = sum_k f_k(u) (iv)^k splits into
-        #   A(u,w) = sum_{k even} f_k(u) (-w)^(k/2)
-        #   B(u,w) = sum_{k odd}  f_k(u) (-w)^((k-1)/2)   [times iv]
-        freal = UniPoly(real_coeffs, FIELD_Q)
-        for r, m in _rational_roots_q(freal):
+    A, B = _re_im_split(f)
+    fracs = {e: as_fraction(c) for e, c in f.terms.items()}
+    if None not in fracs.values():
+        # real roots directly; a nonreal root u + iv has w = v^2 > 0, and
+        # A = A_w(u, v^2), B = v B_w(u, v^2) because A is even in v and B odd
+        for r, m in _rational_roots_q(MultiPoly(f.vars, FIELD_Q, fracs)):
             out.append((GaussianRational(r), m))
-        taylor: List[UniPoly] = []
-        g = freal
-        kfac = 1
-        for k in range(freal.degree() + 1):
-            if k:
-                g = g.derivative()
-                kfac *= k
-            taylor.append(UniPoly([c / kfac for c in g.coeffs], FIELD_Q))
-        uw = ("u", "v")  # v stands for w = (imaginary part)^2 here
-        Aw = MultiPoly.zero(uw, FIELD_Q)
-        Bw = MultiPoly.zero(uw, FIELD_Q)
-        wvar = MultiPoly.variable("v", uw, FIELD_Q)
-        for k, tk in enumerate(taylor):
-            if tk.is_zero():
+        Aw = MultiPoly(UV, FIELD_Q, {(a, b // 2): c for (a, b), c in A.terms.items()})
+        Bw = MultiPoly(UV, FIELD_Q, {(a, b // 2): c for (a, b), c in B.terms.items()})
+        for u0, w0 in _rational_zeros_uv(Aw, Bw):
+            if w0 <= 0:
                 continue
-            piece = tk.to_multipoly("u").with_vars(uw) * (-wvar) ** (k // 2)
-            if k % 2 == 0:
-                Aw = Aw + piece
-            else:
-                Bw = Bw + piece
-        if not Bw.is_zero():
-            for u0, w0 in _rational_zeros_uv(Aw, Bw):
-                if w0 <= 0:
-                    continue
-                v0 = fraction_sqrt(w0)
-                if v0 is None:
-                    continue
-                record(GaussianRational(u0, v0))
-                record(GaussianRational(u0, -v0))
+            v0 = fraction_sqrt(w0)
+            if v0 is None:
+                continue
+            record(GaussianRational(u0, v0))
+            record(GaussianRational(u0, -v0))
         return _sorted_qi(out)
 
-    A, B = _re_im_split(f)
     for u0, v0 in _rational_zeros_uv(A, B):
         record(GaussianRational(u0, v0))
     return _sorted_qi(out)
@@ -232,31 +196,37 @@ def _sorted_qi(items):
     return sorted(items, key=lambda rm: (re_part(rm[0]), im_part(rm[0])))
 
 
-def rational_roots(f: UniPoly, field: str = None) -> List[Tuple[Scalar, int]]:
-    """All roots of f lying in the active field, as (root, multiplicity)."""
+def rational_roots(f: MultiPoly, field: str = None) -> List[Tuple[Scalar, int]]:
+    """All roots of f, a polynomial in one variable, lying in the active
+    field, as (root, multiplicity).  ValueError for two or more variables."""
     if f.is_zero():
         raise ValueError("root finding on the zero polynomial")
+    var = f.sole_var()
+    if var is None:
+        return []
+    f = f.with_vars((var,))
     if field is None:
         field = f.field
     if field == FIELD_Q:
         return _rational_roots_q(f)
-    return _rational_roots_qi(UniPoly(f.coeffs, FIELD_QI))
+    return _rational_roots_qi(f.promote(FIELD_QI))
 
 
 # -- zero-dimensional systems ----------------------------------------------
 
 
-def common_roots(polys: Sequence[UniPoly], field: str) -> Tuple[List[Scalar], bool]:
-    """Common roots in the field of one or more nonzero univariate
-    polynomials, found on their gcd.  The flag is True when the root multiplicities add up to the
-    gcd's degree, i.e. no common root over the algebraic closure was missed."""
-    g: Optional[UniPoly] = None
+def common_roots(polys: Sequence[MultiPoly], field: str) -> Tuple[List[Scalar], bool]:
+    """Common roots in the field of one or more nonzero polynomials in one
+    variable, found on their gcd.  The flag is True when the root
+    multiplicities add up to the gcd's degree, i.e. no common root over the
+    algebraic closure was missed."""
+    g: Optional[MultiPoly] = None
     for p in polys:
-        g = p if g is None else g.gcd(p)
-        if g.degree() == 0:
+        g = p if g is None else poly_gcd(g, p)
+        if g.is_constant():
             return [], True
     roots = rational_roots(g, field)
-    return [r for r, _ in roots], sum(m for _, m in roots) == g.degree()
+    return [r for r, _ in roots], sum(m for _, m in roots) == g.total_degree()
 
 
 def solve_zero_dim(eqs: Sequence[MultiPoly], field: str
@@ -271,14 +241,14 @@ def solve_zero_dim(eqs: Sequence[MultiPoly], field: str
     eqs = [e for e in eqs if not e.is_zero()]
     if any(e.is_constant() for e in eqs):
         return [], True
-    upolys = [e.as_unipoly("u") for e in eqs if not e.uses_var("v")]
+    upolys = [e for e in eqs if not e.uses_var("v")]
     for e1, e2 in combinations([e for e in eqs if e.uses_var("v")], 2):
         r = sylvester_resultant(e1, e2, "v")
         if r.is_zero():
             continue
         if r.is_constant():
             return [], True
-        upolys.append(r.as_unipoly("u"))
+        upolys.append(r)
     if not upolys:
         return None
     uroots, complete = common_roots(upolys, field)
@@ -287,7 +257,7 @@ def solve_zero_dim(eqs: Sequence[MultiPoly], field: str
         restricted = [e.partial_eval({"u": u0}) for e in eqs]
         if any(e.is_constant() and not e.is_zero() for e in restricted):
             continue
-        vpolys = [e.as_unipoly("v") for e in restricted if not e.is_zero()]
+        vpolys = [e for e in restricted if not e.is_zero()]
         if not vpolys:
             points.append((u0, to_scalar(0, field)))
             complete = False
@@ -347,10 +317,10 @@ def square_root_up_to_scalar(f: MultiPoly) -> Optional[Tuple[Scalar, MultiPoly]]
 # -- binary form factorization ------------------------------------------------
 
 
-def _quartic_quadratic_split(p: UniPoly) -> Optional[Tuple[UniPoly, UniPoly]]:
-    """Split a monic quartic with no roots in the field into two monic
-    quadratics over the field, if possible."""
-    r3, r2, r1, r0 = p.coeffs[3], p.coeffs[2], p.coeffs[1], p.coeffs[0]
+def _quartic_quadratic_split(p: MultiPoly) -> Optional[Tuple[MultiPoly, MultiPoly]]:
+    """Split a monic quartic in one variable with no roots in the field into
+    two monic quadratics over the field, if possible."""
+    r0, r1, r2, r3, _ = _dense(p)
     field = p.field
     # (t^2 + a t + b)(t^2 + c t + e); eliminate down to a univariate in a.
     a_var = MultiPoly.variable("w", ("w",), field)
@@ -364,10 +334,11 @@ def _quartic_quadratic_split(p: UniPoly) -> Optional[Tuple[UniPoly, UniPoly]]:
     cond = num_b * (s_of_a * den - num_b) - one * r0 * den * den
     candidates = []
     if not cond.is_zero():
-        candidates = [r for r, _ in rational_roots(cond.as_unipoly("w"), field)]
+        candidates = [r for r, _ in rational_roots(cond, field)]
     # the symmetric case c == a needs separate handling
     half_r3 = to_scalar(r3, field) / 2
     candidates.append(half_r3)
+    t = MultiPoly.variable(p.vars[0], p.vars, field)
     for a0 in candidates:
         c0 = r3 - a0
         if c0 != a0:
@@ -375,7 +346,7 @@ def _quartic_quadratic_split(p: UniPoly) -> Optional[Tuple[UniPoly, UniPoly]]:
             b0 = (r1 - a0 * S) / (c0 - a0)
             e0 = S - b0
             if b0 * e0 == r0:
-                return (UniPoly([b0, a0, 1], field), UniPoly([e0, c0, 1], field))
+                return t * t + t * a0 + b0, t * t + t * c0 + e0
         else:
             # b + e = r2 - a0**2, a0*(b + e) = r1 must hold, b*e = r0
             S = r2 - a0 * a0
@@ -388,7 +359,7 @@ def _quartic_quadratic_split(p: UniPoly) -> Optional[Tuple[UniPoly, UniPoly]]:
                 continue
             b0 = (S + root) / 2
             e0 = S - b0
-            return (UniPoly([b0, a0, 1], field), UniPoly([e0, c0, 1], field))
+            return t * t + t * a0 + b0, t * t + t * c0 + e0
     return None
 
 
@@ -406,49 +377,30 @@ def factor_binary_form(form: MultiPoly) -> Tuple[Scalar, List[Tuple[MultiPoly, i
         raise ValueError(f"binary form must be declared over two variables, got {vars}")
     xv, yv = vars
     field = form.field
-    d = form.total_degree()
-    p = form.partial_eval({yv: Fraction(1)}).as_unipoly(xv)
-    unit = p.lc() if p.coeffs else form.lc()
+    p = form.partial_eval({yv: Fraction(1)}).with_vars((xv,))
     factors: List[Tuple[MultiPoly, int]] = []
-    y_mult = d - p.degree()
+    y_mult = form.total_degree() - p.total_degree()
     if y_mult:
         factors.append((MultiPoly.variable(yv, vars, field), y_mult))
-    if p.degree() >= 1:
-        for sq, mult in squarefree_decompose_uni(p.monic()):
-            for piece in _factor_squarefree_uni(sq, field):
-                factors.append((_homogenize_factor(piece, xv, yv, vars, field), mult))
-    return unit, factors
+    for sq, mult in squarefree_decompose_uni(p):
+        for piece in _factor_squarefree_uni(sq, field):
+            factors.append((piece.homogenize(yv).with_vars(vars), mult))
+    return p.lc(), factors
 
 
-def _factor_squarefree_uni(p: UniPoly, field: str) -> List[UniPoly]:
-    out: List[UniPoly] = []
+def _factor_squarefree_uni(p: MultiPoly, field: str) -> List[MultiPoly]:
+    out: List[MultiPoly] = []
+    t = MultiPoly.variable(p.vars[0], p.vars, field)
     for r, _ in rational_roots(p, field):
-        out.append(UniPoly([-r, 1], field))
-        p = p.deflate_root(r)
-    if p.degree() == 0:
+        out.append(t - r)
+        p = poly_exact_div(p, t - r)
+    if p.total_degree() == 0:
         return out
-    if p.degree() in (1, 2, 3):
-        # degree 1 is a root; 2 and 3 without roots are irreducible
-        out.append(p.monic())
-        return out
-    if p.degree() == 4:
+    if p.total_degree() == 4:
         split = _quartic_quadratic_split(p.monic())
         if split is not None:
             out.extend(split)
             return out
+    # degree 1 is a root; 2 and 3 without roots are irreducible
     out.append(p.monic())
     return out
-
-
-def _homogenize_factor(p: UniPoly, xv: str, yv: str, vars, field) -> MultiPoly:
-    d = p.degree()
-    ix, iy = vars.index(xv), vars.index(yv)
-    terms = {}
-    for k, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        exp = [0] * len(vars)
-        exp[ix] = k
-        exp[iy] = d - k
-        terms[tuple(exp)] = c
-    return MultiPoly.make(vars, field, terms)

@@ -44,7 +44,7 @@ from .fields import (
 )
 from .gcd import is_squarefree, multiplicity_of_factor
 from .linalg import solve_linear
-from .multipoly import MultiPoly, UniPoly, poly_exact_div
+from .multipoly import MultiPoly, poly_exact_div
 from .resultant import det_scalar, sylvester_resultant
 from .roots import common_roots, solve_zero_dim, square_root_up_to_scalar
 
@@ -283,7 +283,7 @@ def _even_high(C, G, A, q, H1p, scale, m):
           + q.with_vars(xyzw) * (w.with_vars(xyzw) ** 2))
     # coefficient matrix entries as univariate polynomials in w
     entry_polys = [[_entry_poly(Mh, i, j) for j in range(3)] for i in range(3)]
-    minors: List[UniPoly] = []
+    minors: List[MultiPoly] = []
     for r1, r2 in combinations(range(3), 2):
         for col1, col2 in combinations(range(3), 2):
             mnr = entry_polys[r1][col1] * entry_polys[r2][col2] - \
@@ -312,22 +312,18 @@ def _even_high(C, G, A, q, H1p, scale, m):
     return None
 
 
-def _entry_poly(Mh: MultiPoly, i: int, j: int) -> UniPoly:
+def _entry_poly(Mh: MultiPoly, i: int, j: int) -> MultiPoly:
     """Entry (i, j) of the symmetric matrix of Mh (quadratic in x, y, z) as a
-    univariate polynomial in w."""
+    polynomial in w."""
     exps = {(0, 0): (2, 0, 0), (1, 1): (0, 2, 0), (2, 2): (0, 0, 2),
             (0, 1): (1, 1, 0), (0, 2): (1, 0, 1), (1, 2): (0, 1, 1)}
     key = exps[(min(i, j), max(i, j))]
     scalefac = Fraction(1) if i == j else Fraction(1, 2)
     wi = Mh.vars.index("w")
-    ix = {v: Mh.vars.index(v) for v in ("x", "y", "z")}
-    coeffs = {}
-    for exp, c in Mh.terms.items():
-        xyz = (exp[ix["x"]], exp[ix["y"]], exp[ix["z"]])
-        if xyz == key:
-            coeffs[exp[wi]] = coeffs.get(exp[wi], to_scalar(0, FIELD_QI)) + c * scalefac
-    deg = max(coeffs) if coeffs else 0
-    return UniPoly([coeffs.get(k, to_scalar(0, FIELD_QI)) for k in range(deg + 1)], FIELD_QI)
+    ix = [Mh.vars.index(v) for v in ("x", "y", "z")]
+    terms = [((exp[wi],), c * scalefac) for exp, c in Mh.terms.items()
+             if tuple(exp[k] for k in ix) == key]
+    return MultiPoly.make(("w",), FIELD_QI, terms)
 
 
 def _try_square_of_form(M: MultiPoly) -> Optional[MultiPoly]:

@@ -3,7 +3,8 @@
 
 Recursive over k[x][y][z]...: pick a main variable, split content and
 primitive part (contents are gcds in fewer variables), and run the
-subresultant remainder sequence on the primitive parts.  Exact and
+subresultant remainder sequence on the primitive parts.  In one variable
+it runs Euclid's algorithm over the coefficient field.  Exact and
 deterministic, but its intermediate coefficients swell; the library uses
 the modular gcd instead.
 """
@@ -76,8 +77,7 @@ def _gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return MultiPoly.constant(1, vars, field)
     var = active[-1]
     if len(active) == 1:
-        u = f.as_unipoly(var).gcd(g.as_unipoly(var))
-        return u.to_multipoly(var).with_vars(vars).promote(field)
+        return _field_euclid(f, g, var).monic()
     if not f.uses_var(var):
         # gcd divides every coefficient of g in var
         return _content(_coeff_list(g, var), f)
@@ -113,6 +113,18 @@ def _gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     rest_vars = tuple(v for v in vars if v != var)
     pp_poly = _from_coeffs([c.with_vars(rest_vars) for c in pp], var, vars, field)
     return cont.with_vars(vars) * pp_poly
+
+
+def _field_euclid(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
+    """The univariate base case: Euclid's algorithm over the coefficient
+    field on a, b (same variables and field) that use only var."""
+    x = MultiPoly.variable(var, a.vars, a.field)
+    while not b.is_zero():
+        db = b.degree_in(var)
+        while not a.is_zero() and a.degree_in(var) >= db:
+            a = a - b * x ** (a.degree_in(var) - db) * (a.lc() / b.lc())
+        a, b = b, a
+    return a
 
 
 def _exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import conchoidal.modular as modular
 import conchoidal.multipoly as multipoly
+import conchoidal.transform as transform
 from conchoidal import (
     MultiPoly,
     Scene,
     conchoidal_transform,
     extract_known_components,
+    factor_binary_form,
     parse_poly,
     poly_exact_div,
 )
@@ -84,24 +86,36 @@ def test_line_image_falls_through_without_a_certificate():
 
 def test_generic_decompose_misses_are_settled_by_the_line_image(monkeypatch):
     # a generic 4x4 pair: the conchoid is irreducible (the paper's theorem),
-    # so the divisions by the base, z, the one line block and C all miss
+    # so the divisions by the base, z, the one line block and C all miss;
+    # the univariate divisions that factor the base's top form are not counted
     rng = random.Random(0)
     B = random_compliant_base(rng, 4)
     C = avoiding_special_points(rng, 4, B)
     T = conchoidal_transform(B, C)
-    verdicts, steps = [], []
+    verdicts, steps, counting = [], [], [True]
     pop = multipoly.heappop
 
     def counted_line(f, g):
-        verdicts.append(line_image_misses(f, g))
-        return verdicts[-1]
+        verdict = line_image_misses(f, g)
+        if counting[0]:
+            verdicts.append(verdict)
+        return verdict
 
     def counted_pop(heap):
-        steps.append(1)
+        if counting[0]:
+            steps.append(1)
         return pop(heap)
+
+    def uncounted_factor(form):
+        counting[0] = False
+        try:
+            return factor_binary_form(form)
+        finally:
+            counting[0] = True
 
     monkeypatch.setattr(modular, "line_image_misses", counted_line)
     monkeypatch.setattr(multipoly, "heappop", counted_pop)
+    monkeypatch.setattr(transform, "factor_binary_form", uncounted_factor)
     div = extract_known_components(T, Scene(B), C)
     assert [c.label for c in div.components] == ["residual"]
     assert verdicts == [True] * 4

@@ -1,9 +1,11 @@
 import random
-from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conchoidal import MultiPoly, UniPoly, parse_poly, poly_exact_div, poly_gcd, squarefree_part
+from conchoidal import MultiPoly, parse_poly, poly_exact_div, poly_gcd, squarefree_part
+from conchoidal.fields import FIELD_Q, FIELD_QI, GaussianRational
 from conchoidal.gcd import is_squarefree, multiplicity_of_factor, squarefree_decompose_uni
 
 from helpers import random_poly
@@ -14,6 +16,7 @@ def test_gcd_examples():
     f = parse_poly("x^2+y^2-z^2")
     assert poly_gcd(f, f) == f            # already monic
     assert poly_gcd(parse_poly("2*x+2*y"), parse_poly("4*x+4*y")) == parse_poly("x+y")
+    assert poly_gcd(parse_poly("t^2-1"), parse_poly("2*t+2")) == parse_poly("t+1")
 
 
 def test_gcd_with_derivative_oracle():
@@ -71,6 +74,10 @@ def test_multiplicity_of_factor():
     assert k == 2 and rest == parse_poly("x^2+y^2-z^2")
     k, rest = multiplicity_of_factor(f, parse_poly("y"))
     assert k == 0 and rest == f
+    # a root test in one variable: (t-2)^2 has the root 2 twice, not 1
+    f = parse_poly("(t-2)^2")
+    assert multiplicity_of_factor(f, parse_poly("t-2")) == (2, parse_poly("1"))
+    assert multiplicity_of_factor(f, parse_poly("t-1")) == (0, f)
 
 
 def test_multiplicity_of_factor_in_zero_is_an_error():
@@ -84,19 +91,27 @@ def test_multiplicity_of_constant_factor_is_an_error():
         multiplicity_of_factor(parse_poly("x^2+y^2-z^2"), parse_poly("3"))
 
 
-def test_yun_decomposition():
-    # t^2 (t-1) (t+1)^3
-    t = UniPoly([Fraction(0), Fraction(1)])
-    one = UniPoly([Fraction(1)])
-    f = t * t * (t - one) * (t + one) * (t + one) * (t + one)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((FIELD_Q, FIELD_QI)),
+       st.lists(st.tuples(st.fractions(-4, 4, max_denominator=3), st.fractions(-4, 4, max_denominator=3),
+                          st.integers(min_value=1, max_value=4)), max_size=4),
+       st.integers(min_value=0, max_value=2), st.fractions(-5, 5, max_denominator=3))
+@example(FIELD_Q, [(0, 0, 2), (1, 0, 1), (-1, 0, 3)], 0, 1)   # t^2 (t-1) (t+1)^3
+def test_yun_decomposition(field, roots, quadratic, scale):
+    t = MultiPoly.variable("t", ("t",), field)
+    f = MultiPoly.constant(scale or 1, ("t",), field)
+    for re, im, m in roots:
+        f = f * (t - (GaussianRational(re, im) if field == FIELD_QI else re)) ** m
+    f = f * (t * t + 2) ** quadratic
     got = squarefree_decompose_uni(f)
-    mults = {}
-    for p, m in got:
-        mults[m] = p
-    assert set(mults) == {1, 2, 3}
-    assert mults[1].coeffs == [Fraction(-1), Fraction(1)]
-    assert mults[2].coeffs == [Fraction(0), Fraction(1)]
-    assert mults[3].coeffs == [Fraction(1), Fraction(1)]
+    rebuilt = MultiPoly.constant(1, ("t",), field)
+    for a, i in got:
+        assert not a.is_constant() and is_squarefree(a)
+        rebuilt = rebuilt * a ** i
+    assert rebuilt == f.monic()
+    assert len({i for _, i in got}) == len(got)
+    for (a, _), (b, _) in combinations(got, 2):
+        assert poly_gcd(a, b).is_constant()
 
 
 def test_gcd_over_gaussian_field():

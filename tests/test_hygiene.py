@@ -1,7 +1,7 @@
 """Source checks: no handler in the package may swallow arbitrary errors,
 so a bug surfaces as a traceback instead of turning into a verdict; the
-package has one Sylvester determinant, one gcd and one exact division;
-and every function the benchmark's tracer wraps by name still exists."""
+package has one Sylvester determinant, one gcd, one exact division and
+one polynomial type; and every function the benchmark's tracer wraps by name still exists."""
 
 import importlib
 import re
@@ -16,6 +16,7 @@ BAREISS_CALL = re.compile(r"(?<!def )\bdet_bareiss_poly\(")
 PRS_ORACLE = re.compile(r"\bgcd_oracle\b|\bprs_gcd\b|\b_pseudo_rem\b|\bsubresultant\b", re.I)
 DIVISION_ORACLE = re.compile(r"\bdivision_oracle\b|\bgrlex_exact_div\b")
 SYLVESTER_LAYOUT = re.compile(r"\bsylvester_rows\(")
+SECOND_POLY_TYPE = re.compile(r"\bUniPoly\b|\bas_unipoly\b|\bdivmod\b|\bdeflate_root\b")
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
@@ -59,6 +60,14 @@ def test_sylvester_layout_is_one_module():
     # them out as a matrix
     hits = [h for h in _source_hits(SYLVESTER_LAYOUT) if not h.startswith("resultant.py:")]
     assert not hits, "Sylvester matrices built outside resultant.py:\n" + "\n".join(hits)
+
+
+def test_one_polynomial_type():
+    # a univariate polynomial is a MultiPoly in one variable, divided by
+    # poly_exact_div and reduced by poly_gcd; the field Euclid lives in
+    # tests/gcd_oracle.py as the univariate base case of the oracle
+    hits = _source_hits(SECOND_POLY_TYPE)
+    assert not hits, "a second polynomial type or its division:\n" + "\n".join(hits)
 
 
 def test_traced_layers_resolve():

@@ -11,7 +11,7 @@ import conchoidal.modular as modular
 from conchoidal import MultiPoly, parse_poly, poly_exact_div, poly_gcd
 from conchoidal.errors import InternalError
 from conchoidal.fields import FIELD_Q, FIELD_QI, GaussianRational
-from conchoidal.modular import _POINT_STEP, _gcd_prime, next_prime
+from conchoidal.modular import _POINT_STEP, _gcd_prime, next_prime, poly_gcd_mod_p
 
 from gcd_oracle import prs_gcd
 from helpers import random_form, random_poly
@@ -35,6 +35,13 @@ def test_gcd_primes_have_a_square_root_of_minus_one():
     for k in range(4):
         p, s = _gcd_prime(k)
         assert _is_prime(p) and p % 4 == 1 and s * s % p == p - 1
+
+
+def test_gcd_mod_p_is_monic():
+    # (t+1)(t+2) and 3(t+1)(t+5) modulo 13
+    assert poly_gcd_mod_p([2, 3, 1], [2, 5, 3], 13) == [1, 1]
+    assert poly_gcd_mod_p([], [4, 2], 13) == [2, 1]
+    assert poly_gcd_mod_p([], [], 13) == []
 
 
 def _draw(rng, vars, degree, homogeneous, field):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conchoidal import MultiPoly, UniPoly, homogeneous_decompose, parse_poly, poly_exact_div, poly_to_text
+from conchoidal import MultiPoly, homogeneous_decompose, parse_poly, poly_exact_div, poly_to_text
 from conchoidal.errors import NotHomogeneousError
 from conchoidal.fields import FIELD_QI, GaussianRational
 
@@ -43,6 +43,9 @@ def test_exact_div_examples():
     over_qi = poly_exact_div(parse_poly("x^2+1", FIELD_QI), parse_poly("x+i", FIELD_QI))
     assert over_qi == parse_poly("x-i", FIELD_QI)
     assert poly_exact_div(parse_poly("x^2+y^2"), parse_poly("x+y")) is None
+    # univariate polynomials are MultiPolys in one variable
+    assert poly_exact_div(parse_poly("t^2-4"), parse_poly("t-2")) == parse_poly("t+2")
+    assert poly_exact_div(parse_poly("t^2-4"), parse_poly("t-1")) is None
     with pytest.raises(ZeroDivisionError):
         poly_exact_div(parse_poly("x"), MultiPoly.zero(VARS))
 
@@ -102,21 +105,3 @@ def test_field_promotion_equality():
     assert hash(f) == hash(f.promote(FIELD_QI))
     g = f.promote(FIELD_QI) * GaussianRational(0, 1)
     assert g.conj() == -g
-
-
-def test_unipoly_divmod_gcd():
-    u = UniPoly([Fraction(-4), Fraction(0), Fraction(1)])      # t^2 - 4
-    q, r = u.divmod(UniPoly([Fraction(-2), Fraction(1)]))
-    assert q.coeffs == [Fraction(2), Fraction(1)] and r.is_zero()
-    a = UniPoly([Fraction(-1), Fraction(0), Fraction(1)])      # t^2 - 1
-    b = UniPoly([Fraction(1), Fraction(1)])                    # t + 1
-    assert a.gcd(b).coeffs == [Fraction(1), Fraction(1)]
-    assert a.eval(Fraction(3)) == 8
-    assert a.derivative().coeffs == [Fraction(0), Fraction(2)]
-
-
-def test_unipoly_deflate():
-    u = UniPoly([Fraction(4), Fraction(-4), Fraction(1)])      # (t-2)^2
-    d = u.deflate_root(Fraction(2))
-    assert d is not None and d.deflate_root(Fraction(2)) is not None
-    assert u.deflate_root(Fraction(1)) is None

@@ -1,18 +1,22 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from conchoidal import MultiPoly, UniPoly, factor_binary_form, formal_square_root, parse_poly, rational_roots
+from conchoidal import MultiPoly, factor_binary_form, formal_square_root, parse_poly, rational_roots
 from conchoidal.fields import FIELD_Q, FIELD_QI, GaussianRational, to_scalar
 from conchoidal.roots import _lifted_roots, common_roots, solve_zero_dim, square_root_up_to_scalar
 
 from helpers import random_poly
 
 
+T = ("t",)
+
+
 def uni(coeffs, field=FIELD_Q):
-    return UniPoly([Fraction(c) if not isinstance(c, GaussianRational) else c
-                    for c in coeffs], field)
+    """The polynomial in t with the ascending coefficients."""
+    return MultiPoly.make(T, field, {(k,): c for k, c in enumerate(coeffs)})
 
 
 def test_rational_roots_examples():
@@ -20,6 +24,9 @@ def test_rational_roots_examples():
     assert rational_roots(uni([1, 0, 1])) == []
     roots = rational_roots(uni([1, 0, 1]), FIELD_QI)
     assert {(r.re, r.im) for r, _ in roots} == {(0, 1), (0, -1)}
+    assert rational_roots(uni([5])) == []
+    with pytest.raises(ValueError):
+        rational_roots(parse_poly("x*y-1"))
 
 
 def test_rational_roots_from_elimination_verified_by_substitution():
@@ -29,7 +36,7 @@ def test_rational_roots_from_elimination_verified_by_substitution():
     roots = rational_roots(f)
     assert {r for r, _ in roots} == {Fraction(1, 2), Fraction(-1, 2), Fraction(1)}
     for r, _ in roots:
-        assert f.eval(r) == 0
+        assert f.evaluate({"t": r}) == 0
 
 
 def test_roots_multiplicity_and_zero():
@@ -42,10 +49,9 @@ def test_roots_multiplicity_and_zero():
                           st.integers(min_value=1, max_value=10 ** 3)),
                 min_size=1, max_size=6))
 def test_constructed_roots_recovered(chosen):
-    one = UniPoly([Fraction(1)])
-    f = one
+    f = uni([1])
     for r in chosen:
-        f = f * UniPoly([-r, Fraction(1)])
+        f = f * uni([-r, 1])
     got = rational_roots(f)
     expect = {}
     for r in chosen:
@@ -53,11 +59,32 @@ def test_constructed_roots_recovered(chosen):
     assert dict(got) == expect
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.fractions(-6, 6, max_denominator=4), st.fractions(-6, 6, max_denominator=4),
+                          st.integers(min_value=1, max_value=2)), min_size=1, max_size=3),
+       st.booleans(), st.booleans())
+def test_constructed_gaussian_roots_recovered(chosen, conjugates, irreducible):
+    # with each root's conjugate f has real coefficients (the u, w = v^2
+    # branch); without, the real and imaginary parts of f(u + i v)
+    t = MultiPoly.variable("t", T, FIELD_QI)
+    f = uni([1], FIELD_QI)
+    expect = {}
+    for re, im, m in chosen:
+        for r in {(re, im), (re, -im)} if conjugates else {(re, im)}:
+            f = f * (t - GaussianRational(*r)) ** m
+            expect[r] = expect.get(r, 0) + m
+    if irreducible:
+        f = f * (t * t + 2)
+    got = rational_roots(f, FIELD_QI)
+    assert {(r.re, r.im): m for r, m in got} == expect
+    assert len(got) == len(expect)
+
+
 def test_gaussian_roots_mixed():
     # (t - 3)(t - (1+2i))
     a = GaussianRational(3)
     b = GaussianRational(1, 2)
-    f = UniPoly([a * b, -(a + b), GaussianRational(1)], FIELD_QI)
+    f = uni([a * b, -(a + b), 1], FIELD_QI)
     roots = rational_roots(f, FIELD_QI)
     assert {(r.re, r.im) for r, _ in roots} == {(3, 0), (1, 2)}
     # real polynomial with a conjugate pair: (t-2)(t^2+9)
@@ -69,12 +96,12 @@ def test_gaussian_roots_mixed():
 def test_big_coefficient_roots_use_lifting():
     # endpoints far beyond divisor enumeration
     big = 10 ** 30 + 57
-    f = UniPoly([Fraction(-2 * big), Fraction(2 * big - 3), Fraction(3)])  # (3t + 2 big)(t - 1)... check
-    # construct honestly: (t - 1)(3t + 2*big) = 3t^2 + (2 big - 3) t - 2 big
+    # (t - 1)(3t + 2*big) = 3t^2 + (2 big - 3) t - 2 big
+    f = uni([-2 * big, 2 * big - 3, 3])
     roots = rational_roots(f)
     assert (Fraction(1), 1) in roots
     assert (Fraction(-2 * big, 3), 1) in roots
-    direct = _lifted_roots([-2 * big, 2 * big - 3, 3])
+    direct = _lifted_roots(f)
     assert Fraction(1) in direct
 
 
@@ -153,8 +180,8 @@ def test_factor_reconstructs():
 
 def test_big_coefficient_nonsquarefree_multiplicities():
     big = 10 ** 25 + 9
-    t1 = UniPoly([Fraction(-1), Fraction(1)])
-    f = t1 * t1 * UniPoly([Fraction(2 * big), Fraction(3)])
+    t1 = uni([-1, 1])
+    f = t1 * t1 * uni([2 * big, 3])
     got = rational_roots(f)
     assert (Fraction(1), 2) in got
     assert (Fraction(-2 * big, 3), 1) in got
@@ -174,18 +201,18 @@ def test_big_roots_survive_many_bad_primes():
     P = 1
     for p in _primes_from(4001, 61):
         P *= p
-    assert rational_roots(UniPoly([Fraction(-1), Fraction(P)])) == [(Fraction(1, P), 1)]
-    f = UniPoly([Fraction(-3), Fraction(P)]) * UniPoly([Fraction(1), Fraction(1)])
+    assert rational_roots(uni([-1, P])) == [(Fraction(1, P), 1)]
+    f = uni([-3, P]) * uni([1, 1])
     assert rational_roots(f) == [(Fraction(-1), 1), (Fraction(3, P), 1)]
     # a repeated root: the lifting runs on the squarefree part
-    f = UniPoly([Fraction(-3), Fraction(P)]) * f
+    f = uni([-3, P]) * f
     assert rational_roots(f) == [(Fraction(-1), 1), (Fraction(3, P), 2)]
     # the leading coefficient is divisible by the first 61 odd primes, so
     # the search for a lifting prime, which starts at 3, skips all of them
     Q = 1
     for p in _primes_from(3, 61):
         Q *= p
-    f = UniPoly([Fraction(-1), Fraction(Q)]) * UniPoly([Fraction(2), Fraction(1)])
+    f = uni([-1, Q]) * uni([2, 1])
     assert rational_roots(f) == [(Fraction(-2), 1), (Fraction(1, Q), 1)]
 
 
