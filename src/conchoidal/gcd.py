@@ -67,10 +67,16 @@ def squarefree_part(f: MultiPoly) -> MultiPoly:
 
 
 def is_squarefree(f: MultiPoly) -> bool:
+    """True iff gcd(f, all partial derivatives) is constant (char 0): a
+    factor free of one variable is caught by the derivative in another."""
+    g = f
     for v in f.vars:
-        if f.uses_var(v):
-            return poly_gcd(f, f.derivative(v)).is_constant()
-    return True
+        if not f.uses_var(v):
+            continue
+        g = poly_gcd(g, f.derivative(v))
+        if g.is_constant():
+            return True
+    return g.is_constant()
 
 
 def squarefree_decompose_uni(f: MultiPoly) -> List[Tuple[MultiPoly, int]]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotHomogeneousError
@@ -198,16 +199,7 @@ class MultiPoly:
             return NotImplemented
         a, b = _aligned(self, other)
         terms = dict(a.terms)
-        for exp, c in b.terms.items():
-            s = terms.get(exp)
-            if s is None:
-                terms[exp] = c
-            else:
-                s = s + c
-                if s:
-                    terms[exp] = s
-                else:
-                    del terms[exp]
+        _add_into(terms, b.terms)
         return MultiPoly(a.vars, a.field, terms)
 
     __radd__ = __add__
@@ -235,22 +227,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         a, b = _aligned(self, other)
-        terms: Dict[Tuple[int, ...], Scalar] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                exp = tuple(i + j for i, j in zip(e1, e2))
-                c = c1 * c2
-                s = terms.get(exp)
-                if s is None:
-                    if c:
-                        terms[exp] = c
-                else:
-                    s = s + c
-                    if s:
-                        terms[exp] = s
-                    else:
-                        del terms[exp]
-        return MultiPoly(a.vars, a.field, terms)
+        return MultiPoly(a.vars, a.field, _mul_terms(a.terms, b.terms))
 
     __rmul__ = __mul__
 
@@ -356,22 +333,22 @@ class MultiPoly:
             images[v] = img
             field = join_fields(field, img.field)
             vars_out = merge_vars(vars_out, img.vars)
-        result = MultiPoly.zero(vars_out, field)
-        one = MultiPoly.constant(1, vars_out, field)
-        # Cache powers of each image to keep repeated substitution cheap.
-        powers: Dict[str, List[MultiPoly]] = {v: [one] for v in self.vars}
+        unit = (0,) * len(vars_out)
+        # Cache powers of each image, as term dicts, to keep repeated
+        # substitution cheap; every term is added into the one result dict.
+        powers: List[List[Dict[Tuple[int, ...], Scalar]]] = [
+            [{unit: to_scalar(1, field)}, images[v].with_vars(vars_out).promote(field).terms]
+            for v in self.vars]
+        terms: Dict[Tuple[int, ...], Scalar] = {}
         for exp, c in self.terms.items():
-            term = one * c
-            for v, e in zip(self.vars, exp):
-                if not e:
-                    continue
-                cache = powers[v]
-                while len(cache) <= e:
-                    cache.append(cache[-1] * images[v].with_vars(vars_out).promote(field)
-                                 if len(cache) == 1 else cache[-1] * cache[1])
-                term = term * cache[e]
-            result = result + term
-        return result
+            term = {unit: to_scalar(c, field)}
+            for cache, e in zip(powers, exp):
+                if e:
+                    while len(cache) <= e:
+                        cache.append(_mul_terms(cache[-1], cache[1]))
+                    term = _mul_terms(term, cache[e])
+            _add_into(terms, term)
+        return MultiPoly(vars_out, field, terms)
 
     def evaluate(self, point: Dict[str, Scalar]) -> Scalar:
         """Full evaluation; every used variable must be assigned."""
@@ -447,6 +424,41 @@ class MultiPoly:
             rexp = tuple(e for j, e in enumerate(exp) if j != i)
             coeffs[exp[i]][rexp] = c
         return [MultiPoly(rest, self.field, t) for t in coeffs]
+
+
+def _add_into(terms: Dict[Tuple[int, ...], Scalar], other: Dict[Tuple[int, ...], Scalar]) -> None:
+    """terms += other, in place, dropping the sums that cancel."""
+    for exp, c in other.items():
+        s = terms.get(exp)
+        if s is None:
+            terms[exp] = c
+        else:
+            s = s + c
+            if s:
+                terms[exp] = s
+            else:
+                del terms[exp]
+
+
+def _mul_terms(a: Dict[Tuple[int, ...], Scalar], b: Dict[Tuple[int, ...], Scalar]
+               ) -> Dict[Tuple[int, ...], Scalar]:
+    """The product of two term dicts over the same variables and field."""
+    terms: Dict[Tuple[int, ...], Scalar] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exp = tuple(map(add, e1, e2))
+            c = c1 * c2
+            s = terms.get(exp)
+            if s is None:
+                if c:
+                    terms[exp] = c
+            else:
+                s = s + c
+                if s:
+                    terms[exp] = s
+                else:
+                    del terms[exp]
+    return terms
 
 
 def scalar_field_of(val) -> str:

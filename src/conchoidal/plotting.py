@@ -1,14 +1,17 @@
 """Static SVG plots of real affine loci by marching squares.
 
-Signs come from exact rational evaluation of the dehomogenized equation on
-the grid; floating point enters only in the linear interpolation of segment
-endpoints.  Output is deterministic for fixed inputs.
+Signs come from exact integer evaluation of the equation at grid points
+scaled to one common denominator; floating point enters only in the
+correctly rounded division that places each segment endpoint.  Output is
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import List, Tuple
 
 from .curves import PlaneCurve
@@ -56,42 +59,63 @@ class PlotSpec:
 
 def marching_segments(curve: PlaneCurve, spec: PlotSpec) -> List[Tuple[float, float, float, float]]:
     """Line segments approximating the real affine locus, from exact sign
-    samples with linear interpolation along cell edges."""
-    eq = curve.equation
-    for c in eq.terms.values():
-        if as_fraction(c) is None:
-            raise ValueError("plotting requires real coefficients")
-    aff = eq.dehomogenize("z")
+    samples with linear interpolation along cell edges.
+
+    Every grid point and cell center is (X/N, Y/N) for integers X, Y and one
+    common denominator N, and is sampled as L*F(X, Y, N) = L*N^d*f(x, y),
+    with L > 0 clearing the coefficient denominators: a positive multiple of
+    the affine value, so every sign and every ratio va/(va - vb) is kept."""
+    coeffs = {exp: as_fraction(c) for exp, c in curve.equation.terms.items()}
+    if None in coeffs.values():
+        raise ValueError("plotting requires real coefficients")
     xmin, xmax, ymin, ymax = spec.window
     n = spec.grid
     dx = (xmax - xmin) / n
     dy = (ymax - ymin) / n
     xs = [xmin + dx * k for k in range(n + 1)]
     ys = [ymin + dy * k for k in range(n + 1)]
-    values = [[aff.evaluate({"x": x, "y": y}) for y in ys] for x in xs]
+    N = 2 * lcm(*(v.denominator for v in xs + ys))   # also clears the half-steps
+    X = [int(v * N) for v in xs]
+    Y = [int(v * N) for v in ys]
+    L = lcm(*(c.denominator for c in coeffs.values()))
+    d = curve.degree
+    # table[b][a]: integer coefficient of X^a Y^b in L*F(X, Y, N)
+    table = [[0] * (d + 1) for _ in range(d + 1)]
+    for (a, b, k), c in coeffs.items():
+        table[b][a] = c.numerator * (L // c.denominator) * N ** k
+
+    def powers(t):
+        return [t ** e for e in range(d + 1)]
+
+    def column(t):   # L*F(t, Y, N) as a polynomial in Y
+        t_pows = powers(t)
+        return [sum(map(mul, row, t_pows)) for row in table]
+
+    Y_pows = [powers(t) for t in Y]
+    values = [[sum(map(mul, col, p)) for p in Y_pows] for col in map(column, X)]
     segments: List[Tuple[float, float, float, float]] = []
 
     def interp(pa, pb, va, vb):
-        if va == vb:
-            t = Fraction(1, 2)
-        else:
-            t = va / (va - vb)
-            t = min(max(t, Fraction(0)), Fraction(1))
-        return (float(pa[0] + (pb[0] - pa[0]) * t), float(pa[1] + (pb[1] - pa[1]) * t))
+        # pa + (pb - pa)*va/(va - vb): every listed edge joins a positive
+        # corner to a non-positive one.  int/int true division rounds the
+        # exact rational correctly, as float(Fraction) does.
+        den = va - vb
+        return ((pa[0] * den + (pb[0] - pa[0]) * va) / (N * den),
+                (pa[1] * den + (pb[1] - pa[1]) * va) / (N * den))
 
+    hx, hy = (X[1] - X[0]) // 2, (Y[1] - Y[0]) // 2
     for i in range(n):
         for j in range(n):
-            corners = [(xs[i], ys[j]), (xs[i + 1], ys[j]),
-                       (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1])]
             vals = [values[i][j], values[i + 1][j], values[i + 1][j + 1], values[i][j + 1]]
             idx = sum(1 << k for k, v in enumerate(vals) if v > 0)
             if idx in (0, 15):
                 continue
             if idx in _AMBIG:
-                center = aff.evaluate({"x": xs[i] + dx / 2, "y": ys[j] + dy / 2})
+                center = sum(map(mul, column(X[i] + hx), powers(Y[j] + hy)))
                 edges = _AMBIG[idx][0 if center > 0 else 1]
             else:
                 edges = _EDGES[idx]
+            corners = [(X[i], Y[j]), (X[i + 1], Y[j]), (X[i + 1], Y[j + 1]), (X[i], Y[j + 1])]
             for (a1, a2), (b1, b2) in edges:
                 p = interp(corners[a1], corners[a2], vals[a1], vals[a2])
                 q = interp(corners[b1], corners[b2], vals[b1], vals[b2])

@@ -15,7 +15,10 @@ steps, an eigen-line extraction, or the shared zero-dimensional solver
 ``roots.solve_zero_dim`` over Q(i) (``roots.common_roots`` for the
 one-unknown rank condition).  Complete through delta = 4 on the
 rational branches; a non-square branch scalar (witness outside Q(i)) is
-reported, not guessed.
+reported, not guessed.  Since the criterion is stated for an irreducible
+curve, "irreducible" is answered only when C is certified absolutely
+irreducible (a line, or a conic with a nonsingular matrix), and
+"inconclusive" otherwise.
 """
 
 from __future__ import annotations
@@ -177,8 +180,19 @@ def split_test(C: PlaneCurve, A: Tuple[Scalar, Scalar]) -> SplitResult:
     if not is_squarefree(C.equation):
         raise NotSquarefreeError("split test requires a reduced (squarefree) curve")
     if delta % 2 == 0:
-        return _split_even(C, G, A, delta)
-    return _split_odd(C, G, A, delta)
+        result = _split_even(C, G, A, delta)
+    else:
+        result = _split_odd(C, G, A, delta)
+    if result.verdict == "irreducible" and not _certified_irreducible(G, delta):
+        return SplitResult("inconclusive", notes=result.notes + [
+            "C is not certified absolutely irreducible; the criterion assumes it is"])
+    return result
+
+
+def _certified_irreducible(G: MultiPoly, delta: int) -> bool:
+    """The cheapest certificates that C is absolutely irreducible: a line,
+    or a conic with a nonsingular matrix."""
+    return delta == 1 or (delta == 2 and bool(det_scalar(_quadratic_matrix(G))))
 
 
 def _split_even(C: PlaneCurve, G: MultiPoly, A, delta: int) -> SplitResult:

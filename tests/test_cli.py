@@ -59,6 +59,18 @@ def test_split_exit_codes(capsys):
     assert code == 0
 
 
+def test_split_of_uncertified_curve_is_inconclusive(capsys):
+    # the criterion is stated for an irreducible curve: without a
+    # certificate of absolute irreducibility there is no "irreducible"
+    # answer.  (x-2*z)*(x+y-5*z) has a proper conchoid divisible by the
+    # conchoid of x-2*z; x^2-2*z^2 splits into the lines x = ±√2 z.
+    for curve in ("(x-2*z)*(x+y-5*z)", "x^2-2*z^2", "(x-2*z)*(y-3*z)"):
+        code, out, _ = run(capsys, "split", "--C", curve)
+        assert code == 3, curve
+        assert "verdict: inconclusive" in out
+        assert "not certified absolutely irreducible" in out
+
+
 def test_split_cyclic_tangent_is_math_error(capsys):
     # a curve containing a line through A and a cyclic point is a
     # mathematical degeneracy (exit 1), not a usage error (exit 2)
@@ -162,6 +174,11 @@ def test_verify(capsys):
     code, out, _ = run(capsys, "verify", "--B", "x^2+y^2-z^2", "--C", "x-2*z")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+    # a top form with a factor free of x (here x*y) is squarefree, so the
+    # restriction to the line at infinity is checked
+    code, out, _ = run(capsys, "verify", "--B", "x*y-z^2", "--C", "x+y-2*z")
+    assert code == 0
+    assert "[PASS] infinity restriction" in out
 
 
 def test_radii(capsys):

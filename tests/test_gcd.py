@@ -8,7 +8,7 @@ from conchoidal import MultiPoly, parse_poly, poly_exact_div, poly_gcd, squarefr
 from conchoidal.fields import FIELD_Q, FIELD_QI, GaussianRational
 from conchoidal.gcd import is_squarefree, multiplicity_of_factor, squarefree_decompose_uni
 
-from helpers import random_poly
+from helpers import random_form, random_poly
 
 
 def test_gcd_examples():
@@ -66,6 +66,25 @@ def test_squarefree_part():
     assert squarefree_part(f) == parse_poly("x^2+x*y")
     assert is_squarefree(parse_poly("x^2+y^2-z^2"))
     assert not is_squarefree(parse_poly("x^2"))
+    # a factor free of the first variable is caught by a later derivative
+    assert is_squarefree(parse_poly("(x-2*z)*(y-3*z)"))
+    assert is_squarefree(parse_poly("x*y"))
+    assert not is_squarefree(parse_poly("x*(y-3*z)^2"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(1, 2), st.booleans(), st.integers(1, 2)),
+                min_size=1, max_size=3))
+@example(0, [(1, True, 1), (1, False, 1)])
+def test_is_squarefree_matches_squarefree_part(seed, factors):
+    # products of random forms, some of them free of x, some repeated
+    rng = random.Random(seed)
+    f = MultiPoly.constant(1, ("x", "y", "z"))
+    for degree, free_of_x, mult in factors:
+        vars = ("y", "z") if free_of_x else ("x", "y", "z")
+        f = f * random_form(rng, degree, vars).with_vars(("x", "y", "z")) ** mult
+    assert is_squarefree(f) == (squarefree_part(f).total_degree() == f.total_degree())
 
 
 def test_multiplicity_of_factor():

@@ -1,7 +1,7 @@
 """Source checks: no handler in the package may swallow arbitrary errors,
 so a bug surfaces as a traceback instead of turning into a verdict; the
-package has one Sylvester determinant, one gcd, one exact division and
-one polynomial type; and every function the benchmark's tracer wraps by name still exists."""
+package has one Sylvester determinant, one gcd, one exact division, one
+substitution and one polynomial type; and every function the benchmark's tracer wraps by name still exists."""
 
 import importlib
 import re
@@ -15,6 +15,7 @@ BROAD = re.compile(r"except\s*:|except\b[^:\n]*\bException\b")
 BAREISS_CALL = re.compile(r"(?<!def )\bdet_bareiss_poly\(")
 PRS_ORACLE = re.compile(r"\bgcd_oracle\b|\bprs_gcd\b|\b_pseudo_rem\b|\bsubresultant\b", re.I)
 DIVISION_ORACLE = re.compile(r"\bdivision_oracle\b|\bgrlex_exact_div\b")
+SUBSTITUTE_ORACLE = re.compile(r"\bsubstitute_oracle\b|\bsubstitute_per_term\b")
 SYLVESTER_LAYOUT = re.compile(r"\bsylvester_rows\(")
 SECOND_POLY_TYPE = re.compile(r"\bUniPoly\b|\bas_unipoly\b|\bdivmod\b|\bdeflate_root\b")
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -53,6 +54,13 @@ def test_no_library_use_of_the_division_oracle():
     # grlex reduction lives in tests/division_oracle.py as the oracle
     hits = _source_hits(DIVISION_ORACLE)
     assert not hits, "uses of the grlex division oracle:\n" + "\n".join(hits)
+
+
+def test_no_library_use_of_the_substitution_oracle():
+    # MultiPoly.substitute adds every term into one dict; the per-term
+    # substitution lives in tests/substitute_oracle.py as the oracle
+    hits = _source_hits(SUBSTITUTE_ORACLE)
+    assert not hits, "uses of the per-term substitution oracle:\n" + "\n".join(hits)
 
 
 def test_sylvester_layout_is_one_module():

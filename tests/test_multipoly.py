@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from conchoidal import MultiPoly, homogeneous_decompose, parse_poly, poly_exact_div, poly_to_text
 from conchoidal.errors import NotHomogeneousError
-from conchoidal.fields import FIELD_QI, GaussianRational
+from conchoidal.fields import FIELD_Q, FIELD_QI, GaussianRational
 
-from helpers import random_poly
+from helpers import random_poly, random_scalar
+from substitute_oracle import substitute_per_term
 
 VARS = ("x", "y", "z")
 
@@ -83,6 +84,54 @@ def test_substitution_and_evaluation():
     val = f.evaluate({"x": Fraction(3), "y": Fraction(4), "z": Fraction(5)})
     assert val == 0
     assert f.partial_eval({"z": Fraction(1)}) == parse_poly("x^2+y^2-1")
+
+
+def _field_poly(rng, vars, degree, field):
+    p = random_poly(rng, vars, degree, field=field)
+    if field == FIELD_QI:
+        p = p + random_poly(rng, vars, degree, field=field) * GaussianRational(0, 1)
+    return p
+
+
+def _same_result(got, want):
+    assert (got.vars, got.field, got.terms) == (want.vars, want.field, want.terms)
+    assert [type(c) for c in got.terms.values()] == [type(want.terms[e]) for e in got.terms]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from((FIELD_Q, FIELD_QI)),
+       st.lists(st.sampled_from(("keep", "poly", "scalar", "int", "var")), min_size=3, max_size=3))
+def test_substitute_matches_the_per_term_oracle(seed, field, kinds):
+    # images mix polynomials over either field and other variables,
+    # scalars of either field, ints (zero too), variables and the identity
+    rng = random.Random(seed)
+    f = _field_poly(rng, VARS, 3, field)
+    mapping = {}
+    for v, kind in zip(VARS, kinds):
+        if kind == "poly":
+            mapping[v] = _field_poly(rng, rng.choice((VARS, ("y", "z"), ("t",), ("x", "t"))), 2,
+                                     rng.choice((FIELD_Q, FIELD_QI)))
+        elif kind == "scalar":
+            c = random_scalar(rng)
+            mapping[v] = GaussianRational(c, random_scalar(rng)) if rng.random() < 0.5 else c
+        elif kind == "int":
+            mapping[v] = rng.randint(-2, 2)
+        elif kind == "var":
+            mapping[v] = MultiPoly.variable(rng.choice(VARS + ("t",)), VARS + ("t",))
+    _same_result(f.substitute(mapping), substitute_per_term(f, mapping))
+
+
+def test_substitute_swaps_variables():
+    f = parse_poly("x^2*y+3*y*z^2-z^3", FIELD_QI) * GaussianRational(1, 2)
+    y, z = parse_poly("y"), parse_poly("z")
+    swap = {"y": z, "z": y}
+    got = f.substitute(swap)
+    assert got == parse_poly("x^2*z+3*z*y^2-y^3", FIELD_QI) * GaussianRational(1, 2)
+    _same_result(got, substitute_per_term(f, swap))
+    assert got.substitute(swap) == f
+    # a term no image reaches still takes the result's field
+    f, image = parse_poly("x^2+1"), parse_poly("i*y", FIELD_QI)
+    _same_result(f.substitute({"x": image}), substitute_per_term(f, {"x": image}))
 
 
 def test_monic_and_proportionality():

@@ -185,6 +185,21 @@ def test_witness_soundness_whenever_returned():
             checked += 1
 
 
+def test_reducible_conic_is_never_irreducible():
+    # a product of two lines over Q is not certified absolutely
+    # irreducible: its matrix is singular
+    rng = random.Random(77)
+    x, y, z = (parse_poly(v) for v in "xyz")
+    for _ in range(10):
+        l1, l2 = (x * (rng.randint(-3, 3) or 1) + y * rng.randint(-3, 3) + z * rng.randint(-5, 5)
+                  for _ in range(2))
+        try:
+            res = split_test(PlaneCurve(l1 * l2), ORIGIN)
+        except (NotSquarefreeError, ValueError):   # repeated line, or a cyclic tangent
+            continue
+        assert res.verdict != "irreducible", (l1, l2)
+
+
 def test_quartic_split_delta4():
     res = split_test(PlaneCurve(Q2), ORIGIN)
     assert res.verdict == "split"
