@@ -6,18 +6,21 @@ lists of polynomial coefficients at nominal degrees m, n >= 1, by the
 classical evaluation-interpolation scheme on an exact integer kernel.  Each
 list is scaled to integer coefficients, or to Gaussian-integer ones over
 Q(i).  When every nonzero entry of each list is a form of one degree, a and
-b, the determinant is homogeneous of degree D = n a + m b: the last
-variable the lists use is set to 1 and put back at the end.  Otherwise D
-is the caller's degree bound.  The determinant is sampled on the simplex
-|p| <= D in the k remaining variables; only the m + n + 2 coefficients are
-evaluated, and each sample is the max(m, n) hybrid Bezout determinant of
-their values, a Z or Z[i] determinant by fraction-free Bareiss.  Integer
-forward differences along the first variable, then the same interpolation
-on smaller simplices in the rest, give its Newton form, and Horner steps
-in the falling-factorial basis turn it into monomials; the list scales are
-divided out once at the end.  An off-grid residual, taken on the full
-Sylvester matrix, guards the degree.  One row builder lays out every
-Sylvester matrix, and only this module calls it.
+b, the determinant is homogeneous of degree D = n a + m b.  Otherwise D
+is the caller's degree bound.  Each variable v gets an isobaric cap on
+deg_v of the determinant (_isobaric_bound, at most D); for the conchoid
+the cap in z is d delta, half of D.  In the homogeneous case a variable of
+largest cap is set to 1 and put back at the end.  The determinant is
+sampled on the lower set {p : |p| <= D, p_i <= cap_i} in the k remaining
+variables, which holds every monomial it can have; only the m + n + 2
+coefficients are evaluated, and each sample is the max(m, n) hybrid Bezout
+determinant of their values, a Z or Z[i] determinant by fraction-free
+Bareiss.  Integer forward differences along the first variable, then the
+same interpolation on smaller lower sets in the rest, give its Newton
+form, and Horner steps in the falling-factorial basis turn it into
+monomials; the list scales are divided out once at the end.  An off-grid
+residual, taken on the full Sylvester matrix, guards the degree.  One row
+builder lays out every Sylvester matrix, and only this module calls it.
 """
 
 from __future__ import annotations
@@ -209,34 +212,41 @@ def _falling_to_monomial(coeffs: Sequence[int]) -> List[int]:
     return out
 
 
-def _simplex(k: int, D: int):
-    """Every point p of N^k with p_1 + ... + p_k <= D, in lexicographic order."""
-    if k == 0:
+def _simplex(D: int, caps: Sequence[int]):
+    """Every point p of N^k, k = len(caps), with p_1 + ... + p_k <= D and
+    each p_i <= caps[i], in lexicographic order: a lower set, and the whole
+    simplex of degree D when no cap is below D."""
+    if not caps:
         yield ()
         return
-    for t in range(D + 1):
-        for rest in _simplex(k - 1, D - t):
+    for t in range(min(D, caps[0]) + 1):
+        for rest in _simplex(D - t, caps[1:]):
             yield (t,) + rest
 
 
-def _interp_simplex(values: dict, k: int, D: int) -> dict:
-    """{exponent: c} of the integer polynomial in k variables of total degree
-    <= D through values[p] = P(p) for every p of the simplex |p| <= D.
+def _interp_simplex(values: dict, D: int, caps: Sequence[int]) -> dict:
+    """{exponent: c} of the integer polynomial P in k = len(caps) variables
+    whose monomials all lie in the lower set _simplex(D, caps), through
+    values[p] = P(p) for every p of that set.
 
     Differences along the first variable at each point q of the rest give
-    the Newton coefficients c_i(q), i <= D - |q|.  Each c_i has degree
-    <= D - i and is interpolated the same way on the simplex of that degree
-    in the rest; the Newton form in the first variable is then converted to
-    monomials."""
-    if k == 0:
+    the Newton coefficients c_i(q), i <= min(D - |q|, caps[0]); c_i depends
+    only on the values at t = 0..i.  Each c_i has its monomials in the
+    lower set of degree D - i under the remaining caps, and is known on
+    exactly that set of points, so it is interpolated the same way; a
+    lower set of integer nodes is unisolvent for its own monomials.  The
+    Newton form in the first variable is then converted to monomials."""
+    if not caps:
         return {(): values[()]} if values[()] else {}
-    newton = {q: _falling_coefficients([values[(t,) + q] for t in range(D + 1 - sum(q))])
-              for q in _simplex(k - 1, D)}
+    cap, rest = caps[0], caps[1:]
+    newton = {q: _falling_coefficients([values[(t,) + q]
+                                        for t in range(min(D - sum(q), cap) + 1)])
+              for q in _simplex(D, rest)}
     in_rest = {}           # monomial m of the rest -> Newton coefficients in the first variable
-    for i in range(D + 1):
+    for i in range(min(D, cap) + 1):
         order_i = {q: c[i] for q, c in newton.items() if len(c) > i}
-        for m, c in _interp_simplex(order_i, k - 1, D - i).items():
-            in_rest.setdefault(m, [0] * (D + 1 - sum(m)))[i] = c
+        for m, c in _interp_simplex(order_i, D - i, rest).items():
+            in_rest.setdefault(m, [0] * (min(D - sum(m), cap) + 1))[i] = c
     terms = {}
     for m, coeffs in in_rest.items():
         for a, c in enumerate(_falling_to_monomial(coeffs)):
@@ -338,12 +348,12 @@ def _hybrid_bezout(fc: List, gc: List) -> List[List]:
 
 
 def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int], D: int,
-                      error) -> dict:
+                      caps: List[int], error) -> dict:
     """{exponent: c} of the determinant of sylvester_rows(fc, gc) in the
-    variables at ``index``, the others dropped, sampled on the simplex of
-    degree D in them.  Each list is scaled to Z (or Z[i]) coefficients
-    first; the scales are divided out at the end.  Each sample is the
-    max(m, n) hybrid Bezout determinant of the m + n + 2 values.  The
+    variables at ``index``, the others dropped, sampled on the lower set
+    _simplex(D, caps) in them.  Each list is scaled to Z (or Z[i])
+    coefficients first; the scales are divided out at the end.  Each sample
+    is the max(m, n) hybrid Bezout determinant of the m + n + 2 values.  The
     residual at a point off the grid comes from the full Sylvester matrix;
     if nonzero, ``error`` is raised."""
     gaussian = any(im_part(c) for e in fc + gc for c in e.terms.values())
@@ -360,16 +370,16 @@ def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int]
         parts += [_integer_parts(e, row_lcm, gaussian, key) for e in entries]
     k = len(index)
     values = {}
-    for prefix in _simplex(k - 1, D):
-        ts = range(D + 1 - sum(prefix))
+    for prefix in _simplex(D, caps[:-1]):
+        ts = range(min(D - sum(prefix), caps[-1]) + 1)
         dets = _dets_on_line(parts, prefix, ts, gaussian,
                              lambda v: _hybrid_bezout(v[:m + 1], v[m + 1:]))
         values.update(zip([prefix + (t,) for t in ts], dets))
     if gaussian:
-        interpolated = [_interp_simplex({p: v[j] for p, v in values.items()}, k, D)
+        interpolated = [_interp_simplex({p: v[j] for p, v in values.items()}, D, caps)
                         for j in (0, 1)]
     else:
-        interpolated = [_interp_simplex(values, k, D)]
+        interpolated = [_interp_simplex(values, D, caps)]
 
     # Residual check at a point outside the grid.
     off = (D + 1,) * k
@@ -382,11 +392,30 @@ def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int]
     return _divide_out(interpolated, scale)
 
 
+def _isobaric_bound(fc: List[MultiPoly], gc: List[MultiPoly], degree) -> int:
+    """n e_f + m e_g - m n, with e_f = max_i (degree(fc[i]) + i) and
+    e_g = max_j (degree(gc[j]) + j) over the nonzero entries: a bound on
+    degree(det sylvester_rows(fc, gc)) when ``degree`` is deg_v in one
+    variable v or the total degree.
+
+    Proof: f-row r < n holds fc[i] in column c = r + m - i, of degree
+    <= e_f - i = (e_f - m - r) + c, and g-row r < m holds gc[j] in column
+    c = r + n - j, of degree <= (e_g - n - r) + c.  So entry (R, c) has
+    degree <= alpha_R + c for row weights alpha_R, and each term of the
+    determinant, one entry in every row and every column, has degree
+    <= sum_R alpha_R + sum_c c = (n e_f - mn - n(n-1)/2)
+    + (m e_g - mn - m(m-1)/2) + (m+n)(m+n-1)/2 = n e_f + m e_g - mn."""
+    m, n = len(fc) - 1, len(gc) - 1
+    e_f, e_g = (max((degree(e) + i for i, e in enumerate(c) if e), default=0) for c in (fc, gc))
+    return n * e_f + m * e_g - m * n
+
+
 def poly_matrix_det(fc: List[MultiPoly], gc: List[MultiPoly], degree_bound: int) -> MultiPoly:
     """Exact determinant of sylvester_rows(fc, gc): the resultant of the
     ascending polynomial coefficient lists fc, gc at nominal degrees
     m, n >= 1, over the union of their variables; degree_bound must be >=
-    its total degree."""
+    its total degree.  It is sampled only on the monomials that its
+    isobaric degree caps allow."""
     m, n = len(fc) - 1, len(gc) - 1
     if m < 1 or n < 1:
         raise ValueError("Sylvester determinant of a nominal degree below 1")
@@ -397,18 +426,22 @@ def poly_matrix_det(fc: List[MultiPoly], gc: List[MultiPoly], degree_bound: int)
     # a, b when every nonzero entry of fc (of gc) is a form of degree a (b)
     degrees = [{e.total_degree() for e in c if e} for c in (fc, gc)]
     forms = all(len(s) < 2 for s in degrees) and all(e.is_homogeneous() for e in entries if e)
-    hom = used[-1] if forms and used else None
     a, b = (max(s, default=0) for s in degrees)
-    D = n * a + m * b if hom else degree_bound
+    D = n * a + m * b if forms and used else degree_bound
     if D > degree_bound:
         raise DegreeBoundError(
             f"coefficient lists force determinant degree {D} > bound {degree_bound}")
+    # a negative bound means the determinant is 0; the residual confirms it
+    caps = {v: max(0, min(D, _isobaric_bound(fc, gc, lambda e: e.degree_in(v)))) for v in used}
+    # set a variable of largest cap to 1, so that the capped ones stay sampled
+    hom = max(used, key=caps.get) if forms and used else None
     axes = [v for v in used if v != hom]
     field = FIELD_QI if any(e.field == FIELD_QI for e in entries) else FIELD_Q
 
     if axes:
         error = InternalError if hom else DegreeBoundError    # D is certain when homogeneous
-        coeffs = _interpolated_det(fc, gc, [vars.index(v) for v in axes], D, error)
+        coeffs = _interpolated_det(fc, gc, [vars.index(v) for v in axes], D,
+                                   [caps[v] for v in axes], error)
         det_aff = MultiPoly.make(axes, field, coeffs)
     else:                    # nothing left to sample: a scalar resultant
         point = {hom: Fraction(1)} if hom else {}
@@ -463,6 +496,4 @@ def sylvester_resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         return fc[0] ** n
     if n == 0:
         return gc[0] ** m
-    # the coefficient of var**i has total degree <= deg - i, so every term
-    # of the determinant has degree <= n deg f + m deg g - m n
-    return poly_matrix_det(fc, gc, n * f2.total_degree() + m * g2.total_degree() - m * n)
+    return poly_matrix_det(fc, gc, _isobaric_bound(fc, gc, MultiPoly.total_degree))

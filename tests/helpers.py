@@ -80,6 +80,28 @@ def random_compliant_base(rng: random.Random, degree: int = 2) -> PlaneCurve:
         return curve
 
 
+def curve_through_A(rng: random.Random, delta: int, nu: int) -> PlaneCurve:
+    """Homogeneous of degree delta with multiplicity exactly nu at A = [0:0:1]."""
+    from conchoidal import ProjPoint, multiplicity_at
+
+    vars = ("x", "y", "z")
+    z = MultiPoly.variable("z", vars)
+    while True:
+        acc = MultiPoly.zero(vars)
+        for h in range(nu, delta + 1):
+            part = random_form(rng, h, ("x", "y")) if rng.random() < 0.9 or h == nu \
+                else MultiPoly.zero(("x", "y"))
+            acc = acc + part.with_vars(vars) * z ** (delta - h)
+        try:
+            curve = PlaneCurve(acc)
+        except ValueError:
+            continue
+        if curve.top_form().is_zero():
+            continue
+        if multiplicity_at(curve, ProjPoint(0, 0, 1)) == nu:
+            return curve
+
+
 def avoiding_special_points(rng: random.Random, degree: int,
                             base: PlaneCurve) -> PlaneCurve:
     """A curve of the given degree missing A and the base's infinity points

@@ -32,9 +32,9 @@ from conchoidal.gcd import multiplicity_of_factor
 
 from helpers import (
     avoiding_special_points,
+    curve_through_A,
     random_compliant_base,
     random_curve,
-    random_form,
 )
 
 CIRCLE = PlaneCurve.from_text("x^2+y^2-z^2")
@@ -141,7 +141,7 @@ def test_c05_transform_algebraic_laws():
         delta = rng.randint(2, 3)
         nu = rng.randint(1, delta - 1)
         B = random_curve(rng, d)
-        C = _curve_through_A(rng, delta, nu)
+        C = curve_through_A(rng, delta, nu)
         assert multiplicity_at(C, ProjPoint(0, 0, 1)) == nu
         T = conchoidal_transform(B, C)
         power, _ = multiplicity_of_factor(T.equation, B.equation)
@@ -172,25 +172,6 @@ def test_c05_transform_algebraic_laws():
         print(f"    line AP multiplicity: observed {line_power}, proven bound {bound}, "
               f"conjectured {eps_a * eta_a} (eps={eps_a}, eta={eta_a})")
     report(5, "degree/symmetry/additivity/origin and infinity bounds on random pairs")
-
-
-def _curve_through_A(rng, delta, nu):
-    """Homogeneous of degree delta with multiplicity exactly nu at A."""
-    while True:
-        z = MultiPoly.variable("z", ("x", "y", "z"))
-        acc = MultiPoly.zero(("x", "y", "z"))
-        for h in range(nu, delta + 1):
-            part = random_form(rng, h, ("x", "y")) if rng.random() < 0.9 or h == nu \
-                else MultiPoly.zero(("x", "y"))
-            acc = acc + part.with_vars(("x", "y", "z")) * z ** (delta - h)
-        try:
-            curve = PlaneCurve(acc)
-        except ValueError:
-            continue
-        if curve.top_form().is_zero():
-            continue
-        if multiplicity_at(curve, ProjPoint(0, 0, 1)) == nu:
-            return curve
 
 
 def _curve_through_P_infinity(rng, degree, mult):

@@ -93,25 +93,33 @@ def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
 
 def test_broken_determinant_sample_is_an_internal_error(capsys, monkeypatch):
     # the conchoid's coefficient lists are forms, so its degree is certain and
-    # a nonzero residual can only be a bug: exit 4, not a "degree bound" no
+    # a nonzero residual can only be a bug: exit 4, not a "degree bound" no.
+    # Each scalar determinant of the README transform, every grid sample and
+    # the residual, is corrupted in turn by 10**9, far above what the exact
+    # integer differences could round away, whatever the sample layout
     from conchoidal import resultant
     from conchoidal.transform import conchoidal_transform
 
-    samples = []
-    build = resultant._hybrid_bezout
+    exact = resultant.det_scalar
+    calls, corrupt = [], [0]
 
-    def corrupted(fc, gc):
-        rows = build(fc, gc)
-        samples.append(rows)
-        if len(samples) == 1:
-            rows[-1][-1] += 1           # its cofactor here is -2
-        return rows
+    def corrupted(rows):
+        calls.append(len(rows))
+        value = exact(rows)
+        return value + 10 ** 9 if len(calls) == corrupt[0] else value
 
-    monkeypatch.setattr(resultant, "_hybrid_bezout", corrupted)
+    monkeypatch.setattr(resultant, "det_scalar", corrupted)
     B, C = PlaneCurve.from_text("x^2+y^2-z^2"), PlaneCurve.from_text("x-2*z")
-    with pytest.raises(InternalError):
-        conchoidal_transform(B, C)
-    samples.clear()
+    conchoidal_transform(B, C)
+    count = len(calls)
+    assert count > 1
+    for j in range(1, count + 1):
+        calls.clear()
+        corrupt[0] = j
+        with pytest.raises(InternalError):
+            conchoidal_transform(B, C)
+    calls.clear()
+    corrupt[0] = 1
     code, _, err = run(capsys, "transform", "--B", "x^2+y^2-z^2", "--C", "x-2*z")
     assert code == 4
     assert err.startswith("internal error: interpolation residual nonzero")

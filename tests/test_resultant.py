@@ -25,6 +25,7 @@ from conchoidal.resultant import (
     _falling_to_monomial,
     _hybrid_bezout,
     _interp_simplex,
+    _simplex,
     det_scalar,
     resultant_nominal,
     sylvester_rows,
@@ -367,8 +368,9 @@ def test_det_non_homogeneous_three_variables():
 
 
 def test_degree_80_homogeneous_determinant_is_exact():
-    # degree 80 on the grid path: 3321 triangular samples, where a square
-    # grid would need 81^2 = 6561
+    # degree 80 on the grid path: at x = 1, 3111 samples on y + z <= 80,
+    # y <= 60 (the cap on deg_y), where the triangle has 3321 and a square
+    # grid 81^2 = 6561
     x, y, z = (MultiPoly.variable(v, VARS) for v in VARS)
     fc = [(y - z) ** 20 * x ** 20, (x + 2 * z) ** 40]
     gc = [(3 * x + y) ** 30 * z ** 10, (x - y) ** 40 + z ** 40]
@@ -383,17 +385,22 @@ def test_degree_80_homogeneous_determinant_is_exact():
 
 def test_integer_triangle_interpolation_recovers_polynomials():
     # the simplex interpolation in k = 2 variables (the triangle), and in
-    # k = 0, 1 and 3
+    # k = 0, 1 and 3; then on lower sets |p| <= D, p_i <= caps[i] with
+    # random caps, some below D and some at or above it, in k = 1, 2 and 3
     rng = random.Random(73)
-    for k, degrees in ((2, (0, 1, 2, 5, 9, 14)), (0, (0, 4)), (1, (0, 1, 7, 20)),
-                       (3, (0, 1, 4, 8))):
-        for D in degrees:
-            simplex = [p for p in product(range(D + 1), repeat=k) if sum(p) <= D]
-            for _ in range(3):
-                poly = {p: rng.randint(-10 ** 6, 10 ** 6) for p in simplex if rng.random() < 0.6}
-                values = {q: sum(c * prod(t ** a for t, a in zip(q, p)) for p, c in poly.items())
-                          for q in simplex}
-                assert _interp_simplex(values, k, D) == {p: c for p, c in poly.items() if c}
+    cases = [(D, (D,) * k) for k, degrees in ((2, (0, 1, 2, 5, 9, 14)), (0, (0, 4)),
+                                              (1, (0, 1, 7, 20)), (3, (0, 1, 4, 8)))
+             for D in degrees]
+    cases += [(D, tuple(rng.randint(0, D + 2) for _ in range(k)))
+              for k in (1, 2, 3) for D in (0, 1, 5, 9) for _ in range(4)]
+    for D, caps in cases:
+        lower = [p for p in product(*(range(min(c, D) + 1) for c in caps)) if sum(p) <= D]
+        assert list(_simplex(D, caps)) == lower
+        for _ in range(3):
+            poly = {p: rng.randint(-10 ** 6, 10 ** 6) for p in lower if rng.random() < 0.6}
+            values = {q: sum(c * prod(t ** a for t, a in zip(q, p)) for p, c in poly.items())
+                      for q in lower}
+            assert _interp_simplex(values, D, caps) == {p: c for p, c in poly.items() if c}
 
 
 def test_integer_falling_factorial_round_trip():
@@ -448,14 +455,45 @@ def _sizes_of_samples(monkeypatch):
     return sizes
 
 
-def test_generic_conchoid_samples_are_half_size(monkeypatch):
-    # 561 samples on the triangle of degree 32, each a 4x4 hybrid Bezout
-    # determinant; the residual sample is the full 8x8 Sylvester matrix
+def test_generic_conchoid_samples_are_half_size_on_the_capped_set(monkeypatch):
+    # the conchoid of two quartics has degree 32 and z-degree <= 16: at x = 1
+    # it is sampled on y + z <= 32, z <= 16, one point per possible monomial
+    # (425, not the triangle's 561), each a 4x4 hybrid Bezout determinant;
+    # the residual sample is the full 8x8 Sylvester matrix
     rng = random.Random(103)
     fc, gc = conchoid_coefficients(random_form(rng, 4), random_form(rng, 4))
     sizes = _sizes_of_samples(monkeypatch)
     poly_matrix_det(fc, gc, 32)
-    assert sizes == [4] * 561 + [8]
+    assert sum(1 for y in range(33) for z in range(17) if y + z <= 32) == 425
+    assert sizes == [4] * 425 + [8]
+
+
+def _capped(f, var, cap):
+    """f without its terms of degree > cap in var; 0 when cap < 0."""
+    i = f.vars.index(var)
+    return MultiPoly.make(f.vars, f.field, {e: c for e, c in f.terms.items() if e[i] <= cap})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(1, 3), st.sampled_from(VARS),
+       st.sampled_from(OVER_Q_AND_QI), st.booleans())
+def test_isobaric_lists_match_the_oracle_under_their_cap(seed, m, n, var, over, forms):
+    # deg_var fc[i] <= e_f - i and deg_var gc[j] <= e_g - j, so deg_var of
+    # the determinant is <= n e_f + m e_g - m n (0 when that is negative);
+    # entries are forms of degree a and b (the homogeneous path) or
+    # polynomials of degree <= a and b
+    rng = random.Random(seed)
+    a, b = rng.randint(0, 2), rng.randint(0, 2)
+    e_f, e_g = rng.randint(0, a + m), rng.randint(0, b + n)
+
+    def draw(degree):
+        return over(lambda: random_form(rng, degree) if forms else random_poly(rng, VARS, degree))
+
+    fc = [_capped(draw(a), var, e_f - i) for i in range(m + 1)]
+    gc = [_capped(draw(b), var, e_g - j) for j in range(n + 1)]
+    det = poly_matrix_det(fc, gc, n * a + m * b)
+    assert det == _oracle(fc, gc)
+    assert not det or det.degree_in(var) <= n * e_f + m * e_g - m * n
 
 
 def _form(draw, degree, field):

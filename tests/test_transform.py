@@ -3,9 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conchoidal import (
+    FIELD_Q,
+    FIELD_QI,
     Divisor,
+    GaussianRational,
     PlaneCurve,
     ProjPoint,
     Scene,
@@ -27,7 +31,13 @@ from conchoidal.errors import (
     InvalidSceneError,
 )
 
-from helpers import avoiding_special_points, random_compliant_base, random_curve
+from helpers import (
+    avoiding_special_points,
+    curve_through_A,
+    random_compliant_base,
+    random_curve,
+    random_form,
+)
 
 CIRCLE = PlaneCurve.from_text("x^2+y^2-z^2")
 INTRO_QUARTIC = parse_poly("4*y^2*z^2 + x^4 + x^2*y^2 - 4*x^3*z - 4*x*y^2*z + 3*x^2*z^2")
@@ -119,6 +129,37 @@ def test_multiplicity_examples():
     assert multiplicity_at(CIRCLE, ProjPoint(5, 0, 1)) == 0
     # at infinity
     assert multiplicity_at(PlaneCurve.from_text("y*z-x^2"), ProjPoint(0, 1, 0)) == 1
+
+
+def _over(field, rng, curve):
+    """The curve itself over Q; over Q(i), plus i times a random curve of its
+    degree and of its multiplicity at A = [0:0:1]."""
+    if field == FIELD_Q:
+        return curve
+    nu = multiplicity_at(curve, ProjPoint(0, 0, 1))
+    other = curve_through_A(rng, curve.degree, nu).equation if nu \
+        else random_form(rng, curve.degree)
+    return PlaneCurve(curve.equation + other * GaussianRational(0, 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from((FIELD_Q, FIELD_QI)))
+def test_the_conchoid_has_multiplicity_d_delta_at_A(seed, d, delta, field):
+    # A = [0:0:1] is a point of multiplicity d*delta of the conchoid of a
+    # generic pair, so its z-degree is d*delta, half its degree: the cap
+    # under which poly_matrix_det samples it.  A C through A keeps it >= d*delta
+    A = ProjPoint(0, 0, 1)
+    rng = random.Random(seed)
+    B = random_compliant_base(rng, d)
+    C = avoiding_special_points(rng, delta, B)
+    B, C = _over(field, rng, B), _over(field, rng, C)
+    T = conchoidal_transform(B, C)
+    assert T.field == field
+    assert multiplicity_at(T, A) == d * delta
+    assert T.equation.degree_in("z") == d * delta
+    C = _over(field, rng, curve_through_A(rng, delta, rng.randint(1, delta)))
+    assert multiplicity_at(conchoidal_transform(B, C), A) >= d * delta
 
 
 def test_tangent_cone_examples():
