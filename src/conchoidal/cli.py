@@ -48,6 +48,13 @@ def _fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="conchoid",
                                   description="exact conchoidal transforms of plane curves")
@@ -109,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ve = add_parser("verify", help="run the invariant suite on a pair of curves")
     ve.add_argument("--B", required=True)
     ve.add_argument("--C", required=True)
-    ve.add_argument("--samples", type=int, default=12)
+    ve.add_argument("--samples", type=_positive_int, default=12)
 
     ra = add_parser("radii", help="candidate squared radii through a center")
     ra.add_argument("--D", required=True)
@@ -264,8 +271,9 @@ def _dispatch(args) -> int:
         D = parse_curve(args.D, field, args.affine)
         probes = [parse_poly(p, field) for p in args.probe]
         values, notes = candidate_radii(D, _center(args.center), probes)
-        _emit(args, {"candidates": [str(v) for v in values], "notes": notes},
-              "candidates: " + ", ".join(str(v) for v in values))
+        lines = ["candidates: " + ", ".join(str(v) for v in values)]
+        lines += [f"note: {note}" for note in notes]
+        _emit(args, {"candidates": [str(v) for v in values], "notes": notes}, "\n".join(lines))
         return OK
 
     raise AssertionError("unreachable")
@@ -277,35 +285,39 @@ def _verify(args, field) -> int:
     B = parse_curve(args.B, field, args.affine)
     C = parse_curve(args.C, field, args.affine)
     rng = random.Random(91)
-    checks = []
+    checks = []   # (name, passed, note)
     T = conchoidal_transform(B, C)
-    checks.append(("degree = 2*d*delta", T.degree == 2 * B.degree * C.degree))
-    checks.append(("symmetry", conchoidal_transform(C, B).equation == T.equation))
-    agree = True
+    checks.append(("degree = 2*d*delta", T.degree == 2 * B.degree * C.degree, None))
+    checks.append(("symmetry", conchoidal_transform(C, B).equation == T.equation, None))
+    agree, used = True, 0
     for _ in range(args.samples):
         Q = ProjPoint.affine(Fraction(rng.randint(-50, 50), rng.randint(1, 9)),
                              Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
         member = membership_value(B, C, Q)
         if member.degenerate:
             continue
+        used += 1
         tval = T.equation.evaluate({"x": Q.coords[0], "y": Q.coords[1], "z": Q.coords[2]})
         if bool(member.value) != bool(tval):
             agree = False
-    checks.append(("membership oracle agrees with the transform", agree))
+    # a check that compared no point has shown nothing, so it cannot pass
+    checks.append(("membership oracle agrees with the transform", agree and used > 0,
+                   None if used else "no usable sample"))
     from .gcd import is_squarefree, poly_gcd
 
     topB, topC = B.top_form(), C.top_form()
     if is_squarefree(topB) and is_squarefree(topC) and poly_gcd(topB, topC).is_constant():
         expect = topB ** C.degree * topC ** B.degree
         checks.append(("infinity restriction = F_d^delta * G_delta^d",
-                       infinity_restriction(T).proportional_to(expect)))
-    ok = all(passed for _, passed in checks)
-    payload = {"checks": [{"name": n, "passed": p} for n, p in checks], "ok": ok}
+                       infinity_restriction(T).proportional_to(expect), None))
+    ok = all(passed for _, passed, _ in checks)
+    payload = {"checks": [dict({"name": n, "passed": p}, **({"note": note} if note else {}))
+                          for n, p, note in checks], "ok": ok}
     if args.json:
         print(json.dumps(payload))
     else:
-        for name, passed in checks:
-            print(f"[{'PASS' if passed else 'FAIL'}] {name}")
+        for name, passed, note in checks:
+            print(f"[{'PASS' if passed else 'FAIL'}] {name}" + (f": {note}" if note else ""))
     return OK if ok else MATH_NO
 
 

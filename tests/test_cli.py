@@ -189,11 +189,50 @@ def test_verify(capsys):
     assert "[PASS] infinity restriction" in out
 
 
+def test_verify_readme_text(capsys):
+    code, out, _ = run(capsys, "verify", "--B", "x^2+y^2-z^2", "--C", "x-2*z")
+    assert code == 0
+    assert out == ("[PASS] degree = 2*d*delta\n"
+                   "[PASS] symmetry\n"
+                   "[PASS] membership oracle agrees with the transform\n"
+                   "[PASS] infinity restriction = F_d^delta * G_delta^d\n")
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_no_samples(samples):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--B", "x^2+y^2-z^2", "--C", "x-2*z", "--samples", samples])
+    assert err.value.code == 2
+
+
+def test_verify_fails_without_a_usable_sample(capsys):
+    # the first sample point, (-40/3, 37/3), lies on the direction where the
+    # top forms of both lines vanish, so both specializations drop degree
+    argv = ["verify", "--B", "37*x+40*y-z", "--C", "37*x+40*y-2*z", "--samples", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "[FAIL] membership oracle agrees with the transform: no usable sample" in out
+    code, out, _ = run(capsys, *argv, "--json")
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert {"name": "membership oracle agrees with the transform", "passed": False,
+            "note": "no usable sample"} in data["checks"]
+
+
 def test_radii(capsys):
     code, out, _ = run(capsys, "radii", "--D",
                        "4*y^2*z^2+x^4+x^2*y^2-4*x^3*z-4*x*y^2*z+3*x^2*z^2")
     assert code == 0
     assert "1" in out
+
+
+def test_radii_prints_notes(capsys):
+    argv = ["radii", "--D", "x^2+y^2-z^2", "--center", "0,0", "--probe", "x^2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "candidates: 1/4, 1, 4\nnote: probe x^2 is not a line; skipped\n"
+    code, out, _ = run(capsys, *argv, "--json")
+    assert json.loads(out)["notes"] == ["probe x^2 is not a line; skipped"]
 
 
 def test_usage_error_exit_2():
@@ -206,6 +245,26 @@ def test_field_qi(capsys):
     code, out, _ = run(capsys, "transform", "--B", "x+i*y+z", "--C", "x-i*y+2*z",
                        "--field", "Qi")
     assert code == 0
+    # the printed Q(i) text, pinned exactly
+    code, out, _ = run(capsys, "transform", "--field", "Qi", "--B", "x^2+y^2-z^2",
+                       "--C", "x-(1+i)*z", "--proper", "--json")
+    assert code == 0
+    quartic = ("x^4 - (2+2*i)*x^3*z + x^2*y^2 - (1-2*i)*x^2*z^2 - (2+2*i)*x*y^2*z"
+               " + 2*i*y^2*z^2")
+    assert out == ('{"equation": "%s", "degree": 4, "divisor": {"unit": "1", "components": '
+                   '[{"poly": "%s", "mult": 1, "label": "residual"}]}}\n' % (quartic, quartic))
+    code, out, _ = run(capsys, "split", "--field", "Qi", "--C", "(y+i*z)^2-(x^2+y^2)",
+                       "--components")
+    assert code == 0
+    assert out == (
+        "verdict: split\n"
+        "parity even: scale*G = H1^2 - q*H2^2\n"
+        "H1 = y + i*z\n"
+        "H2 = 1\n"
+        "scale = -1 (field Qi)\n"
+        "components: x^4 + x^2*y^2 - 2*i*x^2*y*z + 2*i*x^2*z^2 - 2*i*y^3*z"
+        " + (1+2*i)*y^2*z^2; x^4 + x^2*y^2 - 2*i*x^2*y*z - 2*i*x^2*z^2 - 2*i*y^3*z"
+        " + (1-2*i)*y^2*z^2\n")
 
 
 def test_recognize_proper_yes_via_cli(capsys):

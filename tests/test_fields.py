@@ -1,4 +1,6 @@
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,9 +15,15 @@ from conchoidal.fields import (
     sqrt_in_field,
     to_scalar,
 )
+from gaussian_oracle import GaussianRational as OracleGaussian
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 gaussians = st.builds(GaussianRational, rationals, rationals)
+# a Q(i) operand as its real and imaginary parts, often real or zero
+parts = st.tuples(rationals, st.one_of(st.just(Fraction(0)), rationals))
+# the other operand: a Gaussian rational (as parts), an int or a Fraction
+others = st.one_of(parts, st.integers(-30, 30), rationals)
+BINARY = [operator.add, operator.sub, operator.mul, operator.truediv, operator.eq]
 
 
 def test_basic_arithmetic():
@@ -96,3 +104,63 @@ def test_to_scalar_field_checks():
     assert to_scalar(Fraction(1, 2), FIELD_QI) == GaussianRational(Fraction(1, 2))
     with pytest.raises(ValueError):
         to_scalar(GaussianRational(0, 1), FIELD_Q)
+
+
+def _same(new, old):
+    """new (a GaussianRational or a plain value) equals the oracle's old."""
+    if isinstance(old, OracleGaussian):
+        assert isinstance(new, GaussianRational)
+        assert (new.re, new.im) == (old.re, old.im)
+        assert new._d > 0 and gcd(new._a, new._b, new._d) == 1   # normal form
+    else:
+        assert new == old and type(new) is type(old)
+
+
+def _both(value):
+    if isinstance(value, tuple):
+        return GaussianRational(*value), OracleGaussian(*value)
+    return value, value
+
+
+@given(parts, others, st.sampled_from(BINARY), st.booleans())
+def test_agrees_with_the_fraction_pair_oracle(x, y, op, swap):
+    x_new, x_old = _both(x)
+    y_new, y_old = _both(y)
+    if swap:
+        x_new, y_new, x_old, y_old = y_new, x_new, y_old, x_old
+    if op is operator.truediv and not y_old:
+        with pytest.raises(ZeroDivisionError):
+            op(x_new, y_new)
+        return
+    _same(op(x_new, y_new), op(x_old, y_old))
+
+
+@given(parts, st.integers(0, 6))
+def test_unary_operations_agree_with_the_oracle(x, n):
+    new, old = _both(x)
+    _same(new, old)
+    _same(-new, -old)
+    _same(new ** n, old ** n)
+    _same(new.conjugate(), old.conjugate())
+    _same(new.norm(), old.norm())
+    assert hash(new) == hash(old)
+    assert bool(new) == bool(old)
+    assert repr(new) == repr(old)
+    for k in (2, Fraction(1, 2)):   # same numerators, another denominator
+        assert (new == new * k) == (old == old * k)
+    if not x[1]:
+        assert hash(new) == hash(x[0]) and new == x[0]
+
+
+def test_normal_form_fields():
+    # equal values have equal fields, however they were reached
+    z = GaussianRational(Fraction(1, 2), Fraction(1, 2))
+    assert (z._a, z._b, z._d) == (1, 1, 2)
+    assert (z * z)._d == 2 and (z * z).im == Fraction(1, 2)
+    w = GaussianRational(Fraction(2, 4), Fraction(-3, 6)) * 2
+    assert (w._a, w._b, w._d) == (1, -1, 1)
+    zero = z - z
+    assert (zero._a, zero._b, zero._d) == (0, 0, 1)
+    assert z != z * 2 and z * 2 == GaussianRational(1, 1)
+    with pytest.raises(AttributeError):   # re and im are read-only views
+        z.re = Fraction(1)

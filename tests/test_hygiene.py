@@ -1,7 +1,7 @@
 """Source checks: no handler in the package may swallow arbitrary errors,
 so a bug surfaces as a traceback instead of turning into a verdict; the
 package has one Sylvester determinant, one gcd, one exact division, one
-substitution and one polynomial type; and every function the benchmark's tracer wraps by name still exists."""
+substitution, one Q(i) scalar and one polynomial type; and every function the benchmark's tracer wraps by name still exists."""
 
 import importlib
 import re
@@ -16,6 +16,7 @@ BAREISS_CALL = re.compile(r"(?<!def )\bdet_bareiss_poly\(")
 PRS_ORACLE = re.compile(r"\bgcd_oracle\b|\bprs_gcd\b|\b_pseudo_rem\b|\bsubresultant\b", re.I)
 DIVISION_ORACLE = re.compile(r"\bdivision_oracle\b|\bgrlex_exact_div\b")
 SUBSTITUTE_ORACLE = re.compile(r"\bsubstitute_oracle\b|\bsubstitute_per_term\b")
+GAUSSIAN_ORACLE = re.compile(r"\bgaussian_oracle\b")
 SYLVESTER_LAYOUT = re.compile(r"\bsylvester_rows\(")
 SECOND_POLY_TYPE = re.compile(r"\bUniPoly\b|\bas_unipoly\b|\bdivmod\b|\bdeflate_root\b")
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -61,6 +62,13 @@ def test_no_library_use_of_the_substitution_oracle():
     # substitution lives in tests/substitute_oracle.py as the oracle
     hits = _source_hits(SUBSTITUTE_ORACLE)
     assert not hits, "uses of the per-term substitution oracle:\n" + "\n".join(hits)
+
+
+def test_no_library_use_of_the_gaussian_oracle():
+    # GaussianRational keeps one (a + b*i)/d triple of ints; the Fraction-pair
+    # class lives in tests/gaussian_oracle.py as the oracle
+    hits = _source_hits(GAUSSIAN_ORACLE)
+    assert not hits, "uses of the Fraction-pair Gaussian oracle:\n" + "\n".join(hits)
 
 
 def test_sylvester_layout_is_one_module():
