@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .curves import PlaneCurve, ProjPoint, Scene
 from .errors import ConchoidError, InternalError, ParseError
@@ -55,7 +56,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state
+    between calls (each returns a fresh namespace, and the one list default,
+    --probe, is copied before it is appended to)."""
     top = argparse.ArgumentParser(prog="conchoid",
                                   description="exact conchoidal transforms of plane curves")
     common = argparse.ArgumentParser(add_help=False)

@@ -31,7 +31,7 @@ from math import gcd as int_gcd, isqrt, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalError
-from .fields import FIELD_Q, GaussianRational, join_fields
+from .fields import FIELD_Q, GaussianRational, _parts, join_fields
 from .multipoly import MultiPoly, merge_vars, poly_exact_div
 
 Exp = Tuple[int, ...]
@@ -260,11 +260,10 @@ def _pgcd(a: Dict[Exp, int], b: Dict[Exp, int], n: int, p: int) -> Dict[Exp, int
 def _scaled(f: MultiPoly, keep: List[int]) -> Dict[Exp, Tuple[int, int]]:
     """The coefficients of f times the lcm of their denominators, as
     (real, imaginary) integer pairs, on the exponents projected to keep."""
-    parts = [(c.re, c.im) if isinstance(c, GaussianRational) else (c, 0)
-             for c in f.terms.values()]
-    den = lcm(*(x.denominator for pair in parts for x in pair))
-    return {tuple(e[i] for i in keep): tuple(x.numerator * (den // x.denominator) for x in pair)
-            for e, pair in zip(f.terms, parts)}
+    parts = [_parts(c) for c in f.terms.values()]
+    den = lcm(*(d for _, _, d in parts))
+    return {tuple(e[i] for i in keep): (a * (den // d), b * (den // d))
+            for e, (a, b, d) in zip(f.terms, parts)}
 
 
 def _embed(a: Dict[Exp, Tuple[int, int]], p: int, s: int) -> Dict[Exp, int]:
@@ -399,12 +398,14 @@ def _line_image(h: MultiPoly, keep: int, p: int, s: int) -> Optional[List[int]]:
     powers = [[1 if k == keep else pow(_POINT_STEP * (k + 1), j, p)
                for j in range(max(e[k] for e in h.terms) + 1)] for k in range(len(h.vars))]
     out = [0] * len(powers[keep])
+    inverses: Dict[int, int] = {}
     for e, c in h.terms.items():
-        r = 0
-        for x, t in ((c.re, 1), (c.im, s)) if isinstance(c, GaussianRational) else ((c, 1),):
-            if x.denominator % p == 0:
+        a, b, d = _parts(c)
+        if d not in inverses:
+            if d % p == 0:
                 return None
-            r += x.numerator * pow(x.denominator, -1, p) * t
+            inverses[d] = pow(d, -1, p)
+        r = (a + b * s) * inverses[d]
         for row, x in zip(powers, e):
             r = r * row[x] % p
         out[e[keep]] += r

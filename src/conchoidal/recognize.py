@@ -2,7 +2,12 @@
 
 Both recognizers run a pipeline of necessary checks (each recorded in the
 report), enumerate finitely many candidate centers and squared radii, and
-verify candidates by an exact forward conchoid computation.  Only centers
+verify candidates by an exact forward conchoid computation.  In complete
+mode a squared radius must first pass a certified necessary condition on
+one line through the center (`_line_radius_filter`: a squarefree-degree
+bound, one univariate gcd), which rejects most wrong radii without a
+forward computation; a radius that passes is still verified, and that
+verification stays the certificate of every "yes".  Only centers
 in Q^2 and rational squared radii are searched (the proper mode reads its
 center off a tangent line through a cyclic point, solved over Q(i)).  A
 center with an irrational or non-real Q(i) coordinate, like any irrational
@@ -14,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .curves import CURVE_VARS, Divisor, PlaneCurve, ProjPoint, Scene, recenter
 from .errors import ConchoidError, DecompositionMismatchError
@@ -231,6 +236,76 @@ def _rational_multiple_points(D: PlaneCurve, min_mult: int
     return points, definitive_no
 
 
+# A rational unit vector, so that s in A + s*u is the distance from A.
+_LINE_DIRECTION = (Fraction(3, 5), Fraction(4, 5))
+
+
+def _line_radius_filter(D: PlaneCurve, A: Tuple[Scalar, Scalar], delta: int
+                        ) -> Callable[[Scalar], bool]:
+    """A necessary condition on r2 for `_verified_complete_candidate(D, A,
+    r2)` to return a witness, read on one line through A.  Built once per
+    center; delta = deg(D) / 4.
+
+    Lemma.  Let A be any point with coordinates in Q(i), r2 != 0 and
+    r^2 = r2, L the line A + s u (u the unit vector above), D_L(s) =
+    D(A + s u, 1), and S(q) = C(A + q u, 1) for a curve C of degree delta.
+    If D is proportional to the conchoid of C with respect to the circle
+    (x - a)^2 + (y - b)^2 = r2 about A = (a, b), then for some c != 0
+        D_L(s) = c * s^(2 delta) * S(s - r) * S(s + r).
+    Proof.  Recentered at A, the conchoid is the Sylvester determinant
+    Res_w(F((1 - w) P), G(w P)) at nominal degrees (2, delta), F the circle
+    and G the recentered C, and evaluating at P commutes with the
+    determinant.  At P = s u with s != 0, |u| = 1 makes F((1 - w) P) =
+    s^2 (1 - w)^2 - r2 of exact degree 2 in w, with roots where w s = s - r
+    and w s = s + r.  For such an f, Res(f, g) = lc(f)^delta * prod g(root)
+    for any g of nominal degree delta, so Res = (s^2)^delta G((s - r) u)
+    G((s + r) u) = s^(2 delta) S(s - r) S(s + r).  Both sides are
+    polynomials in s, so they agree at s = 0 too; c is the ratio of D to
+    the determinant.
+
+    Consequences.  D_L = 0 exactly when L lies on C, and then every r2
+    passes.  Otherwise k = deg S = (deg D_L - 2 delta)/2 is an integer >= 0,
+    and P(t) = D_L(t - r) D_L(t + r) = c^2 (t - r)^(2 delta) (t + r)^(2 delta)
+    S(t - 2r) S(t)^2 S(t + 2r) has degree 4 delta + 4k and at most 2 + 3k
+    distinct roots, so deg gcd(P, P') >= 4 delta + k - 2.  P has its
+    coefficients in the field of D and r2: writing D_L(t - y) = E(t, y^2) +
+    y O(t, y^2), P = E(t, r2)^2 - r2 O(t, r2)^2.
+
+    A witness needs the round trip: the conchoid of the candidate, of degree
+    4 delta, proportional to D recentered; so a rejected r2 returns None or
+    raises.  With D squarefree of degree 4 delta and r2 > 0 (all that
+    candidate_radii emits) it cannot raise ValueError (the circle is valid,
+    and no gcd, division or multiplicity sees a zero or constant operand),
+    IdenticallyZeroError (by the lemma with D itself as the source, the
+    first transform restricts to a nonzero polynomial on any line through
+    A not contained in D) or DegreeBoundError (both coefficient lists are
+    forms, so the determinant has exactly the degree passed).  Only
+    InternalError, a broken invariant of the engine, is left: skipping r2
+    changes no report."""
+    ux, uy = _LINE_DIRECTION
+    s = MultiPoly.variable("s", ("s",), D.field)
+    DL = D.equation.substitute({"x": s * ux + A[0], "y": s * uy + A[1], "z": 1})
+    if DL.is_zero():
+        return lambda r2: True
+    twice_k = DL.total_degree() - 2 * delta
+    if twice_k < 0 or twice_k % 2:
+        return lambda r2: False
+    bound = 4 * delta + twice_k // 2 - 2
+    t, y = (MultiPoly.variable(v, ("t", "y"), D.field) for v in ("t", "y"))
+    shifted = DL.substitute({"s": t - y}).with_vars(("t", "y"))
+    # E(t, w) and O(t, w), w standing for y^2
+    E, O = (MultiPoly(("t", "w"), shifted.field, {(e[0], e[1] // 2): c for e, c
+                                                   in shifted.terms.items() if e[1] % 2 == odd})
+            for odd in (0, 1))
+
+    def admits(r2: Scalar) -> bool:
+        e, o = (part.partial_eval({"w": r2}).with_vars(("t",)) for part in (E, O))
+        P = e * e - o * o * r2
+        return poly_gcd(P, P.derivative("t")).total_degree() >= bound
+
+    return admits
+
+
 def _verified_complete_candidate(D: PlaneCurve, A: Tuple[Fraction, Fraction],
                                  r2: Fraction) -> Optional[MultiPoly]:
     """Candidate source curve whose full conchoid reproduces D, or None."""
@@ -295,9 +370,13 @@ def recognize_complete(D: PlaneCurve) -> RecognitionReport:
     any_radii = False
     for A in points:
         radii, _ = candidate_radii(D, A)
-        if radii:
-            any_radii = True
+        if not radii:
+            continue
+        any_radii = True
+        admits = _line_radius_filter(D, A, delta)
         for r2 in radii:
+            if not admits(r2):
+                continue
             witness = _verified_complete_candidate(D, A, r2)
             if witness is not None:
                 report.checks.append(CheckRecord(

@@ -273,3 +273,23 @@ def test_recognize_proper_yes_via_cli(capsys):
                        "--mode", "proper", "--json")
     assert code == 0
     assert json.loads(out)["verdict"] == "yes"
+
+
+def test_main_keeps_no_state_between_calls(capsys):
+    # the parser is built once per process; each call must still read only
+    # its own argv
+    argv = ["transform", "--B", "x^2+y^2-z^2", "--C", "x-2*z"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)["degree"] == 4
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("conchoid: x^4 - 4*x^3*z")
+    with pytest.raises(SystemExit) as err:
+        main(["transform", "--B", "x^2+y^2-z^2", "--json"])      # --C missing
+    assert err.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("conchoid: x^4 - 4*x^3*z")
+    # --probe appends to a list default, which must not grow across calls
+    probe = ["radii", "--D", "x^2+y^2-4*z^2", "--probe", "x-y"]
+    assert run(capsys, *probe) == run(capsys, *probe)
+    assert cli._build_parser() is cli._build_parser()

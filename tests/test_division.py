@@ -84,6 +84,22 @@ def test_line_image_falls_through_without_a_certificate():
     assert line_image_misses(f, parse_poly("x-y"))
 
 
+def test_gaussian_p_denominator_leaves_the_verdict_to_the_division():
+    # p divides the denominator of one Q(i) coefficient (of its imaginary
+    # part only), so that polynomial has no line image and the heap
+    # division decides, as the grlex oracle does
+    s = _gcd_prime(0)[1]
+    x, y = (MultiPoly.variable(v, ("x", "y"), FIELD_QI) for v in ("x", "y"))
+    odd = GaussianRational(Fraction(1, 3), Fraction(2, 5 * P))
+    q, g = x * x + y * odd + 1, x - y * GaussianRational(1, 1)
+    assert modular._line_image(q, 0, P, s) is None
+    assert modular._line_image(g, 0, P, s) is not None
+    for f, b, quotient in ((q * g, g, q), (q * g + x, g, None),
+                           (parse_poly("x^2+y+1").promote(FIELD_QI), q, None)):
+        assert not line_image_misses(f, b)
+        assert poly_exact_div(f, b) == quotient == grlex_exact_div(f, b)
+
+
 def test_generic_decompose_misses_are_settled_by_the_line_image(monkeypatch):
     # a generic 4x4 pair: the conchoid is irreducible (the paper's theorem),
     # so the divisions by the base, z, the one line block and C all miss;

@@ -2,22 +2,52 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import conchoidal.recognize as recognize
 from conchoidal import (
     CircleSpec,
+    MultiPoly,
     PlaneCurve,
     candidate_radii,
     conchoidal_transform,
     iterated_conchoid,
     parse_poly,
+    recenter,
     recognize_complete,
     recognize_proper,
 )
+from conchoidal.fields import GaussianRational
 
 UNIT = CircleSpec((Fraction(0), Fraction(0)), Fraction(1))
 INTRO_QUARTIC = PlaneCurve.from_text(
     "4*y^2*z^2 + x^4 + x^2*y^2 - 4*x^3*z - 4*x*y^2*z + 3*x^2*z^2")
 Q2 = PlaneCurve.from_text("x^4+(y^2-2*y*z-4*z^2)*x^2-2*y^3*z-3*y^2*z^2")
+
+
+def conchoid_about(A, r2, source: PlaneCurve) -> PlaneCurve:
+    """The complete conchoid of ``source`` (given relative to A) with
+    respect to the circle of squared radius r2 about A."""
+    T = conchoidal_transform(CircleSpec((Fraction(0), Fraction(0)), r2).curve(), source)
+    return recenter(T, (-A[0], -A[1]))
+
+
+# Every complete-mode input of this module, built on demand.
+COMPLETE_INPUTS = {
+    "intro-quartic": lambda: INTRO_QUARTIC,
+    "wrong-degree": lambda: PlaneCurve.from_text("x^2+y^2-z^2"),
+    "no-multiple-point": lambda: PlaneCurve.from_text(
+        "4*y^2*z^2 + x^4 + x^2*y^2 - 4*x^3*z - 4*x*y^2*z + 3*x^2*z^2 + z^4"),
+    "bad-infinity": lambda: PlaneCurve.from_text("x^4+y^4-z^4"),
+    "generic-conic": lambda: conchoidal_transform(
+        UNIT.curve(), PlaneCurve.from_text("1/4*x^2+1/9*y^2-z^2")),
+    "off-origin-line": lambda: conchoid_about(
+        (1, -2), Fraction(1), PlaneCurve.from_text("x-3*z")),
+    "double-component-conic": lambda: conchoid_about(
+        (2, 0), Fraction(1), PlaneCurve.from_text("x^2-1/9*x*y-5/12*y^2-1/3*y*z")),
+    "gaussian-center": lambda: conchoid_about(
+        (0, GaussianRational(0, 1)), Fraction(4), PlaneCurve.from_text("x-3*z")),
+}
 
 
 def test_circle_spec_curve():
@@ -94,7 +124,7 @@ def test_recognize_complete_roundtrip():
 
 
 def test_recognize_complete_wrong_degree():
-    rep = recognize_complete(PlaneCurve.from_text("x^2+y^2-z^2"))
+    rep = recognize_complete(COMPLETE_INPUTS["wrong-degree"]())
     assert rep.verdict == "no"
     assert rep.checks[-1].name == "degree-multiple-of-4"
     assert not rep.checks[-1].passed
@@ -102,16 +132,14 @@ def test_recognize_complete_wrong_degree():
 
 def test_recognize_complete_no_multiple_point():
     # same infinity behaviour as the limacon but smooth in the affine plane
-    pert = PlaneCurve.from_text(
-        "4*y^2*z^2 + x^4 + x^2*y^2 - 4*x^3*z - 4*x*y^2*z + 3*x^2*z^2 + z^4")
-    rep = recognize_complete(pert)
+    rep = recognize_complete(COMPLETE_INPUTS["no-multiple-point"]())
     assert rep.verdict == "no"
     failing = [c for c in rep.checks if not c.passed]
     assert failing and failing[0].name == "high-multiplicity-point"
 
 
 def test_recognize_complete_bad_infinity():
-    rep = recognize_complete(PlaneCurve.from_text("x^4+y^4-z^4"))
+    rep = recognize_complete(COMPLETE_INPUTS["bad-infinity"]())
     assert rep.verdict == "no"
     failing = [c for c in rep.checks if not c.passed]
     assert failing[0].name == "infinity-splits"
@@ -146,10 +174,8 @@ def test_report_json_schema():
 
 
 def test_recognize_complete_generic_conic_roundtrip():
-    circle = PlaneCurve.from_text("x^2+y^2-z^2")
     conic = PlaneCurve.from_text("1/4*x^2+1/9*y^2-z^2")
-    D = conchoidal_transform(circle, conic)
-    rep = recognize_complete(D)
+    rep = recognize_complete(COMPLETE_INPUTS["generic-conic"]())
     assert rep.verdict == "yes"
     cand = rep.candidates[0]
     assert cand.center == (Fraction(0), Fraction(0))
@@ -160,13 +186,9 @@ def test_recognize_complete_generic_conic_roundtrip():
 def test_recognize_complete_off_origin_center():
     # classical conchoid about A = (1,-2): the origin-frame picture
     # translated out to A
-    from conchoidal import recenter
-
     line0 = PlaneCurve.from_text("x-3*z")
-    D0 = conchoidal_transform(PlaneCurve.from_text("x^2+y^2-z^2"), line0)
     A = (Fraction(1), Fraction(-2))
-    D = recenter(D0, (-A[0], -A[1]))
-    rep = recognize_complete(D)
+    rep = recognize_complete(COMPLETE_INPUTS["off-origin-line"]())
     assert rep.verdict == "yes"
     cand = rep.candidates[0]
     assert cand.center == A and cand.r2 == Fraction(1)
@@ -176,11 +198,8 @@ def test_recognize_complete_off_origin_center():
 def test_recognize_complete_conic_with_double_component():
     # the complete conchoid of this conic once took minutes, nearly all of
     # it in the gcds that look for the double component
-    from conchoidal import recenter
-
     conic = PlaneCurve.from_text("x^2-1/9*x*y-5/12*y^2-1/3*y*z")
-    D = recenter(conchoidal_transform(UNIT.curve(), conic), (Fraction(-2), Fraction(0)))
-    rep = recognize_complete(D)
+    rep = recognize_complete(COMPLETE_INPUTS["double-component-conic"]())
     assert rep.verdict == "yes"
     cand = rep.candidates[0]
     assert cand.center == (Fraction(2), Fraction(0)) and cand.r2 == Fraction(1)
@@ -188,8 +207,6 @@ def test_recognize_complete_conic_with_double_component():
 
 
 def test_recognize_proper_off_origin_center():
-    from conchoidal import recenter
-
     A = (Fraction(-2), Fraction(1))
     D = recenter(Q2, (-A[0], -A[1]))
     rep = recognize_proper(D)
@@ -222,10 +239,77 @@ def test_recognize_proper_circle_is_a_genuine_yes():
 def test_recognize_complete_gaussian_center_is_not_a_certified_no():
     # the conchoid of a line moved to the center (0, i): the 2-fold point
     # has a non-rational y-coordinate, so the search cannot certify "no"
-    from conchoidal.curves import recenter
-    from conchoidal.fields import GaussianRational
+    assert recognize_complete(COMPLETE_INPUTS["gaussian-center"]()).verdict == "inconclusive"
 
-    r4 = CircleSpec((Fraction(0), Fraction(0)), Fraction(4)).curve()
-    T = conchoidal_transform(r4, PlaneCurve.from_text("x-3*z"))
-    D = recenter(T, (Fraction(0), GaussianRational(0, -1)))
-    assert recognize_complete(D).verdict == "inconclusive"
+
+# -- the line filter on the radius candidates --------------------------------------
+
+# circle_case seed 3, line0.complete in perfbench: the conchoid of x + 2y = 1
+# (relative to the center) with r2 = 1 about (-1, -3); the axis probes give
+# three wrong radii below the true one
+SEEDED_LINE = conchoid_about((-1, -3), Fraction(1), PlaneCurve.from_text("x+2*y-z"))
+
+
+def _counted_transforms(monkeypatch):
+    calls = []
+    transform = recognize.conchoidal_transform
+
+    def counted(B, C):
+        calls.append(1)
+        return transform(B, C)
+
+    monkeypatch.setattr(recognize, "conchoidal_transform", counted)
+    return calls
+
+
+def _open_filter(monkeypatch):
+    monkeypatch.setattr(recognize, "_line_radius_filter", lambda D, A, delta: lambda r2: True)
+
+
+@pytest.mark.parametrize("name", sorted(COMPLETE_INPUTS))
+def test_line_filter_changes_no_report(monkeypatch, name):
+    D = COMPLETE_INPUTS[name]()
+    filtered = recognize_complete(D).to_json()
+    _open_filter(monkeypatch)
+    assert recognize_complete(D).to_json() == filtered
+
+
+@pytest.mark.parametrize("D, before, after", [(INTRO_QUARTIC, 3, 2), (SEEDED_LINE, 5, 2)])
+def test_line_filter_skips_the_wrong_radii(monkeypatch, D, before, after):
+    calls = _counted_transforms(monkeypatch)
+    filtered = recognize_complete(D).to_json()
+    assert len(calls) == after
+    calls.clear()
+    _open_filter(monkeypatch)
+    assert recognize_complete(D).to_json() == filtered
+    assert len(calls) == before
+
+
+def _source_curve(data, delta: int, shape: str) -> PlaneCurve:
+    """A line or conic (relative to the center): generic, through the
+    center, or with the filter's direction (3, 4) as an asymptotic one."""
+    coef = st.integers(-4, 4)
+    x, y, z = (MultiPoly.variable(v, ("x", "y", "z")) for v in ("x", "y", "z"))
+    if shape == "asymptotic":
+        top = (4 * x - 3 * y) * (data.draw(coef) * x + data.draw(coef) * y) ** (delta - 1)
+    else:
+        top = sum((data.draw(coef) * x ** i * y ** (delta - i) for i in range(delta + 1)),
+                  MultiPoly.zero(("x", "y", "z")))
+    assume(not top.is_zero())
+    lower = [(i, j) for i in range(delta) for j in range(delta - i)]
+    if shape == "through-center":
+        lower.remove((0, 0))
+    rest = sum((data.draw(coef) * x ** i * y ** j * z ** (delta - i - j) for i, j in lower),
+               MultiPoly.zero(("x", "y", "z")))
+    return PlaneCurve(top + rest)
+
+
+@pytest.mark.parametrize("shape", ("generic", "through-center", "asymptotic"))
+@pytest.mark.parametrize("delta", (1, 2))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), a=st.integers(-3, 3), b=st.integers(-3, 3),
+       r2=st.sampled_from((Fraction(1), Fraction(4, 9), Fraction(9, 4), Fraction(2), Fraction(3, 5))))
+def test_line_filter_admits_the_generating_radius(delta, shape, data, a, b, r2):
+    source = _source_curve(data, delta, shape)
+    D = conchoid_about((a, b), r2, source)
+    assert recognize._line_radius_filter(D, (Fraction(a), Fraction(b)), delta)(r2)
