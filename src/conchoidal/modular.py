@@ -1,9 +1,10 @@
 """Modular images: the mod-p helpers and Brown's dense modular gcd.
 
-The rational-root finder (``roots``) and the multivariate gcd (``gcd``)
-share the helpers here: reduction of integer coefficient lists modulo p,
-Horner evaluation, the monic univariate Euclidean gcd mod p (the only
-Euclid in the package), rational reconstruction and the prime search.
+The root finder (``roots``) and the multivariate gcd (``gcd``) share the
+helpers here: reduction of integer coefficient lists modulo p, Horner
+evaluation, the monic univariate Euclidean gcd mod p (the only Euclid in
+the package), the prime search and the square root of -1 modulo a prime
+p = 1 (mod 4).
 
 ``modular_gcd`` is Brown's dense modular algorithm (Brown 1971, "On
 Euclid's algorithm and the computation of polynomial greatest common
@@ -103,6 +104,13 @@ def next_prime(n: int) -> int:
     return candidate
 
 
+def sqrt_minus_one(p: int) -> int:
+    """A square root of -1 modulo a prime p = 1 (mod 4): c^((p-1)/4) for the
+    first quadratic nonresidue c."""
+    c = next(c for c in count(2) if pow(c, (p - 1) // 2, p) == p - 1)
+    return pow(c, (p - 1) // 4, p)
+
+
 # -- fixed primes and points --------------------------------------------------------
 
 _PRIME_START = 10 ** 9
@@ -125,10 +133,7 @@ def _gcd_prime(k: int) -> Tuple[int, int]:
             p = next_prime(p)
             if p % 4 == 1:
                 break
-        c = 2
-        while pow(c, (p - 1) // 2, p) != p - 1:
-            c += 1
-        _PRIMES.append((p, pow(c, (p - 1) // 4, p)))
+        _PRIMES.append((p, sqrt_minus_one(p)))
     return _PRIMES[k]
 
 

@@ -31,7 +31,7 @@ from math import comb, lcm
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import DegreeBoundError, InternalError
-from .fields import FIELD_Q, FIELD_QI, GaussianRational, Scalar, im_part, re_part
+from .fields import FIELD_Q, FIELD_QI, GaussianRational, Scalar, _make, im_part, re_part
 from .multipoly import MultiPoly, homogeneous_decompose, merge_vars
 
 
@@ -109,8 +109,7 @@ def det_scalar(rows: List[List]) -> Scalar:
         else:
             scaled.append([_times(re_part(c), row_lcm) for c in row])
     if gaussian:
-        re, im = _det_gauss(scaled)
-        return GaussianRational(Fraction(re, scale), Fraction(im, scale))
+        return _make(*_det_gauss(scaled), scale)      # scale > 0: a product of lcms
     return Fraction(_det_int(scaled), scale)
 
 
@@ -268,13 +267,12 @@ def _integer_parts(e: MultiPoly, multiple: int, gaussian: bool, key) -> List[dic
 
 
 def _divide_out(parts: List[dict], scale: int) -> dict:
-    """{k: c / scale} from one integer coefficient map, or from its (re, im)
-    pair over Z[i]."""
+    """{k: c / scale} for scale > 0, from one integer coefficient map, or
+    from its (re, im) pair over Z[i]."""
     if len(parts) == 1:
         return {k: Fraction(c, scale) for k, c in parts[0].items()}
     re, im = parts
-    return {k: GaussianRational(Fraction(re.get(k, 0), scale), Fraction(im.get(k, 0), scale))
-            for k in re.keys() | im.keys()}
+    return {k: _make(re.get(k, 0), im.get(k, 0), scale) for k in re.keys() | im.keys()}
 
 
 def _horner(coeffs: Sequence[int], t: int) -> int:

@@ -2,39 +2,31 @@
 
 A univariate polynomial is a MultiPoly that uses at most one variable; the
 gcds, squarefree parts, multiplicities and divisions below are those of
-``gcd`` and ``multipoly.poly_exact_div``.  Rational roots over Q come from
-one algorithm, p-adic lifting (Loos 1983): the roots of the squarefree part
-modulo a small prime are Newton-lifted, rationally reconstructed, and each
-candidate's multiplicity is ``gcd.multiplicity_of_factor`` of t - r.  Over
-Q(i) the unknown is split as t = u + i*v, the real/imaginary parts give a
-bivariate rational system that is reduced to Q by a resultant and then
-verified exactly.  The modular helpers (reduction mod p, the monic gcd mod
-p, Horner evaluation, rational reconstruction and the prime search) live
-in ``modular``, shared with the multivariate gcd.
+``gcd`` and ``multipoly.poly_exact_div``.  Roots in Q and in Q(i) come from
+one algorithm, p-adic lifting (Loos 1983) at a prime p = 1 (mod 4), where
+both embeddings i -> +s and i -> -s of Q(i) exist (``_lifted_roots``);
+each candidate is kept with its exact ``gcd.multiplicity_of_factor``.
+The modular helpers live in ``modular``, shared with the multivariate gcd.
 
 ``solve_zero_dim`` is the one solver for small polynomial systems in two
 unknowns (pairwise resultants, then ``common_roots`` on the gcd of the
 eliminants, then back-substitution); it reports whether the rational
-points it returns are certified to be all the solutions.  The Q(i) root
-finder and the circle-case questions in ``splitting`` and ``recognize``
-all go through it.
+points it returns are certified to be all the solutions.  The circle-case
+questions in ``splitting`` and ``recognize`` go through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd as int_gcd, lcm
+from math import gcd as int_gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalError
 from .fields import (
     FIELD_Q,
-    FIELD_QI,
     GaussianRational,
     Scalar,
-    as_fraction,
-    fraction_sqrt,
     im_part,
     positively_oriented,
     re_part,
@@ -42,64 +34,109 @@ from .fields import (
     to_scalar,
 )
 from .gcd import multiplicity_of_factor, poly_gcd, squarefree_decompose_uni, squarefree_part
-from .modular import horner_mod, int_poly_mod, next_prime, poly_gcd_mod_p, rat_reconstruct
+from .modular import _scaled, horner_mod, int_poly_mod, next_prime, poly_gcd_mod_p, sqrt_minus_one
 from .multipoly import MultiPoly, poly_exact_div
 from .resultant import sylvester_resultant
-
-UV = ("u", "v")
 
 
 def _deriv_int(coeffs: List[int]) -> List[int]:
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
-def _int_content_strip(coeffs: List[int]) -> List[int]:
-    g = 0
-    for c in coeffs:
-        g = int_gcd(g, abs(c))
-    return [c // g for c in coeffs] if g > 1 else coeffs
-
-
-def _roots_mod_p(coeffs: List[int], p: int) -> List[int]:
-    cp = int_poly_mod(coeffs, p)
-    return [r for r in range(p) if not horner_mod(cp, r, p)]
-
-
-def _lift_root(coeffs: List[int], r: int, p: int, target: int) -> Tuple[int, int]:
-    """Newton-lift a root r of f mod p with f'(r) a unit mod p to a root
-    mod m = p**(2**j) >= target; returns (root, m)."""
+def _lift_root(coeffs: List[int], r: int, p: int, m: int) -> int:
+    """Newton-lift a root r of f mod p with f'(r) a unit mod p to the root
+    mod m = p**(2**j) that it determines."""
     dcoeffs = _deriv_int(coeffs)
     modulus = p
-    while modulus < target:
+    while modulus < m:
         modulus = modulus * modulus
         fr = horner_mod(coeffs, r, modulus)
         dr = horner_mod(dcoeffs, r, modulus)
         r = (r - fr * pow(dr, -1, modulus)) % modulus
-    return r, modulus
+    return r
 
 
-def _lifted_roots(f: MultiPoly) -> List[Fraction]:
-    """Candidate rational roots of f over Q in one variable with a nonzero
-    constant term, by p-adic lifting (Loos 1983).  A root a/b in lowest
-    terms of the primitive integer squarefree part w has |a| <= |w_0| and
-    b <= |w_n|.  Modulo the first odd prime dividing neither w_n nor
-    disc(w) it is a simple root, and its Newton lift to a modulus above
-    2 |w_0 w_n| gives a/b back by rational reconstruction.  The caller
-    discards the candidates that are not roots."""
-    q = _dense(squarefree_part(f))
-    den = lcm(*(c.denominator for c in q))
-    w = _int_content_strip([int(c * den) for c in q])
-    a0, an = abs(w[0]), abs(w[-1])
-    p = 3
-    while not an % p or len(poly_gcd_mod_p(int_poly_mod(w, p),
-                                           int_poly_mod(_deriv_int(w), p), p)) > 1:
+def _squarefree_mod_p(coeffs: List[int], p: int) -> bool:
+    """True when the integer polynomial is squarefree modulo p."""
+    c = int_poly_mod(coeffs, p)
+    return len(poly_gcd_mod_p(c, int_poly_mod(_deriv_int(c), p), p)) == 1
+
+
+def _split_prime(w: List[Tuple[int, int]], signs: Tuple[int, ...]) -> Tuple[int, int]:
+    """The first prime p = 1 (mod 4) that does not divide N(w_n) and leaves
+    every image of w (i -> sign*s) squarefree mod p, with its s.  A skipped
+    prime divides N(w_n) or N(Res(w, w')), both nonzero as w is squarefree.
+    Hadamard's bound on the Sylvester matrix gives N(Res(w, w')) <=
+    |w|^(2n-2) |w'|^(2n), so the two have at most ``budget`` distinct prime
+    factors between them, and running past it is a bug."""
+    n = len(w) - 1
+    norm = w[n][0] ** 2 + w[n][1] ** 2
+    norm2 = sum(a * a + b * b for a, b in w)
+    dnorm2 = sum(k * k * (a * a + b * b) for k, (a, b) in enumerate(w))
+    budget = norm.bit_length() + (n - 1) * norm2.bit_length() + n * dnorm2.bit_length()
+    p = 1
+    for _ in range(budget + 1):
         p = next_prime(p)
-    found: List[Fraction] = []
-    for r in _roots_mod_p(w, p):
-        cand = rat_reconstruct(*_lift_root(w, r, p, 2 * a0 * an + 1), a0, an)
-        if cand is not None:
-            found.append(cand)
-    return found
+        while p % 4 != 1:
+            p = next_prime(p)
+        s = sqrt_minus_one(p)
+        if norm % p and all(_squarefree_mod_p([a + sign * s * b for a, b in w], p)
+                            for sign in signs):
+            return p, s
+    raise InternalError(f"no lifting prime among the first {budget + 1} primes p = 1 (mod 4)")
+
+
+def _lifted_roots(f: MultiPoly, field: str) -> List[Scalar]:
+    """Candidate roots in the field (Q or Q(i)) of f, over that field in one
+    variable, by p-adic lifting (Loos 1983); the caller drops non-roots.
+
+    No root is missed.  Scale the squarefree part of f to w in Z[i][t] of
+    degree n.  A root rho in Q(i) of f is a root of w, and gamma = w_n rho
+    is a root of the monic w_n^(n-1) w(t / w_n), so gamma lies in Z[i].  By
+    Cauchy's bound, |Re gamma| and |Im gamma| are at most |gamma| <
+    |w_n| + max_k<n |w_k| <= B, reading |a + bi| as |a| + |b| in B.  Lift
+    s of ``_split_prime`` to s^2 = -1 modulo m = p**(2**j) > 2B, so that
+    sigma: i -> s and tau: i -> -s are ring maps Z[i] -> Z/m.  As p does
+    not divide N(w_n) = sigma(w_n) tau(w_n), sigma(w_n) is a unit and
+    sigma(rho) = sigma(gamma) / sigma(w_n) is a root of sigma(w) mod m;
+    modulo p it is a simple root, as sigma(w) is squarefree there, so by
+    Hensel's lemma it is the Newton lift r+ of that root.  Likewise
+    r- = tau(rho).  Then sigma(w_n) r+ = Re gamma + s Im gamma and
+    tau(w_n) r- = Re gamma - s Im gamma (mod m): half their sum and their
+    difference over 2s are Re gamma and Im gamma mod m > 2B, so their
+    symmetric residues are the integers themselves, and the pair (r+, r-)
+    yields rho.  Over Q, w lies in Z[t], one image serves, and Im gamma = 0."""
+    q = squarefree_part(f)
+    n = q.total_degree()
+    scaled = _scaled(q, [0])
+    g = int_gcd(*(x for ab in scaled.values() for x in ab))
+    w = [tuple(x // g for x in scaled.get((k,), (0, 0))) for k in range(n + 1)]
+    bound = abs(w[n][0]) + abs(w[n][1]) + max(abs(a) + abs(b) for a, b in w[:n])
+    signs = (1,) if field == FIELD_Q else (1, -1)
+    p, s = _split_prime(w, signs)
+    m = p
+    while m <= 2 * bound:
+        m *= m
+    s = _lift_root([1, 0, 1], s, p, m)
+    gammas = []      # sigma(gamma) = sigma(w_n) r+, then tau(gamma) = tau(w_n) r-
+    for sign in signs:
+        image = [(a + sign * s * b) % m for a, b in w]
+        gammas.append([image[n] * _lift_root(image, r, p, m) % m
+                       for r in range(p) if not horner_mod(image, r, p)])
+
+    def symmetric(x: int) -> int:
+        x %= m
+        return x - m if 2 * x > m else x
+
+    if field == FIELD_Q:
+        pairs = [(symmetric(x), 0) for x in gammas[0]]
+    else:
+        half, half_s = pow(2, -1, m), pow(2 * s, -1, m)
+        pairs = [(symmetric((x + y) * half), symmetric((x - y) * half_s))
+                 for x in gammas[0] for y in gammas[1]]
+    lead = GaussianRational(*w[n])
+    return [to_scalar(GaussianRational(re, im) / lead, field)
+            for re, im in pairs if abs(re) <= bound and abs(im) <= bound]
 
 
 def _dense(f: MultiPoly) -> List[Scalar]:
@@ -107,109 +144,27 @@ def _dense(f: MultiPoly) -> List[Scalar]:
     return [c.constant_value() for c in f.coefficients_in(f.vars[0])]
 
 
-def _rational_roots_q(f: MultiPoly) -> List[Tuple[Fraction, int]]:
-    t = MultiPoly.variable(f.vars[0], f.vars, f.field)
-    k, f = multiplicity_of_factor(f, t)
-    out = [(Fraction(0), k)] if k else []
-    if f.is_constant():
-        return out
-    fracs = {e: as_fraction(c) for e, c in f.terms.items()}
-    if None in fracs.values():
-        raise ValueError("polynomial has non-rational coefficients")
-    f = MultiPoly(f.vars, FIELD_Q, fracs)
-    t = t.promote(FIELD_Q)
-    for cand in _lifted_roots(f):
-        mult, f = multiplicity_of_factor(f, t - cand)
-        if mult:
-            out.append((cand, mult))
-    return sorted(out)
-
-
-def _re_im_split(f: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
-    """f(u + i v) = A(u,v) + i B(u,v) with A, B over Q."""
-    s = MultiPoly.make(UV, FIELD_QI, {(1, 0): 1, (0, 1): GaussianRational(0, 1)})
-    acc = f.substitute({f.vars[0]: s}).with_vars(UV)
-    a_terms, b_terms = {}, {}
-    for exp, c in acc.terms.items():
-        r, m = re_part(c), im_part(c)
-        if r:
-            a_terms[exp] = r
-        if m:
-            b_terms[exp] = m
-    return MultiPoly(UV, FIELD_Q, a_terms), MultiPoly(UV, FIELD_Q, b_terms)
-
-
-def _rational_roots_qi(f: MultiPoly) -> List[Tuple[GaussianRational, int]]:
-    t = MultiPoly.variable(f.vars[0], f.vars, FIELD_QI)
-    k, f = multiplicity_of_factor(f, t)
-    out = [(GaussianRational(0), k)] if k else []
-    if f.total_degree() < 1:
-        return _sorted_qi(out)
-    if f.total_degree() == 1:
-        c0, c1 = _dense(f)
-        out.append((to_scalar(-c0 / c1, FIELD_QI), 1))
-        return _sorted_qi(out)
-    seen = set()
-
-    def record(root: GaussianRational):
-        key = (root.re, root.im)
-        if key in seen:
-            return
-        mult, _ = multiplicity_of_factor(f, t - root)
-        if mult:
-            seen.add(key)
-            out.append((root, mult))
-
-    A, B = _re_im_split(f)
-    fracs = {e: as_fraction(c) for e, c in f.terms.items()}
-    if None not in fracs.values():
-        # real roots directly; a nonreal root u + iv has w = v^2 > 0, and
-        # A = A_w(u, v^2), B = v B_w(u, v^2) because A is even in v and B odd
-        for r, m in _rational_roots_q(MultiPoly(f.vars, FIELD_Q, fracs)):
-            out.append((GaussianRational(r), m))
-        Aw = MultiPoly(UV, FIELD_Q, {(a, b // 2): c for (a, b), c in A.terms.items()})
-        Bw = MultiPoly(UV, FIELD_Q, {(a, b // 2): c for (a, b), c in B.terms.items()})
-        for u0, w0 in _rational_zeros_uv(Aw, Bw):
-            if w0 <= 0:
-                continue
-            v0 = fraction_sqrt(w0)
-            if v0 is None:
-                continue
-            record(GaussianRational(u0, v0))
-            record(GaussianRational(u0, -v0))
-        return _sorted_qi(out)
-
-    for u0, v0 in _rational_zeros_uv(A, B):
-        record(GaussianRational(u0, v0))
-    return _sorted_qi(out)
-
-
-def _rational_zeros_uv(A: MultiPoly, B: MultiPoly) -> List[Tuple[Fraction, Fraction]]:
-    """Common rational zeros of two polynomials over Q in (u, v)."""
-    solved = solve_zero_dim([A, B], FIELD_Q)
-    if solved is None:
-        raise InternalError("resultant of the zero-split parts vanished")
-    return solved[0]
-
-
-def _sorted_qi(items):
-    return sorted(items, key=lambda rm: (re_part(rm[0]), im_part(rm[0])))
-
-
 def rational_roots(f: MultiPoly, field: str = None) -> List[Tuple[Scalar, int]]:
-    """All roots of f, a polynomial in one variable, lying in the active
-    field, as (root, multiplicity).  ValueError for two or more variables."""
+    """All roots of f, a polynomial in one variable, lying in the field (by
+    default that of f), as (root, multiplicity), sorted by real then
+    imaginary part.  ValueError for two or more variables, or for f with
+    non-real coefficients and the field Q."""
     if f.is_zero():
         raise ValueError("root finding on the zero polynomial")
     var = f.sole_var()
     if var is None:
         return []
-    f = f.with_vars((var,))
-    if field is None:
-        field = f.field
-    if field == FIELD_Q:
-        return _rational_roots_q(f)
-    return _rational_roots_qi(f.promote(FIELD_QI))
+    field = field or f.field
+    f = f.with_vars((var,)).promote(field)
+    t = MultiPoly.variable(var, (var,), field)
+    k, f = multiplicity_of_factor(f, t)
+    out = [(to_scalar(0, field), k)] if k else []
+    if not f.is_constant():
+        for cand in _lifted_roots(f, field):
+            mult, f = multiplicity_of_factor(f, t - cand)
+            if mult:
+                out.append((cand, mult))
+    return sorted(out, key=lambda rm: (re_part(rm[0]), im_part(rm[0])))
 
 
 # -- zero-dimensional systems ----------------------------------------------

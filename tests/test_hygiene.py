@@ -1,7 +1,8 @@
 """Source checks: no handler in the package may swallow arbitrary errors,
 so a bug surfaces as a traceback instead of turning into a verdict; the
 package has one Sylvester determinant, one gcd, one exact division, one
-substitution, one Q(i) scalar and one polynomial type; and every function the benchmark's tracer wraps by name still exists."""
+substitution, one Q(i) scalar, one root finder and one polynomial type;
+and every function the benchmark's tracer wraps by name still exists."""
 
 import importlib
 import re
@@ -17,6 +18,7 @@ PRS_ORACLE = re.compile(r"\bgcd_oracle\b|\bprs_gcd\b|\b_pseudo_rem\b|\bsubresult
 DIVISION_ORACLE = re.compile(r"\bdivision_oracle\b|\bgrlex_exact_div\b")
 SUBSTITUTE_ORACLE = re.compile(r"\bsubstitute_oracle\b|\bsubstitute_per_term\b")
 GAUSSIAN_ORACLE = re.compile(r"\bgaussian_oracle\b")
+ROOTS_ORACLE = re.compile(r"roots_oracle|_re_im_split|_rational_zeros_uv")
 SYLVESTER_LAYOUT = re.compile(r"\bsylvester_rows\(")
 SECOND_POLY_TYPE = re.compile(r"\bUniPoly\b|\bas_unipoly\b|\bdivmod\b|\bdeflate_root\b")
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -69,6 +71,13 @@ def test_no_library_use_of_the_gaussian_oracle():
     # class lives in tests/gaussian_oracle.py as the oracle
     hits = _source_hits(GAUSSIAN_ORACLE)
     assert not hits, "uses of the Fraction-pair Gaussian oracle:\n" + "\n".join(hits)
+
+
+def test_no_library_use_of_the_roots_oracle():
+    # p-adic lifting at a split prime is the one root finder over Q and
+    # Q(i); the real/imaginary bivariate solve lives in tests/roots_oracle.py
+    hits = _source_hits(ROOTS_ORACLE)
+    assert not hits, "uses of the bivariate Q(i) root oracle:\n" + "\n".join(hits)
 
 
 def test_sylvester_layout_is_one_module():

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conchoidal import MultiPoly, factor_binary_form, formal_square_root, parse_poly, rational_roots
-from conchoidal.fields import FIELD_Q, FIELD_QI, GaussianRational, to_scalar
+from conchoidal.errors import InternalError
+from conchoidal.fields import FIELD_Q, FIELD_QI, GaussianRational, sqrt_in_field, to_scalar
 from conchoidal.roots import _lifted_roots, common_roots, solve_zero_dim, square_root_up_to_scalar
 
 from helpers import random_poly
+from roots_oracle import gaussian_roots
 
 
 T = ("t",)
@@ -64,8 +67,8 @@ def test_constructed_roots_recovered(chosen):
                           st.integers(min_value=1, max_value=2)), min_size=1, max_size=3),
        st.booleans(), st.booleans())
 def test_constructed_gaussian_roots_recovered(chosen, conjugates, irreducible):
-    # with each root's conjugate f has real coefficients (the u, w = v^2
-    # branch); without, the real and imaginary parts of f(u + i v)
+    # with each root's conjugate f has real coefficients, so both images
+    # modulo the lifting prime coincide and every root pairs with every one
     t = MultiPoly.variable("t", T, FIELD_QI)
     f = uni([1], FIELD_QI)
     expect = {}
@@ -101,7 +104,7 @@ def test_big_coefficient_roots_use_lifting():
     roots = rational_roots(f)
     assert (Fraction(1), 1) in roots
     assert (Fraction(-2 * big, 3), 1) in roots
-    direct = _lifted_roots(f)
+    direct = _lifted_roots(f, FIELD_Q)
     assert Fraction(1) in direct
 
 
@@ -214,6 +217,113 @@ def test_big_roots_survive_many_bad_primes():
         Q *= p
     f = uni([-1, Q]) * uni([2, 1])
     assert rational_roots(f) == [(Fraction(-2), 1), (Fraction(1, Q), 1)]
+
+
+def _gaussian_primes(count):
+    """A Gaussian prime a + bi of norm p for each of the first primes
+    p = 1 (mod 4)."""
+    out = []
+    for p in _primes_from(5, 4 * count):
+        if p % 4 == 1 and len(out) < count:
+            a = next(a for a in range(1, p) if isqrt(p - a * a) ** 2 == p - a * a)
+            out.append(GaussianRational(a, isqrt(p - a * a)))
+    return out
+
+
+def _gaussian_key(got):
+    return [((r.re, r.im), m) for r, m in got]
+
+
+def test_gaussian_roots_survive_many_bad_split_primes():
+    # N(L) is divisible by each of the first 40 primes p = 1 (mod 4), so the
+    # search for a lifting prime skips all of them
+    L = GaussianRational(1)
+    for pi in _gaussian_primes(40):
+        L = L * pi
+    t = MultiPoly.variable("t", T, FIELD_QI)
+    rho = GaussianRational(3, 2) / L
+    f = (t * L - GaussianRational(3, 2)) * (t - GaussianRational(1, -1)) ** 2
+    assert _gaussian_key(rational_roots(f, FIELD_QI)) == sorted(
+        [((rho.re, rho.im), 1), ((1, -1), 2)])
+    # over Q: no root, and the leading norm is a product of the same primes
+    assert rational_roots(f * f.conj(), FIELD_Q) == []
+
+
+def test_big_gaussian_root_over_a_product_of_primes():
+    P = 1
+    for p in _primes_from(4001, 61):
+        P *= p
+    rho = GaussianRational(10 ** 30 + 7, 10 ** 29 + 3) / P
+    t = MultiPoly.variable("t", T, FIELD_QI)
+    f = (t - rho) * (t - rho) * (t - GaussianRational(0, 2)) * (t * t + 5)
+    assert _gaussian_key(rational_roots(f, FIELD_QI)) == sorted(
+        [((0, 2), 1), ((rho.re, rho.im), 2)])
+
+
+def test_real_polynomial_with_a_big_conjugate_pair():
+    # f is real, so its two images modulo the lifting prime coincide
+    rho = GaussianRational(10 ** 20 + 1, 3 * 10 ** 19 + 7) / (10 ** 9 + 7)
+    t = MultiPoly.variable("t", T, FIELD_QI)
+    f = (t - rho) * (t - rho.conjugate()) * (t - 5) * (t * t - 2)
+    assert all(c.im == 0 for c in f.terms.values())
+    assert _gaussian_key(rational_roots(f, FIELD_QI)) == sorted(
+        [((5, 0), 1), ((rho.re, rho.im), 1), ((rho.re, -rho.im), 1)])
+    real = MultiPoly(T, FIELD_Q, {e: c.re for e, c in f.terms.items()})
+    assert rational_roots(real) == [(Fraction(5), 1)]
+    assert _gaussian_key(rational_roots(real, FIELD_QI)) == _gaussian_key(rational_roots(f, FIELD_QI))
+
+
+def test_degree_one_roots():
+    big = GaussianRational(10 ** 40 + 3, -(10 ** 35) - 11)
+    lead = GaussianRational(7 * 10 ** 12, 10 ** 13 + 1)
+    f = uni([-big, lead], FIELD_QI)
+    assert rational_roots(f) == [(big / lead, 1)]
+    assert rational_roots(uni([GaussianRational(0, 3), 2], FIELD_QI)) == [(GaussianRational(0, Fraction(-3, 2)), 1)]
+    assert rational_roots(uni([-(10 ** 30 + 1), 3 * 10 ** 20])) == [(Fraction(10 ** 30 + 1, 3 * 10 ** 20), 1)]
+    assert rational_roots(uni([-(10 ** 30 + 1), 3 * 10 ** 20]), FIELD_QI) == [
+        (GaussianRational(Fraction(10 ** 30 + 1, 3 * 10 ** 20)), 1)]
+    assert rational_roots(uni([0, GaussianRational(2, 1)], FIELD_QI)) == [(GaussianRational(0), 1)]
+    # a root in Q(i) is no root in Q
+    with pytest.raises(ValueError):
+        rational_roots(f, FIELD_Q)
+
+
+def test_lifting_prime_search_is_bounded(monkeypatch):
+    # every prime fails the squarefree test: the search stops at its budget
+    monkeypatch.setattr("conchoidal.roots._squarefree_mod_p", lambda coeffs, p: False)
+    for f, field in ((uni([-2, 0, 1]), FIELD_Q), (uni([1, 0, 1]), FIELD_QI),
+                     (uni([GaussianRational(1, 1), 10 ** 20], FIELD_QI), FIELD_QI)):
+        with pytest.raises(InternalError):
+            rational_roots(f, field)
+
+
+gaussians = st.builds(GaussianRational, st.fractions(-5, 5, max_denominator=4),
+                      st.fractions(-5, 5, max_denominator=4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(gaussians, st.integers(min_value=1, max_value=3)), max_size=3),
+       st.lists(st.tuples(gaussians, gaussians, st.integers(min_value=1, max_value=2)), max_size=1),
+       st.booleans())
+def test_gaussian_roots_agree_with_the_bivariate_oracle(linear, quadratic, conjugates):
+    # products of Gaussian linear factors and quadratics irreducible over
+    # Q(i), repeated, with or without the conjugate of each factor; the
+    # bivariate oracle takes seconds beyond degree 10
+    t = MultiPoly.variable("t", T, FIELD_QI)
+    factors = [(t - r, m) for r, m in linear]
+    factors += [(t * t + t * a + b, m) for a, b, m in quadratic
+                if sqrt_in_field(a * a - 4 * b, FIELD_QI) is None]
+    f = MultiPoly.constant(GaussianRational(2, -1), T, FIELD_QI)
+    for g, m in factors:
+        f = f * g ** m * (g.conj() ** m if conjugates else 1)
+    assume(f.total_degree() <= 10)
+    expect = {}
+    for r, m in linear:
+        for root in [r, r.conjugate()] if conjugates else [r]:
+            expect[(root.re, root.im)] = expect.get((root.re, root.im), 0) + m
+    got = rational_roots(f, FIELD_QI)
+    assert _gaussian_key(got) == _gaussian_key(gaussian_roots(f))
+    assert dict(_gaussian_key(got)) == expect
 
 
 UV = ("u", "v")
