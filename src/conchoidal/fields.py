@@ -193,8 +193,6 @@ def _parts(x) -> Optional[Tuple[int, int, int]]:
 
 Scalar = Union[Fraction, GaussianRational]
 
-IMAG_UNIT = GaussianRational(0, 1)
-
 
 def to_gaussian(x) -> Optional[GaussianRational]:
     if isinstance(x, GaussianRational):

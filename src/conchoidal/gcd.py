@@ -49,13 +49,10 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return modular_gcd(f, g).monic()
 
 
-def squarefree_part(f: MultiPoly) -> MultiPoly:
-    """f divided by gcd(f, all partial derivatives): each irreducible factor
-    retained once (char 0)."""
-    if f.is_zero():
-        raise ValueError("squarefree part of zero")
-    if f.is_constant():
-        return MultiPoly.constant(1, f.vars, f.field)
+def _derivative_gcd(f: MultiPoly) -> MultiPoly:
+    """gcd of f and its partial derivatives, stopping at the first constant
+    gcd: a factor free of one variable is caught by the derivative in
+    another."""
     g = f
     for v in f.vars:
         if not f.uses_var(v):
@@ -63,20 +60,22 @@ def squarefree_part(f: MultiPoly) -> MultiPoly:
         g = poly_gcd(g, f.derivative(v))
         if g.is_constant():
             break
-    return poly_exact_div(f, g).monic()
+    return g
+
+
+def squarefree_part(f: MultiPoly) -> MultiPoly:
+    """f divided by gcd(f, all partial derivatives): each irreducible factor
+    retained once (char 0)."""
+    if f.is_zero():
+        raise ValueError("squarefree part of zero")
+    if f.is_constant():
+        return MultiPoly.constant(1, f.vars, f.field)
+    return poly_exact_div(f, _derivative_gcd(f)).monic()
 
 
 def is_squarefree(f: MultiPoly) -> bool:
-    """True iff gcd(f, all partial derivatives) is constant (char 0): a
-    factor free of one variable is caught by the derivative in another."""
-    g = f
-    for v in f.vars:
-        if not f.uses_var(v):
-            continue
-        g = poly_gcd(g, f.derivative(v))
-        if g.is_constant():
-            return True
-    return g.is_constant()
+    """True iff gcd(f, all partial derivatives) is constant (char 0)."""
+    return _derivative_gcd(f).is_constant()
 
 
 def squarefree_decompose_uni(f: MultiPoly) -> List[Tuple[MultiPoly, int]]:

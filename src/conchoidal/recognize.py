@@ -28,6 +28,7 @@ from .gcd import is_squarefree, poly_gcd
 from .grammar import poly_to_text, scalar_to_text
 from .multipoly import MultiPoly, poly_exact_div
 from .roots import common_roots, rational_roots, solve_zero_dim, square_root_up_to_scalar
+from .splitting import ST, cyclic_line, split_test, witness_components
 from .transform import (
     conchoidal_transform,
     extract_known_components,
@@ -192,11 +193,7 @@ def _double_component(resid: MultiPoly) -> Optional[MultiPoly]:
         g = poly_gcd(resid, deriv)
         if g.is_constant():
             continue
-        once = poly_exact_div(resid, g)
-        if once is None:
-            continue
-        twice = poly_exact_div(once, g)
-        if twice is not None:
+        if poly_exact_div(poly_exact_div(resid, g), g) is not None:
             return g.monic()
         # g may carry extra repeated-factor content; retry against the
         # other derivative's gcd
@@ -209,10 +206,27 @@ def _double_component(resid: MultiPoly) -> Optional[MultiPoly]:
             g2 = poly_gcd(g, poly_gcd(resid, d2))
             if g2.is_constant():
                 continue
-            once2 = poly_exact_div(resid, g2)
-            if once2 is not None and poly_exact_div(once2, g2) is not None:
+            if poly_exact_div(poly_exact_div(resid, g2), g2) is not None:
                 return g2.monic()
     return None
+
+
+def _conchoid_double_component(B: PlaneCurve, scene: Scene, Dc: PlaneCurve
+                               ) -> Optional[MultiPoly]:
+    """The double component of the proper part of the conchoid of Dc with
+    respect to B, or None."""
+    resid = extract_known_components(conchoidal_transform(B, Dc), scene).residual()
+    return None if resid is None else _double_component(resid)
+
+
+def _forward(B: PlaneCurve, cand: MultiPoly) -> Optional[Tuple[PlaneCurve, PlaneCurve]]:
+    """(candidate curve, its conchoid with respect to B), or None when the
+    candidate is not a valid curve or its transform is degenerate."""
+    try:
+        cand_curve = PlaneCurve(cand)
+        return cand_curve, conchoidal_transform(B, cand_curve)
+    except (ConchoidError, ValueError):
+        return None
 
 
 def _rational_multiple_points(D: PlaneCurve, min_mult: int
@@ -311,23 +325,11 @@ def _verified_complete_candidate(D: PlaneCurve, A: Tuple[Fraction, Fraction],
     """Candidate source curve whose full conchoid reproduces D, or None."""
     Dc = recenter(D, A)
     B = CircleSpec((Fraction(0), Fraction(0)), r2).curve()
-    scene = Scene(B)
-    T = conchoidal_transform(B, Dc)
-    div = extract_known_components(T, scene)
-    resid = div.residual()
-    if resid is None:
+    cand = _conchoid_double_component(B, Scene(B), Dc)
+    forward = None if cand is None else _forward(B, cand)
+    if forward is None or not forward[1].equation.proportional_to(Dc.equation):
         return None
-    cand = _double_component(resid)
-    if cand is None:
-        return None
-    try:
-        cand_curve = PlaneCurve(cand)
-        roundtrip = conchoidal_transform(B, cand_curve)
-    except (ConchoidError, ValueError):
-        return None
-    if not roundtrip.equation.proportional_to(Dc.equation):
-        return None
-    return recenter(cand_curve, (-A[0], -A[1])).equation
+    return recenter(forward[0], (-A[0], -A[1])).equation
 
 
 def recognize_complete(D: PlaneCurve) -> RecognitionReport:
@@ -396,9 +398,6 @@ def recognize_complete(D: PlaneCurve) -> RecognitionReport:
 # -- proper-conchoid recognition ------------------------------------------------------
 
 
-ST2 = ("s", "t")
-
-
 def _tangent_cyclic_lines(D: PlaneCurve) -> Tuple[List[GaussianRational], bool]:
     """Values c in Q(i) such that the line x + i y - c z (through the cyclic
     point [1:i:0]) is everywhere tangent to D, i.e. the restriction of D to
@@ -411,13 +410,8 @@ def _tangent_cyclic_lines(D: PlaneCurve) -> Tuple[List[GaussianRational], bool]:
     the restriction degenerates) are the only possibilities.  Each
     candidate is then verified exactly.  Returns (values, definitive)."""
     G = D.equation.promote(FIELD_QI)
-    stc = ("s", "t", "c")
-    i = GaussianRational(0, 1)
-    s = MultiPoly.variable("s", stc, FIELD_QI)
-    t = MultiPoly.variable("t", stc, FIELD_QI)
-    c = MultiPoly.variable("c", stc, FIELD_QI)
-    # parametrize x + i y = c z by [c t - i s : s : t]
-    p = G.substitute({"x": c * t - s * i, "y": s, "z": t}).with_vars(stc)
+    stc = ST + ("c",)
+    p = G.substitute(cyclic_line(MultiPoly.variable("c", ("c",), FIELD_QI), 1)).with_vars(stc)
     ti = p.vars.index("t")
     k0 = min(exp[ti] for exp in p.terms)       # forced contact at the cyclic point
     if k0:
@@ -446,11 +440,7 @@ def _tangent_cyclic_lines(D: PlaneCurve) -> Tuple[List[GaussianRational], bool]:
         if key in seen:
             continue
         seen.add(key)
-        restricted = G.substitute({
-            "x": MultiPoly.make(ST2, FIELD_QI, {(0, 1): c0, (1, 0): -i}),
-            "y": MultiPoly.variable("s", ST2, FIELD_QI),
-            "z": MultiPoly.variable("t", ST2, FIELD_QI),
-        }).with_vars(ST2)
+        restricted = G.substitute(cyclic_line(c0, 1)).with_vars(ST)
         if restricted.is_zero():
             continue
         if square_root_up_to_scalar(restricted) is not None:
@@ -519,11 +509,9 @@ def recognize_proper(D: PlaneCurve) -> RecognitionReport:
         report.verdict = "no" if definitive else "inconclusive"
         return report
 
-    any_affine = False
     any_radii = False
     for c0 in cvals:
         A = (c0.re, c0.im)   # intersection of the line with its conjugate
-        any_affine = True
         radii, _ = candidate_radii(D, A)
         if radii:
             any_radii = True
@@ -538,10 +526,7 @@ def recognize_proper(D: PlaneCurve) -> RecognitionReport:
                 report.candidates.append(Candidate(A, r2, witness))
                 report.verdict = "yes"
                 return report
-    if not any_affine:
-        report.checks.append(CheckRecord("affine-intersection", False,
-                                         "tangent pair does not meet in the affine plane"))
-    elif not any_radii:
+    if not any_radii:
         report.checks.append(CheckRecord("radius-candidates", False,
                                          "no rational radius candidate"))
     else:
@@ -557,19 +542,12 @@ def _verified_proper_candidate(D: PlaneCurve, A: Tuple[Fraction, Fraction],
     contains D.  Two candidate generators: a multiplicity-2 non-exceptional
     component of the conchoid of D (D = a whole proper conchoid), and the
     sheet components of D's own splitting witness (D = a single component)."""
-    from .splitting import split_test, witness_components
-
     Dc = recenter(D, A)
     origin = (Fraction(0), Fraction(0))
     B = CircleSpec(origin, r2).curve()
     scene = Scene(B)
-    candidates: List[MultiPoly] = []
-    T = conchoidal_transform(B, Dc)
-    resid = extract_known_components(T, scene).residual()
-    if resid is not None:
-        cand = _double_component(resid)
-        if cand is not None:
-            candidates.append(cand)
+    cand = _conchoid_double_component(B, scene, Dc)
+    candidates: List[MultiPoly] = [] if cand is None else [cand]
     try:
         split = split_test(Dc, origin)
     except (ConchoidError, ValueError):
@@ -579,13 +557,11 @@ def _verified_proper_candidate(D: PlaneCurve, A: Tuple[Fraction, Fraction],
         if comps is not None:
             candidates.extend(c.equation for c in comps)
     for cand in candidates:
-        try:
-            cand_curve = PlaneCurve(cand)
-            forward = conchoidal_transform(B, cand_curve)
-        except (ConchoidError, ValueError):
+        forward = _forward(B, cand)
+        if forward is None:
             continue
-        proper = extract_known_components(forward, scene).residual()
+        proper = extract_known_components(forward[1], scene).residual()
         if proper is None or poly_exact_div(proper, Dc.equation) is None:
             continue
-        return recenter(cand_curve, (-A[0], -A[1])).equation
+        return recenter(forward[0], (-A[0], -A[1])).equation
     return None

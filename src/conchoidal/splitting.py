@@ -8,7 +8,9 @@ equation admits a witness pair (H1, H2) of homogeneous forms with
     odd delta:   scale * G = l1 * H1**2 - l2 * H2**2
 
 where l1, l2 are the lines joining A to the two cyclic points and
-q = l1 * l2 is the homogenized squared distance to A.  The solver pins H1
+q = l1 * l2 is the homogenized squared distance to A.  Every line through
+a cyclic point [1 : ±i : 0] is read through one parametrization,
+``cyclic_line``, which ``recognize`` shares.  The solver pins H1
 (resp. H2) by forcing the restriction of G to each branch line to be a
 square up to scalar, then settles the few remaining coefficients by linear
 steps, an eigen-line extraction, or the shared zero-dimensional solver
@@ -70,22 +72,18 @@ def cyclic_tangent_pair(A: Tuple[Scalar, Scalar]) -> Tuple[MultiPoly, MultiPoly]
 
 
 def distance_form(A: Tuple[Scalar, Scalar]) -> MultiPoly:
-    a, b = A
-    x = MultiPoly.variable("x", CURVE_VARS, FIELD_QI)
-    y = MultiPoly.variable("y", CURVE_VARS, FIELD_QI)
-    z = MultiPoly.variable("z", CURVE_VARS, FIELD_QI)
-    return (x - z * a) ** 2 + (y - z * b) ** 2
+    l1, l2 = cyclic_tangent_pair(A)
+    return l1 * l2
 
 
-def _branch_parametrization(A: Tuple[Scalar, Scalar], sign: int):
-    """Rational parametrization [x(s,t) : s : t] of l1 = 0 (sign +1) or
-    l2 = 0 (sign -1)."""
-    a, b = A
-    i = GaussianRational(0, sign)
+def cyclic_line(c, sign: int):
+    """The parametrization [t*c - sign*i*s : s : t], over ST, of the line
+    x + sign*i*y = c*z through the cyclic point [1 : sign*i : 0]; c is a
+    scalar or a polynomial.  With c = a + sign*i*b it is l1 = 0 (sign +1)
+    or l2 = 0 (sign -1) for A = (a, b)."""
     s = MultiPoly.variable("s", ST, FIELD_QI)
     t = MultiPoly.variable("t", ST, FIELD_QI)
-    px = s * (-i) + t * (to_scalar(a, FIELD_QI) + i * b)
-    return {"x": px, "y": s, "z": t}
+    return {"x": t * c - s * GaussianRational(0, sign), "y": s, "z": t}
 
 
 def _restrict(H: MultiPoly, param) -> MultiPoly:
@@ -98,7 +96,13 @@ class SplitWitness:
     H1: MultiPoly
     H2: MultiPoly
     scale: Scalar
-    field_used: str = FIELD_QI
+
+    @property
+    def field_used(self) -> str:
+        """Q when H1 and H2 have rational coefficients, Q(i) otherwise."""
+        if any(im_part(c) for H in (self.H1, self.H2) for c in H.terms.values()):
+            return FIELD_QI
+        return FIELD_Q
 
     def identity_holds(self, C: PlaneCurve, A: Tuple[Scalar, Scalar]) -> bool:
         l1, l2 = cyclic_tangent_pair(A)
@@ -119,14 +123,6 @@ class SplitResult:
     @property
     def split(self) -> bool:
         return self.verdict == "split"
-
-
-def _witness_field(*polys) -> str:
-    for p in polys:
-        for c in p.terms.values():
-            if im_part(c):
-                return FIELD_QI
-    return FIELD_Q
 
 
 def _monomials(degree: int) -> List[Tuple[int, int, int]]:
@@ -195,15 +191,22 @@ def _certified_irreducible(G: MultiPoly, delta: int) -> bool:
     return delta == 1 or (delta == 2 and bool(det_scalar(_quadratic_matrix(G))))
 
 
-def _split_even(C: PlaneCurve, G: MultiPoly, A, delta: int) -> SplitResult:
-    m = delta // 2
-    p1 = _branch_parametrization(A, +1)
-    p2 = _branch_parametrization(A, -1)
-    q = distance_form(A)
-    g1 = _restrict(G, p1)
-    g2 = _restrict(G, p2)
+def _branch_restrictions(G: MultiPoly, A):
+    """The parametrizations p1, p2 of l1 = 0 and l2 = 0, and the
+    restrictions g1, g2 of G to them; raises when either vanishes."""
+    a, b = A
+    p1, p2 = (cyclic_line(to_scalar(a, FIELD_QI) + GaussianRational(0, sign) * b, sign)
+              for sign in (1, -1))
+    g1, g2 = _restrict(G, p1), _restrict(G, p2)
     if g1.is_zero() or g2.is_zero():
         raise CyclicTangentError("curve contains a cyclic tangent line; not irreducible")
+    return p1, p2, g1, g2
+
+
+def _split_even(C: PlaneCurve, G: MultiPoly, A, delta: int) -> SplitResult:
+    m = delta // 2
+    p1, p2, g1, g2 = _branch_restrictions(G, A)
+    q = distance_form(A)
     sq1 = square_root_up_to_scalar(g1)
     if sq1 is None:
         return SplitResult("irreducible", notes=["restriction to l1 is not a square"])
@@ -243,7 +246,6 @@ def _split_even(C: PlaneCurve, G: MultiPoly, A, delta: int) -> SplitResult:
         if status == "witness":
             if not witness.identity_holds(C, A):
                 raise InternalError("split witness failed verification")
-            witness.field_used = _witness_field(witness.H1, witness.H2)
             return SplitResult("split", witness, notes)
         if status == "split-no-witness":
             return SplitResult("split", None,
@@ -289,14 +291,10 @@ def _even_high(C, G, A, q, H1p, scale, m):
         if res is None:
             return None
         return "witness", SplitWitness("even", H1p, res, scale), []
-    # M(h) = -(E0 - 2 h H1p - h^2 q) with T/q = E0 - 2h H1p - h^2 q
-    w = MultiPoly.variable("w", ("w",), FIELD_QI)
-    xyzw = ("x", "y", "z", "w")
-    Mh = (-(E0.with_vars(xyzw))
-          + H1p.with_vars(xyzw) * w.with_vars(xyzw) * 2
-          + q.with_vars(xyzw) * (w.with_vars(xyzw) ** 2))
-    # coefficient matrix entries as univariate polynomials in w
-    entry_polys = [[_entry_poly(Mh, i, j) for j in range(3)] for i in range(3)]
+    # M(h) = -E0 + 2 h H1p + h^2 q; its matrix entries as polynomials in w
+    mats = [_quadratic_matrix(M) for M in (-E0, H1p * 2, q)]
+    entry_polys = [[MultiPoly.make(("w",), FIELD_QI, [((k,), mats[k][i][j]) for k in range(3)])
+                    for j in range(3)] for i in range(3)]
     minors: List[MultiPoly] = []
     for r1, r2 in combinations(range(3), 2):
         for col1, col2 in combinations(range(3), 2):
@@ -311,7 +309,7 @@ def _even_high(C, G, A, q, H1p, scale, m):
         candidates, complete = common_roots(minors, FIELD_QI)
         algebraic_possible = not complete
     for h0 in candidates:
-        M0 = Mh.partial_eval({"w": h0}).with_vars(CURVE_VARS)
+        M0 = -E0 + H1p * (h0 * 2) + q * (h0 * h0)
         got = square_root_up_to_scalar(M0)
         if got is None:
             continue
@@ -324,20 +322,6 @@ def _even_high(C, G, A, q, H1p, scale, m):
     if algebraic_possible:
         return "algebraic-candidate", None, ["rank condition has only irrational roots"]
     return None
-
-
-def _entry_poly(Mh: MultiPoly, i: int, j: int) -> MultiPoly:
-    """Entry (i, j) of the symmetric matrix of Mh (quadratic in x, y, z) as a
-    polynomial in w."""
-    exps = {(0, 0): (2, 0, 0), (1, 1): (0, 2, 0), (2, 2): (0, 0, 2),
-            (0, 1): (1, 1, 0), (0, 2): (1, 0, 1), (1, 2): (0, 1, 1)}
-    key = exps[(min(i, j), max(i, j))]
-    scalefac = Fraction(1) if i == j else Fraction(1, 2)
-    wi = Mh.vars.index("w")
-    ix = [Mh.vars.index(v) for v in ("x", "y", "z")]
-    terms = [((exp[wi],), c * scalefac) for exp, c in Mh.terms.items()
-             if tuple(exp[k] for k in ix) == key]
-    return MultiPoly.make(("w",), FIELD_QI, terms)
 
 
 def _try_square_of_form(M: MultiPoly) -> Optional[MultiPoly]:
@@ -358,12 +342,7 @@ def _split_odd(C: PlaneCurve, G: MultiPoly, A, delta: int) -> SplitResult:
     if delta > 5:
         return SplitResult("inconclusive", notes=[f"odd delta={delta} beyond the solver"])
     m = (delta - 1) // 2
-    p1 = _branch_parametrization(A, +1)
-    p2 = _branch_parametrization(A, -1)
-    g1 = _restrict(G, p1)
-    g2 = _restrict(G, p2)
-    if g1.is_zero() or g2.is_zero():
-        raise CyclicTangentError("curve contains a cyclic tangent line; not irreducible")
+    p1, p2, g1, g2 = _branch_restrictions(G, A)
     e1 = _restrict(l2, p1)      # restriction of the other line
     e2 = _restrict(l1, p2)
     q1 = poly_exact_div(g1, e1)
@@ -404,7 +383,6 @@ def _split_odd(C: PlaneCurve, G: MultiPoly, A, delta: int) -> SplitResult:
             H1, H2 = found
             witness = SplitWitness("odd", H1, H2, scale)
             if witness.identity_holds(C, A):
-                witness.field_used = _witness_field(H1, H2)
                 return SplitResult("split", witness, notes)
     if delta <= 5 and definitive:
         return SplitResult("irreducible", notes=notes)
@@ -414,16 +392,10 @@ def _split_odd(C: PlaneCurve, G: MultiPoly, A, delta: int) -> SplitResult:
 def _split_line(G: MultiPoly, A, l1, l2) -> SplitResult:
     """delta = 1: G = alpha*l1 + beta*l2 is solvable iff the line passes
     through A; the witness needs both alpha and -beta to be squares."""
-    rows = []
-    rhs = []
-    for exp in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        rows.append([to_scalar(l1.terms.get(exp, 0), FIELD_QI),
-                     to_scalar(l2.terms.get(exp, 0), FIELD_QI)])
-        rhs.append(to_scalar(G.terms.get(exp, 0), FIELD_QI))
-    solved = solve_linear(rows, rhs)
+    solved = _combination(G, [l1, l2])
     if solved is None:
         return SplitResult("irreducible", notes=["line does not pass through A"])
-    (alpha, beta), _ = solved
+    alpha, beta = solved
     h1 = sqrt_in_field(to_scalar(alpha, FIELD_QI), FIELD_QI)
     h2 = sqrt_in_field(-to_scalar(beta, FIELD_QI), FIELD_QI)
     if h1 is None or h2 is None:
@@ -435,8 +407,16 @@ def _split_line(G: MultiPoly, A, l1, l2) -> SplitResult:
         MultiPoly.constant(h2, CURVE_VARS, FIELD_QI),
         to_scalar(1, FIELD_QI),
     )
-    witness.field_used = _witness_field(witness.H1, witness.H2)
     return SplitResult("split", witness)
+
+
+def _combination(G: MultiPoly, forms: List[MultiPoly]) -> Optional[List[Scalar]]:
+    """Scalars alpha with G = sum alpha_k * forms[k], all forms of the degree
+    of G, or None when there are none."""
+    monos = _monomials(G.total_degree())
+    rows = [[to_scalar(f.terms.get(m, 0), FIELD_QI) for f in forms] for m in monos]
+    solved = solve_linear(rows, [to_scalar(G.terms.get(m, 0), FIELD_QI) for m in monos])
+    return None if solved is None else solved[0]
 
 
 def _odd_solve(G, scale, l1, l2, U1, U2, m):
@@ -498,17 +478,8 @@ def conic_focus_split(C: PlaneCurve, A: Tuple[Scalar, Scalar]
     lcoef = [sum(S[i][j] * pt[j] for j in range(3)) for i in range(3)]
     polar = MultiPoly.make(CURVE_VARS, FIELD_QI,
                            {(1, 0, 0): lcoef[0], (0, 1, 0): lcoef[1], (0, 0, 1): lcoef[2]})
-    q = distance_form(A)
-    monos = _monomials(2)
-    rows = []
-    rhs = []
-    p2 = polar * polar
-    for mexp in monos:
-        rows.append([to_scalar(p2.terms.get(mexp, 0), FIELD_QI),
-                     to_scalar(q.terms.get(mexp, 0), FIELD_QI)])
-        rhs.append(to_scalar(G.terms.get(mexp, 0), FIELD_QI))
-    solved = solve_linear(rows, rhs)
-    return solved is not None, polar
+    return _combination(G, [polar * polar, distance_form(A)]) is not None, polar
+
 
 
 # -- plane components of a split -------------------------------------------------

@@ -93,16 +93,11 @@ def _chart_equation(f: PlaneCurve, P: ProjPoint) -> MultiPoly:
     swap first if P is at infinity), over the chart variables (x, y)."""
     eq = f.equation
     coords = P.canonical()
+    x, y, z = (MultiPoly.variable(v, CURVE_VARS, eq.field) for v in CURVE_VARS)
     if P.is_affine():
         a, b = coords[0], coords[1]
-        x = MultiPoly.variable("x", CURVE_VARS, eq.field)
-        y = MultiPoly.variable("y", CURVE_VARS, eq.field)
-        z = MultiPoly.variable("z", CURVE_VARS, eq.field)
         moved = eq.substitute({"x": x + z * a, "y": y + z * b})
         return moved.dehomogenize("z").with_vars(("x", "y"))
-    x = MultiPoly.variable("x", CURVE_VARS, eq.field)
-    y = MultiPoly.variable("y", CURVE_VARS, eq.field)
-    z = MultiPoly.variable("z", CURVE_VARS, eq.field)
     if coords[1]:
         swapped = eq.substitute({"y": z, "z": y})
         newp = ProjPoint(coords[0], coords[2], coords[1])

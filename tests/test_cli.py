@@ -132,6 +132,20 @@ def test_split_components(capsys):
     assert len(data["components"]) == 2
 
 
+def test_split_json_field(capsys):
+    # the whole JSON line, "field" included: Q for a rational witness, Qi
+    # when H1 or H2 has an imaginary coefficient
+    code, out, _ = run(capsys, "split", "--C", "(y+z)^2-(x^2+y^2)", "--json")
+    assert code == 0
+    assert out == ('{"verdict": "split", "notes": [], "parity": "even", "H1": "y + z", '
+                   '"H2": "1", "scale": "-1", "field": "Q"}\n')
+    code, out, _ = run(capsys, "split", "--C", "1/25*x^2+1/9*y^2-z^2", "--center", "4,0",
+                       "--json")
+    assert code == 0
+    assert out == ('{"verdict": "split", "notes": [], "parity": "even", '
+                   '"H1": "i*x - 25/4*i*z", "H2": "5/4*i", "scale": "9/16", "field": "Qi"}\n')
+
+
 def test_focus_exit(capsys):
     assert run(capsys, "focus", "--C", "(y+z)^2-(x^2+y^2)")[0] == 0
     assert run(capsys, "focus", "--C", "1/25*x^2+1/9*y^2-z^2")[0] == 1

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conchoidal import (
     PlaneCurve,
@@ -16,7 +17,7 @@ from conchoidal import (
 )
 from conchoidal.errors import DegenerateConicError, NotSquarefreeError
 from conchoidal.fields import FIELD_QI, GaussianRational
-from conchoidal.splitting import distance_form
+from conchoidal.splitting import cyclic_line, distance_form
 
 ORIGIN = (Fraction(0), Fraction(0))
 PARABOLA = PlaneCurve.from_text("(y+z)^2-(x^2+y^2)")
@@ -40,6 +41,17 @@ def test_cyclic_pair_product_radius_free():
     l1, l2 = cyclic_tangent_pair(A)
     assert l1 * l2 == parse_poly("(x-z)^2+(y-2*z)^2", FIELD_QI)
     assert l1 * l2 == distance_form(A)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.fractions(max_denominator=12), b=st.fractions(max_denominator=12),
+       sign=st.sampled_from((1, -1)))
+def test_cyclic_line_is_the_matching_tangent_line(a, b, sign):
+    # l1 meets the cyclic point [1 : i : 0], l2 meets [1 : -i : 0]
+    lines = dict(zip((1, -1), cyclic_tangent_pair((a, b))))
+    param = cyclic_line(a + GaussianRational(0, sign) * b, sign)
+    assert lines[sign].substitute(param).is_zero()
+    assert not lines[-sign].substitute(param).is_zero()
 
 
 def test_parabola_splits_into_the_two_quartics():
