@@ -4,7 +4,10 @@ The univariate work of the engine (rational roots, binary forms, the
 circle-case conditions) runs on MultiPolys in one variable through the same
 functions: ``poly_gcd``, ``squarefree_part``, ``multiplicity_of_factor``,
 and ``squarefree_decompose_uni`` (Yun's algorithm on ``poly_gcd`` and
-``multipoly.poly_exact_div``).
+``multipoly.poly_exact_div``).  ``derivative_gcd``, the gcd of f and all
+its partials, is the one repeated-factor detector: ``squarefree_part`` and
+``is_squarefree`` read it, and so does the double-component search of
+``recognize``.
 
 ``poly_gcd`` runs Brown's dense modular algorithm (``modular.modular_gcd``)
 on inputs over Q and Q(i) in any variables, homogeneous or not, and
@@ -49,7 +52,7 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return modular_gcd(f, g).monic()
 
 
-def _derivative_gcd(f: MultiPoly) -> MultiPoly:
+def derivative_gcd(f: MultiPoly) -> MultiPoly:
     """gcd of f and its partial derivatives, stopping at the first constant
     gcd: a factor free of one variable is caught by the derivative in
     another."""
@@ -70,12 +73,12 @@ def squarefree_part(f: MultiPoly) -> MultiPoly:
         raise ValueError("squarefree part of zero")
     if f.is_constant():
         return MultiPoly.constant(1, f.vars, f.field)
-    return poly_exact_div(f, _derivative_gcd(f)).monic()
+    return poly_exact_div(f, derivative_gcd(f)).monic()
 
 
 def is_squarefree(f: MultiPoly) -> bool:
     """True iff gcd(f, all partial derivatives) is constant (char 0)."""
-    return _derivative_gcd(f).is_constant()
+    return derivative_gcd(f).is_constant()
 
 
 def squarefree_decompose_uni(f: MultiPoly) -> List[Tuple[MultiPoly, int]]:

@@ -37,28 +37,16 @@ def _rref(rows: List[List[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
     return mat, pivots
 
 
-def solve_linear(rows: List[List[Scalar]], rhs: List[Scalar]
-                 ) -> Optional[Tuple[List[Scalar], List[List[Scalar]]]]:
-    """Solve rows * x = rhs exactly.
-
-    Returns (particular solution, nullspace basis) or None when inconsistent.
-    """
+def solve_linear(rows: List[List[Scalar]], rhs: List[Scalar]) -> Optional[List[Scalar]]:
+    """One exact solution of rows * x = rhs (free unknowns set to 0), or
+    None when the system is inconsistent."""
     if not rows:
-        return [], []
+        return []
     n = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    mat, pivots = _rref(aug)
+    mat, pivots = _rref([list(r) + [b] for r, b in zip(rows, rhs)])
     if n in pivots:
         return None  # pivot in the rhs column
-    particular = [Fraction(0)] * n
+    solution = [Fraction(0)] * n
     for r, c in enumerate(pivots):
-        particular[c] = mat[r][n]
-    free_cols = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -mat[r][fc]
-        basis.append(vec)
-    return particular, basis
+        solution[c] = mat[r][n]
+    return solution

@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .curves import CURVE_VARS, Divisor, PlaneCurve, ProjPoint, Scene, recenter
 from .errors import ConchoidError, DecompositionMismatchError
 from .fields import FIELD_Q, FIELD_QI, GaussianRational, Scalar, as_fraction, to_scalar
-from .gcd import is_squarefree, poly_gcd
+from .gcd import derivative_gcd, is_squarefree, poly_gcd
 from .grammar import poly_to_text, scalar_to_text
 from .multipoly import MultiPoly, poly_exact_div
 from .roots import common_roots, rational_roots, solve_zero_dim, square_root_up_to_scalar
@@ -184,31 +184,14 @@ class RecognitionReport:
 
 
 def _double_component(resid: MultiPoly) -> Optional[MultiPoly]:
-    """A non-exceptional component of multiplicity exactly >= 2, detected by
-    gcd with a partial derivative and confirmed by double exact division."""
-    for var in ("x", "y"):
-        deriv = resid.derivative(var)
-        if deriv.is_zero():
-            continue
-        g = poly_gcd(resid, deriv)
-        if g.is_constant():
-            continue
-        if poly_exact_div(poly_exact_div(resid, g), g) is not None:
-            return g.monic()
-        # g may carry extra repeated-factor content; retry against the
-        # other derivative's gcd
-        for var2 in ("x", "y"):
-            if var2 == var:
-                continue
-            d2 = resid.derivative(var2)
-            if d2.is_zero():
-                continue
-            g2 = poly_gcd(g, poly_gcd(resid, d2))
-            if g2.is_constant():
-                continue
-            if poly_exact_div(poly_exact_div(resid, g2), g2) is not None:
-                return g2.monic()
-    return None
+    """The product of the double components of resid, or None when it has
+    none or one of multiplicity >= 3: the gcd of resid and its partials,
+    confirmed by double exact division.  Precondition: z does not divide
+    resid, as ``extract_known_components`` strips every factor z."""
+    g = derivative_gcd(resid)
+    if g.is_constant() or poly_exact_div(poly_exact_div(resid, g), g) is None:
+        return None
+    return g.monic()
 
 
 def _conchoid_double_component(B: PlaneCurve, scene: Scene, Dc: PlaneCurve
@@ -417,7 +400,8 @@ def _tangent_cyclic_lines(D: PlaneCurve) -> Tuple[List[GaussianRational], bool]:
     if k0:
         p = poly_exact_div(p, MultiPoly.make(stc, FIELD_QI, {(0, k0, 0): 1}))
     n = D.degree - k0                           # degree of the residual binary form
-    a = _s_coefficients(p, n)                   # a[k] = coeff of s^(n-k) t^k in Q(i)[c]
+    a = p.partial_eval({"s": 1}).coefficients_in("t")   # a[k] = coeff of s^(n-k) t^k in Q(i)[c]
+    a += [MultiPoly.zero(("c",), FIELD_QI)] * (n + 1 - len(a))
     candidates: List[GaussianRational] = []
     definitive = True
     if n % 2 == 0 and n > 0:
@@ -446,15 +430,6 @@ def _tangent_cyclic_lines(D: PlaneCurve) -> Tuple[List[GaussianRational], bool]:
         if square_root_up_to_scalar(restricted) is not None:
             confirmed.append(c0)
     return confirmed, definitive
-
-
-def _s_coefficients(p: MultiPoly, n: int) -> List[MultiPoly]:
-    """Coefficients a_k(c) of s^(n-k) t^k in a (s,t)-binary form over Q(i)[c]."""
-    ti, ci = p.vars.index("t"), p.vars.index("c")
-    buckets: List[list] = [[] for _ in range(n + 1)]
-    for exp, coeff in p.terms.items():
-        buckets[exp[ti]].append(((exp[ci],), coeff))
-    return [MultiPoly.make(("c",), FIELD_QI, b) for b in buckets]
 
 
 def _square_remainder_conditions(a: List[MultiPoly], n: int) -> Optional[List[MultiPoly]]:

@@ -12,7 +12,9 @@ The modular helpers live in ``modular``, shared with the multivariate gcd.
 unknowns (pairwise resultants, then ``common_roots`` on the gcd of the
 eliminants, then back-substitution); it reports whether the rational
 points it returns are certified to be all the solutions.  The circle-case
-questions in ``splitting`` and ``recognize`` go through it.
+questions in ``splitting`` and ``recognize`` go through it, and so does
+the split of a root-free quartic into two quadratics in
+``factor_binary_form``.
 """
 
 from __future__ import annotations
@@ -274,48 +276,33 @@ def square_root_up_to_scalar(f: MultiPoly) -> Optional[Tuple[Scalar, MultiPoly]]
 
 def _quartic_quadratic_split(p: MultiPoly) -> Optional[Tuple[MultiPoly, MultiPoly]]:
     """Split a monic quartic in one variable with no roots in the field into
-    two monic quadratics over the field, if possible."""
+    two monic quadratics over the field, if possible.
+
+    With c = r3 - a and e = r2 - b - a*c, (t^2 + a t + b)(t^2 + c t + e)
+    matches p in t^3 and t^2; its t and t^0 coefficients give two equations
+    in (u, v) = (a, b), solved by ``solve_zero_dim``.  The system is
+    zero-dimensional: each solution over the algebraic closure makes
+    t^2 + a t + b a monic divisor of p, of which there are at most six,
+    while a zero resultant in v would mean a common factor of positive
+    v-degree and a curve of solutions.  So the eliminant is nonzero (for
+    any r0; here r0 != 0, as 0 is not a root) and None is a bug.  A
+    squarefree root-free p has at most one split: the root pairs of two
+    splits would share exactly one root, fixed by every automorphism and
+    so in the field.  The points are thus (a, b) and (c, e), sorted; the
+    first a is taken, and the larger b when a = c."""
     r0, r1, r2, r3, _ = _dense(p)
-    field = p.field
-    # (t^2 + a t + b)(t^2 + c t + e); eliminate down to a univariate in a.
-    a_var = MultiPoly.variable("w", ("w",), field)
-    one = MultiPoly.constant(1, ("w",), field)
-    c_of_a = one * r3 - a_var
-    s_of_a = one * r2 - a_var * c_of_a                      # b + e
-    num_b = one * r1 - a_var * s_of_a                        # b*(c-a) = r1 - a*S
-    den = c_of_a - a_var                                     # c - a
-    # b = num_b/den, e = S - b; condition b*e = r0:
-    # num_b*(S*den - num_b) = r0*den^2
-    cond = num_b * (s_of_a * den - num_b) - one * r0 * den * den
-    candidates = []
-    if not cond.is_zero():
-        candidates = [r for r, _ in rational_roots(cond, field)]
-    # the symmetric case c == a needs separate handling
-    half_r3 = to_scalar(r3, field) / 2
-    candidates.append(half_r3)
-    t = MultiPoly.variable(p.vars[0], p.vars, field)
-    for a0 in candidates:
-        c0 = r3 - a0
-        if c0 != a0:
-            S = r2 - a0 * c0
-            b0 = (r1 - a0 * S) / (c0 - a0)
-            e0 = S - b0
-            if b0 * e0 == r0:
-                return t * t + t * a0 + b0, t * t + t * c0 + e0
-        else:
-            # b + e = r2 - a0**2, a0*(b + e) = r1 must hold, b*e = r0
-            S = r2 - a0 * a0
-            if a0 * S != r1:
-                continue
-            # b, e roots of T^2 - S T + r0
-            disc = S * S - 4 * r0
-            root = sqrt_in_field(disc, field)
-            if root is None:
-                continue
-            b0 = (S + root) / 2
-            e0 = S - b0
-            return t * t + t * a0 + b0, t * t + t * c0 + e0
-    return None
+    u = MultiPoly.variable("u", ("u", "v"), p.field)
+    v = MultiPoly.variable("v", ("u", "v"), p.field)
+    e = r2 - v - u * (r3 - u)
+    solved = solve_zero_dim([u * e + v * (r3 - u) - r1, v * e - r0], p.field)
+    if solved is None:
+        raise InternalError("the quartic split system has no nonzero eliminant")
+    points = solved[0]
+    if not points:
+        return None
+    a0, b0 = [pt for pt in points if pt[0] == points[0][0]][-1]
+    t = MultiPoly.variable(p.vars[0], p.vars, p.field)
+    return t * t + t * a0 + b0, t * t + t * (r3 - a0) + (r2 - b0 - a0 * (r3 - a0))
 
 
 def factor_binary_form(form: MultiPoly) -> Tuple[Scalar, List[Tuple[MultiPoly, int]]]:

@@ -12,15 +12,17 @@ q = l1 * l2 is the homogenized squared distance to A.  Every line through
 a cyclic point [1 : ±i : 0] is read through one parametrization,
 ``cyclic_line``, which ``recognize`` shares.  The solver pins H1
 (resp. H2) by forcing the restriction of G to each branch line to be a
-square up to scalar, then settles the few remaining coefficients by linear
-steps, an eigen-line extraction, or the shared zero-dimensional solver
-``roots.solve_zero_dim`` over Q(i) (``roots.common_roots`` for the
-one-unknown rank condition).  Complete through delta = 4 on the
-rational branches; a non-square branch scalar (witness outside Q(i)) is
-reported, not guessed.  Since the criterion is stated for an irreducible
-curve, "irreducible" is answered only when C is certified absolutely
-irreducible (a line, or a conic with a nonsingular matrix), and
-"inconclusive" otherwise.
+square up to scalar (one linear solve), then settles the few remaining
+coefficients.  For even delta one finisher, ``_even_high``, serves every
+degree: H1 = H1p + h*q, with h a common root of the rank condition
+(``roots.common_roots``) for delta = 4 and h = 0 otherwise, and H2 read
+off a square root up to scalar.  For odd delta the shared
+zero-dimensional solver ``roots.solve_zero_dim`` over Q(i) settles two
+unknowns.  Complete through delta = 4 on the rational branches; a witness
+that needs a square root outside Q(i) is reported, not guessed.  Since the
+criterion is stated for an irreducible curve, "irreducible" is answered
+only when C is certified absolutely irreducible (a line, or a conic with a
+nonsingular matrix), and "inconclusive" otherwise.
 """
 
 from __future__ import annotations
@@ -131,10 +133,10 @@ def _monomials(degree: int) -> List[Tuple[int, int, int]]:
             for j in range(degree - i, -1, -1)]
 
 
-def _solve_form_with_restrictions(degree: int, targets) -> Optional[Tuple[MultiPoly, List[MultiPoly]]]:
+def _solve_form_with_restrictions(degree: int, targets) -> Optional[MultiPoly]:
     """A form H of the given degree with prescribed restrictions to branch
     lines: targets is a list of (parametrization, binary form in (s, t)).
-    Returns (particular H, kernel basis) or None when inconsistent."""
+    None when inconsistent."""
     monos = _monomials(degree)
     basis = [MultiPoly.make(CURVE_VARS, FIELD_QI, {m: 1}) for m in monos]
     rows: List[List[Scalar]] = []
@@ -146,12 +148,7 @@ def _solve_form_with_restrictions(degree: int, targets) -> Optional[Tuple[MultiP
             rows.append([r.terms.get(sm, Fraction(0)) for r in restricted])
             rhs.append(target.terms.get(sm, Fraction(0)))
     solved = solve_linear(rows, rhs)
-    if solved is None:
-        return None
-    particular, null = solved
-    H = MultiPoly.make(CURVE_VARS, FIELD_QI, dict(zip(monos, particular)))
-    kernel = [MultiPoly.make(CURVE_VARS, FIELD_QI, dict(zip(monos, vec))) for vec in null]
-    return H, kernel
+    return None if solved is None else MultiPoly.make(CURVE_VARS, FIELD_QI, dict(zip(monos, solved)))
 
 
 def _quadratic_matrix(Mq: MultiPoly) -> List[List[Scalar]]:
@@ -230,15 +227,11 @@ def _split_even(C: PlaneCurve, G: MultiPoly, A, delta: int) -> SplitResult:
                                   "witness would need a quadratic extension"])
     notes: List[str] = []
     saw_algebraic_candidate = False
-    for lam_sign in (lam, -lam) if lam else (lam,):
-        lifted = _solve_form_with_restrictions(m, [(p1, w1), (p2, w2 * lam_sign)])
-        if lifted is None:
+    for lam_sign in (lam, -lam):
+        H1p = _solve_form_with_restrictions(m, [(p1, w1), (p2, w2 * lam_sign)])
+        if H1p is None:
             continue
-        H1p, kernel = lifted
-        if m >= 2:
-            outcome = _even_high(C, G, A, q, H1p, scale, m)
-        else:
-            outcome = _even_conic(G, q, H1p, scale)
+        outcome = _even_high(G, q, H1p, scale, m)
         if outcome is None:
             continue
         status, witness, extra_notes = outcome
@@ -261,78 +254,38 @@ def _split_even(C: PlaneCurve, G: MultiPoly, A, delta: int) -> SplitResult:
                        notes=notes + [f"search exhausted for delta={delta} > 4"])
 
 
-def _even_conic(G, q, H1, scale):
-    """delta = 2: H1 is pinned uniquely; the residue must be c*q with c a
-    square."""
-    D = H1 * H1 - G * scale
-    if D.is_zero():
-        return None
-    quot = poly_exact_div(D, q)
-    if quot is None or not quot.is_constant():
-        return None
-    c = to_scalar(quot.constant_value(), FIELD_QI)
-    e = sqrt_in_field(c, FIELD_QI)
-    if e is None:
-        return "split-no-witness", None, []
-    H2 = MultiPoly.constant(e, CURVE_VARS, FIELD_QI)
-    return "witness", SplitWitness("even", H1, H2, scale), []
-
-
-def _even_high(C, G, A, q, H1p, scale, m):
-    """delta = 4 (and best effort beyond): H1 = H1p + h*q with one scalar h;
-    -(scale*G - H1^2)/q must become the square of a linear form."""
-    base = G * scale - H1p * H1p
-    E0 = poly_exact_div(base, q)
+def _even_high(G, q, H1p, scale, m):
+    """H1 = H1p + h*q with one scalar h, searched for m = 2 and pinned to
+    h = 0 otherwise (for m = 1 there is no room for it, beyond m = 2 the
+    search is best effort); (H1^2 - scale*G)/q must be a scalar times the
+    square of a form.  For m = 2, M(h) = -E0 + 2 h H1p + h^2 q must have
+    rank 1, so h is a common root of its 2x2 minors."""
+    E0 = poly_exact_div(G * scale - H1p * H1p, q)
     if E0 is None:
         return None
-    if m > 2:
-        # search only the pinned solution h = 0
-        res = _try_square_of_form(-E0)
-        if res is None:
-            return None
-        return "witness", SplitWitness("even", H1p, res, scale), []
-    # M(h) = -E0 + 2 h H1p + h^2 q; its matrix entries as polynomials in w
-    mats = [_quadratic_matrix(M) for M in (-E0, H1p * 2, q)]
-    entry_polys = [[MultiPoly.make(("w",), FIELD_QI, [((k,), mats[k][i][j]) for k in range(3)])
-                    for j in range(3)] for i in range(3)]
-    minors: List[MultiPoly] = []
-    for r1, r2 in combinations(range(3), 2):
-        for col1, col2 in combinations(range(3), 2):
-            mnr = entry_polys[r1][col1] * entry_polys[r2][col2] - \
-                entry_polys[r1][col2] * entry_polys[r2][col1]
-            if not mnr.is_zero():
-                minors.append(mnr)
-    if not minors:
-        candidates = [to_scalar(0, FIELD_QI)]
-        algebraic_possible = False
-    else:
-        candidates, complete = common_roots(minors, FIELD_QI)
-        algebraic_possible = not complete
+    candidates, complete = [to_scalar(0, FIELD_QI)], True
+    if m == 2:
+        # the matrix entries of M(h) as polynomials in w
+        mats = [_quadratic_matrix(M) for M in (-E0, H1p * 2, q)]
+        entry_polys = [[MultiPoly.make(("w",), FIELD_QI, [((k,), mats[k][i][j]) for k in range(3)])
+                        for j in range(3)] for i in range(3)]
+        minors = [entry_polys[r1][c1] * entry_polys[r2][c2] - entry_polys[r1][c2] * entry_polys[r2][c1]
+                  for r1, r2 in combinations(range(3), 2) for c1, c2 in combinations(range(3), 2)]
+        minors = [mnr for mnr in minors if not mnr.is_zero()]
+        if minors:
+            candidates, complete = common_roots(minors, FIELD_QI)
     for h0 in candidates:
-        M0 = -E0 + H1p * (h0 * 2) + q * (h0 * h0)
-        got = square_root_up_to_scalar(M0)
+        got = square_root_up_to_scalar(-E0 + H1p * (h0 * 2) + q * (h0 * h0))
         if got is None:
             continue
         c, l = got
         e = sqrt_in_field(c, FIELD_QI)
-        H1 = H1p + q * h0
         if e is None:
             return "split-no-witness", None, []
-        return "witness", SplitWitness("even", H1, l * e, scale), []
-    if algebraic_possible:
+        return "witness", SplitWitness("even", H1p + q * h0, l * e, scale), []
+    if not complete:
         return "algebraic-candidate", None, ["rank condition has only irrational roots"]
     return None
-
-
-def _try_square_of_form(M: MultiPoly) -> Optional[MultiPoly]:
-    got = square_root_up_to_scalar(M)
-    if got is None:
-        return None
-    c, g = got
-    e = sqrt_in_field(to_scalar(c, FIELD_QI), FIELD_QI)
-    if e is None:
-        return None
-    return g * e
 
 
 def _split_odd(C: PlaneCurve, G: MultiPoly, A, delta: int) -> SplitResult:
@@ -368,25 +321,22 @@ def _split_odd(C: PlaneCurve, G: MultiPoly, A, delta: int) -> SplitResult:
                                notes=["branch scalar is not a square in Q(i); "
                                       "witness would need a quadratic extension"])
         return SplitResult("inconclusive", notes=["non-square branch scalar"])
-    notes: List[str] = []
     definitive = True
-    for lam_sign in (lam, -lam) if lam else (lam,):
-        lift1 = _solve_form_with_restrictions(m, [(p2, w2)])
-        lift2 = _solve_form_with_restrictions(m, [(p1, w1 * lam_sign)])
-        if lift1 is None or lift2 is None:
+    U1 = _solve_form_with_restrictions(m, [(p2, w2)])
+    for lam_sign in (lam, -lam):
+        U2 = _solve_form_with_restrictions(m, [(p1, w1 * lam_sign)])
+        if U1 is None or U2 is None:
             continue
-        U1, _ = lift1
-        U2, _ = lift2
         found, sure = _odd_solve(G, scale, l1, l2, U1, U2, m)
         definitive = definitive and sure
         if found is not None:
             H1, H2 = found
             witness = SplitWitness("odd", H1, H2, scale)
             if witness.identity_holds(C, A):
-                return SplitResult("split", witness, notes)
+                return SplitResult("split", witness)
     if delta <= 5 and definitive:
-        return SplitResult("irreducible", notes=notes)
-    return SplitResult("inconclusive", notes=notes + ["odd-case search not definitive"])
+        return SplitResult("irreducible")
+    return SplitResult("inconclusive", notes=["odd-case search not definitive"])
 
 
 def _split_line(G: MultiPoly, A, l1, l2) -> SplitResult:
@@ -415,8 +365,7 @@ def _combination(G: MultiPoly, forms: List[MultiPoly]) -> Optional[List[Scalar]]
     of G, or None when there are none."""
     monos = _monomials(G.total_degree())
     rows = [[to_scalar(f.terms.get(m, 0), FIELD_QI) for f in forms] for m in monos]
-    solved = solve_linear(rows, [to_scalar(G.terms.get(m, 0), FIELD_QI) for m in monos])
-    return None if solved is None else solved[0]
+    return solve_linear(rows, [to_scalar(G.terms.get(m, 0), FIELD_QI) for m in monos])
 
 
 def _odd_solve(G, scale, l1, l2, U1, U2, m):

@@ -1,9 +1,12 @@
 """Source checks: no handler in the package may swallow arbitrary errors,
 so a bug surfaces as a traceback instead of turning into a verdict; the
 package has one Sylvester determinant, one gcd, one exact division, one
-substitution, one Q(i) scalar, one root finder and one polynomial type;
-and every function the benchmark's tracer wraps by name still exists."""
+substitution, one Q(i) scalar, one root finder, one quartic splitter, one
+double-component search and one polynomial type; no module imports a name
+it never uses; and every function the benchmark's tracer wraps by name
+still exists."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -19,6 +22,7 @@ DIVISION_ORACLE = re.compile(r"\bdivision_oracle\b|\bgrlex_exact_div\b")
 SUBSTITUTE_ORACLE = re.compile(r"\bsubstitute_oracle\b|\bsubstitute_per_term\b")
 GAUSSIAN_ORACLE = re.compile(r"\bgaussian_oracle\b")
 ROOTS_ORACLE = re.compile(r"roots_oracle|_re_im_split|_rational_zeros_uv")
+SOLVER_ORACLES = re.compile(r"quartic_oracle|quartic_split_oracle|double_component_oracle")
 SYLVESTER_LAYOUT = re.compile(r"\bsylvester_rows\(")
 SECOND_POLY_TYPE = re.compile(r"\bUniPoly\b|\bas_unipoly\b|\bdivmod\b|\bdeflate_root\b")
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -78,6 +82,51 @@ def test_no_library_use_of_the_roots_oracle():
     # Q(i); the real/imaginary bivariate solve lives in tests/roots_oracle.py
     hits = _source_hits(ROOTS_ORACLE)
     assert not hits, "uses of the bivariate Q(i) root oracle:\n" + "\n".join(hits)
+
+
+def test_no_library_use_of_the_solver_oracles():
+    # the quartic split runs on solve_zero_dim and the double component on
+    # derivative_gcd; the hand-rolled versions live in tests/ as oracles
+    hits = _source_hits(SOLVER_ORACLES)
+    assert not hits, "uses of the quartic or double-component oracle:\n" + "\n".join(hits)
+
+
+def _annotation_names(node):
+    """Names in an annotation, including those inside string annotations."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield from _annotation_names(ast.parse(sub.value, mode="eval"))
+
+
+def test_no_unused_imports():
+    # every module but the package's re-exporting __init__ uses each name
+    # it imports, so a deletion leaves no stale import behind
+    hits = []
+    for path in sorted(Path(conchoidal.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.arg) and node.annotation is not None:
+                used.update(_annotation_names(node.annotation))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+                used.update(_annotation_names(node.returns))
+            elif isinstance(node, ast.AnnAssign):
+                used.update(_annotation_names(node.annotation))
+        hits += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+    assert not hits, "unused imports:\n" + "\n".join(sorted(hits))
 
 
 def test_sylvester_layout_is_one_module():

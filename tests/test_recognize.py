@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,11 @@ from conchoidal import (
     recognize_complete,
     recognize_proper,
 )
-from conchoidal.fields import GaussianRational
+from conchoidal.fields import FIELD_Q, FIELD_QI, GaussianRational
+from conchoidal.multipoly import poly_exact_div
+
+from double_component_oracle import double_component_oracle
+from helpers import random_form
 
 UNIT = CircleSpec((Fraction(0), Fraction(0)), Fraction(1))
 INTRO_QUARTIC = PlaneCurve.from_text(
@@ -204,6 +209,30 @@ def test_recognize_complete_conic_with_double_component():
     cand = rep.candidates[0]
     assert cand.center == (Fraction(2), Fraction(0)) and cand.r2 == Fraction(1)
     assert PlaneCurve(cand.witness).equation == recenter(conic, (Fraction(-2), Fraction(0))).equation
+
+
+def _form(rng, degree, vars, field):
+    """A random form over the field, embedded in (x, y, z)."""
+    f = random_form(rng, degree, vars)
+    if field == FIELD_QI:
+        f = f + random_form(rng, degree, vars) * GaussianRational(0, 1)
+    return f.with_vars(("x", "y", "z"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([FIELD_Q, FIELD_QI]),
+       st.sampled_from([2, 3]), st.sampled_from([None, ("y", "z"), ("x", "z")]))
+def test_double_component_agrees_with_the_oracle(seed, field, power, spoiler):
+    # C^2 K and C^3 K, times a simple factor free of x or of y (which the
+    # oracle's one-partial gcd picks up), none of them divisible by z
+    rng = random.Random(seed)
+    resid = _form(rng, rng.randint(1, 2), ("x", "y", "z"), field) ** power
+    resid = resid * _form(rng, rng.randint(1, 3), ("x", "y", "z"), field)
+    if spoiler:
+        resid = resid * _form(rng, rng.randint(1, 2), spoiler, field)
+    z = MultiPoly.variable("z", ("x", "y", "z"), field)
+    assume(poly_exact_div(resid, z) is None)
+    assert recognize._double_component(resid) == double_component_oracle(resid)
 
 
 def test_recognize_proper_off_origin_center():

@@ -5,12 +5,15 @@ from math import isqrt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import conchoidal.roots as roots
 from conchoidal import MultiPoly, factor_binary_form, formal_square_root, parse_poly, rational_roots
 from conchoidal.errors import InternalError
 from conchoidal.fields import FIELD_Q, FIELD_QI, GaussianRational, sqrt_in_field, to_scalar
+from conchoidal.gcd import is_squarefree
 from conchoidal.roots import _lifted_roots, common_roots, solve_zero_dim, square_root_up_to_scalar
 
 from helpers import random_poly
+from quartic_oracle import quartic_split_oracle
 from roots_oracle import gaussian_roots
 
 
@@ -156,6 +159,41 @@ def test_factor_binary_form():
     form = parse_poly("(x^2+y^2)^2*(x^2+2*y^2)").with_vars(xy)
     u, fs = factor_binary_form(form)
     assert sorted((p_ct(p), m) for p, m in fs) == [("x^2 + 2*y^2", 1), ("x^2 + y^2", 2)]
+
+
+def _scalars(field):
+    q = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+    return q if field == FIELD_Q else st.builds(GaussianRational, q, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([FIELD_Q, FIELD_QI]), st.booleans())
+def test_quartic_split_of_a_product_agrees_with_the_oracle(data, field, same_a):
+    # (t^2 + a t + b)(t^2 + c t + e), with a = c drawn on purpose: the
+    # split is found, and it is the oracle's pair in the oracle's order
+    a, b, e = (data.draw(_scalars(field)) for _ in range(3))
+    c = a if same_a else data.draw(_scalars(field))
+    f = uni([b, a, 1], field) * uni([e, c, 1], field)
+    assume(not rational_roots(f, field) and is_squarefree(f))
+    split = roots._quartic_quadratic_split(f)
+    assert split is not None and split[0] * split[1] == f
+    assert split == quartic_split_oracle(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([FIELD_Q, FIELD_QI]))
+def test_quartic_split_of_a_random_quartic_agrees_with_the_oracle(data, field):
+    f = uni([data.draw(_scalars(field)) for _ in range(4)] + [1], field)
+    assume(not rational_roots(f, field) and is_squarefree(f))
+    assert roots._quartic_quadratic_split(f) == quartic_split_oracle(f)
+
+
+def test_quartic_split_system_without_eliminant_is_a_bug(monkeypatch):
+    # the (a, b) system is zero-dimensional, so a None from the solver
+    # raises instead of reading as "no split"
+    monkeypatch.setattr(roots, "solve_zero_dim", lambda eqs, field: None)
+    with pytest.raises(InternalError):
+        factor_binary_form(parse_poly("x^4+y^4").with_vars(("x", "y")))
 
 
 def p_ct(p):

@@ -16,8 +16,15 @@ from conchoidal import (
     witness_components,
 )
 from conchoidal.errors import DegenerateConicError, NotSquarefreeError
-from conchoidal.fields import FIELD_QI, GaussianRational
-from conchoidal.splitting import cyclic_line, distance_form
+from conchoidal.curves import CURVE_VARS
+from conchoidal.fields import FIELD_QI, GaussianRational, sqrt_in_field
+from conchoidal.roots import square_root_up_to_scalar
+from conchoidal.splitting import (
+    _branch_restrictions,
+    _solve_form_with_restrictions,
+    cyclic_line,
+    distance_form,
+)
 
 ORIGIN = (Fraction(0), Fraction(0))
 PARABOLA = PlaneCurve.from_text("(y+z)^2-(x^2+y^2)")
@@ -217,6 +224,22 @@ def test_quartic_split_delta4():
     assert res.verdict == "split"
     assert res.witness is not None
     assert res.witness.identity_holds(PlaneCurve(Q2), ORIGIN)
+
+
+def test_sextic_split_with_a_non_square_scalar():
+    # C = H1p^2 - 3 q Q^2 with H1p the pinned cubic of the solver: H2 would
+    # be sqrt(3)*Q, so C splits over Q(i, sqrt(3)) and the answer is
+    # "split" with the note that delta = 2 and 4 give in the same case
+    H, q, Q = (parse_poly(text).promote(FIELD_QI).with_vars(CURVE_VARS) for text in
+               ("x^3-x^2*y+2*x*y*z-y^2*z+3*z^3", "x^2+y^2", "x^2+x*y+2*y*z-z^2"))
+    p1, p2, g1, g2 = _branch_restrictions(H * H - q * Q * Q * 3, ORIGIN)
+    (c1, w1), (c2, w2) = square_root_up_to_scalar(g1), square_root_up_to_scalar(g2)
+    lam = sqrt_in_field(c2 / c1, FIELD_QI)
+    pinned = [_solve_form_with_restrictions(3, [(p1, w1), (p2, w2 * sign)]) for sign in (lam, -lam)]
+    H1p = next(h for h in pinned if h is not None)
+    res = split_test(PlaneCurve(H1p * H1p - q * Q * Q * 3), ORIGIN)
+    assert res.verdict == "split" and res.witness is None
+    assert res.notes == ["witness requires an algebraic extension of Q(i)"]
 
 
 def _random_form_qi(rng, degree):
