@@ -44,9 +44,6 @@ _AMBIG = {5: ([((0, 1), (1, 2)), ((0, 3), (2, 3))],
 class PlotSpec:
     window: Tuple[Fraction, Fraction, Fraction, Fraction]   # xmin, xmax, ymin, ymax
     grid: int = 64
-    width: int = 480
-    stroke: str = "#1a4f8b"
-    stroke_width: float = 1.5
 
     def __post_init__(self):
         xmin, xmax, ymin, ymax = (Fraction(v) for v in self.window)
@@ -126,7 +123,7 @@ def marching_segments(curve: PlaneCurve, spec: PlotSpec) -> List[Tuple[float, fl
 def render_svg(curve: PlaneCurve, spec: PlotSpec) -> str:
     """An SVG 1.1 document of the curve's real affine locus."""
     xmin, xmax, ymin, ymax = spec.window
-    w = spec.width
+    w = 480   # pixel width; the height keeps the window's aspect ratio
     h = int(round(w * float((ymax - ymin) / (xmax - xmin))))
     sx = w / float(xmax - xmin)
     sy = h / float(ymax - ymin)
@@ -152,7 +149,7 @@ def render_svg(curve: PlaneCurve, spec: PlotSpec) -> str:
         (px1, py1), (px2, py2) = to_px(x1, y1), to_px(x2, y2)
         lines.append(
             f'<line x1="{px1:.4f}" y1="{py1:.4f}" x2="{px2:.4f}" y2="{py2:.4f}" '
-            f'stroke="{spec.stroke}" stroke-width="{spec.stroke_width}" '
+            'stroke="#1a4f8b" stroke-width="1.5" '
             'stroke-linecap="round"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -391,7 +391,12 @@ def _tangent_cyclic_lines(D: PlaneCurve) -> Tuple[List[GaussianRational], bool]:
     the square-root remainder into polynomial conditions on c, whose common
     rational roots (plus the roots of the leading coefficient a_0, where
     the restriction degenerates) are the only possibilities.  Each
-    candidate is then verified exactly.  Returns (values, definitive)."""
+    candidate is then verified exactly.  Returns (values, definitive).
+
+    An empty list is never definitive for odd deg D: a component of a split
+    proper conchoid need not restrict to a square (a quintic factor of the
+    proper conchoid of x^3 + 2x^2z - 3xy^2 + xz^2 - 2y^2z about the origin
+    restricts to -4i s^3 t^2 on x + i y = 0, odd contact 3 at the center)."""
     G = D.equation.promote(FIELD_QI)
     stc = ST + ("c",)
     p = G.substitute(cyclic_line(MultiPoly.variable("c", ("c",), FIELD_QI), 1)).with_vars(stc)
@@ -403,7 +408,7 @@ def _tangent_cyclic_lines(D: PlaneCurve) -> Tuple[List[GaussianRational], bool]:
     a = p.partial_eval({"s": 1}).coefficients_in("t")   # a[k] = coeff of s^(n-k) t^k in Q(i)[c]
     a += [MultiPoly.zero(("c",), FIELD_QI)] * (n + 1 - len(a))
     candidates: List[GaussianRational] = []
-    definitive = True
+    definitive = D.degree % 2 == 0
     if n % 2 == 0 and n > 0:
         conds = _square_remainder_conditions(a, n)
         if conds is None:

@@ -11,10 +11,10 @@ The modular helpers live in ``modular``, shared with the multivariate gcd.
 ``solve_zero_dim`` is the one solver for small polynomial systems in two
 unknowns (pairwise resultants, then ``common_roots`` on the gcd of the
 eliminants, then back-substitution); it reports whether the rational
-points it returns are certified to be all the solutions.  The circle-case
-questions in ``splitting`` and ``recognize`` go through it, and so does
-the split of a root-free quartic into two quadratics in
-``factor_binary_form``.
+points it returns are certified to be all the solutions.  The multiple-point
+search of ``recognize`` goes through it, and so does the split of a
+root-free quartic into two quadratics in ``factor_binary_form``;
+``splitting`` needs only ``common_roots`` in one unknown.
 """
 
 from __future__ import annotations

@@ -10,19 +10,19 @@ equation admits a witness pair (H1, H2) of homogeneous forms with
 where l1, l2 are the lines joining A to the two cyclic points and
 q = l1 * l2 is the homogenized squared distance to A.  Every line through
 a cyclic point [1 : ±i : 0] is read through one parametrization,
-``cyclic_line``, which ``recognize`` shares.  The solver pins H1
-(resp. H2) by forcing the restriction of G to each branch line to be a
-square up to scalar (one linear solve), then settles the few remaining
-coefficients.  For even delta one finisher, ``_even_high``, serves every
-degree: H1 = H1p + h*q, with h a common root of the rank condition
-(``roots.common_roots``) for delta = 4 and h = 0 otherwise, and H2 read
-off a square root up to scalar.  For odd delta the shared
-zero-dimensional solver ``roots.solve_zero_dim`` over Q(i) settles two
-unknowns.  Complete through delta = 4 on the rational branches; a witness
-that needs a square root outside Q(i) is reported, not guessed.  Since the
-criterion is stated for an irreducible curve, "irreducible" is answered
-only when C is certified absolutely irreducible (a line, or a conic with a
-nonsingular matrix), and "inconclusive" otherwise.
+``cyclic_line``, which ``recognize`` shares.  The solver pins H1 on the
+lines of R, with (P, R) = (1, q) for even delta and (l1, l2) for odd
+delta, by forcing the restriction of G to each branch line to be a square
+up to scalar (one linear solve per pin).  One finisher, ``_finish``,
+settles the rest for both parities: H1 = H1p + h*R, with h a common root
+of the rank condition (``roots.common_roots``) when the free multiple of R
+is one scalar (delta = 3 and 4) and h = 0 otherwise, and H2 read off a
+square root up to scalar.  Complete through delta = 4 on the rational
+branches; a witness that needs a square root outside Q(i) is reported,
+not guessed.  Since the criterion is stated for an irreducible curve,
+"irreducible" is answered only when C is certified absolutely irreducible
+(a line, or a conic with a nonsingular matrix), and "inconclusive"
+otherwise.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .gcd import is_squarefree, multiplicity_of_factor
 from .linalg import solve_linear
 from .multipoly import MultiPoly, poly_exact_div
 from .resultant import det_scalar, sylvester_resultant
-from .roots import common_roots, solve_zero_dim, square_root_up_to_scalar
+from .roots import common_roots, square_root_up_to_scalar
 
 ST = ("s", "t")
 
@@ -213,8 +213,7 @@ def _split_even(C: PlaneCurve, G: MultiPoly, A, delta: int) -> SplitResult:
     c1, w1 = sq1
     c2, w2 = sq2
     scale = 1 / to_scalar(c1, FIELD_QI)
-    rho = to_scalar(c2, FIELD_QI) * scale
-    lam = sqrt_in_field(rho, FIELD_QI)
+    lam = sqrt_in_field(to_scalar(c2, FIELD_QI) * scale, FIELD_QI)
     if lam is None:
         if delta == 2:
             # For conics a witness exists over the closure iff one exists
@@ -225,83 +224,21 @@ def _split_even(C: PlaneCurve, G: MultiPoly, A, delta: int) -> SplitResult:
         return SplitResult("inconclusive",
                            notes=["branch scalar ratio is not a square in Q(i); "
                                   "witness would need a quadratic extension"])
-    notes: List[str] = []
-    saw_algebraic_candidate = False
-    for lam_sign in (lam, -lam):
-        H1p = _solve_form_with_restrictions(m, [(p1, w1), (p2, w2 * lam_sign)])
-        if H1p is None:
-            continue
-        outcome = _even_high(G, q, H1p, scale, m)
-        if outcome is None:
-            continue
-        status, witness, extra_notes = outcome
-        notes.extend(extra_notes)
-        if status == "witness":
-            if not witness.identity_holds(C, A):
-                raise InternalError("split witness failed verification")
-            return SplitResult("split", witness, notes)
-        if status == "split-no-witness":
-            return SplitResult("split", None,
-                               notes + ["witness requires an algebraic extension of Q(i)"])
-        if status == "algebraic-candidate":
-            saw_algebraic_candidate = True
-    if saw_algebraic_candidate:
-        return SplitResult("split", None,
-                           notes + ["witness exists only over an extension of Q(i)"])
-    if delta <= 4:
-        return SplitResult("irreducible", notes=notes)
-    return SplitResult("inconclusive",
-                       notes=notes + [f"search exhausted for delta={delta} > 4"])
-
-
-def _even_high(G, q, H1p, scale, m):
-    """H1 = H1p + h*q with one scalar h, searched for m = 2 and pinned to
-    h = 0 otherwise (for m = 1 there is no room for it, beyond m = 2 the
-    search is best effort); (H1^2 - scale*G)/q must be a scalar times the
-    square of a form.  For m = 2, M(h) = -E0 + 2 h H1p + h^2 q must have
-    rank 1, so h is a common root of its 2x2 minors."""
-    E0 = poly_exact_div(G * scale - H1p * H1p, q)
-    if E0 is None:
-        return None
-    candidates, complete = [to_scalar(0, FIELD_QI)], True
-    if m == 2:
-        # the matrix entries of M(h) as polynomials in w
-        mats = [_quadratic_matrix(M) for M in (-E0, H1p * 2, q)]
-        entry_polys = [[MultiPoly.make(("w",), FIELD_QI, [((k,), mats[k][i][j]) for k in range(3)])
-                        for j in range(3)] for i in range(3)]
-        minors = [entry_polys[r1][c1] * entry_polys[r2][c2] - entry_polys[r1][c2] * entry_polys[r2][c1]
-                  for r1, r2 in combinations(range(3), 2) for c1, c2 in combinations(range(3), 2)]
-        minors = [mnr for mnr in minors if not mnr.is_zero()]
-        if minors:
-            candidates, complete = common_roots(minors, FIELD_QI)
-    for h0 in candidates:
-        got = square_root_up_to_scalar(-E0 + H1p * (h0 * 2) + q * (h0 * h0))
-        if got is None:
-            continue
-        c, l = got
-        e = sqrt_in_field(c, FIELD_QI)
-        if e is None:
-            return "split-no-witness", None, []
-        return "witness", SplitWitness("even", H1p + q * h0, l * e, scale), []
-    if not complete:
-        return "algebraic-candidate", None, ["rank condition has only irrational roots"]
-    return None
+    pins = (_solve_form_with_restrictions(m, [(p1, w1), (p2, w2 * sign)]) for sign in (lam, -lam))
+    return _finish(C, A, "even", G, scale, MultiPoly.constant(1, CURVE_VARS, FIELD_QI), q,
+                   pins, f"search exhausted for delta={delta} > 4")
 
 
 def _split_odd(C: PlaneCurve, G: MultiPoly, A, delta: int) -> SplitResult:
     l1, l2 = cyclic_tangent_pair(A)
     if delta == 1:
         return _split_line(G, A, l1, l2)
-    if delta > 5:
-        return SplitResult("inconclusive", notes=[f"odd delta={delta} beyond the solver"])
     m = (delta - 1) // 2
     p1, p2, g1, g2 = _branch_restrictions(G, A)
-    e1 = _restrict(l2, p1)      # restriction of the other line
-    e2 = _restrict(l1, p2)
-    q1 = poly_exact_div(g1, e1)
+    q1 = poly_exact_div(g1, _restrict(l2, p1))      # over the other line's restriction
     if q1 is None:
         return SplitResult("irreducible", notes=["g|l1 not divisible by l2|l1"])
-    q2 = poly_exact_div(g2, e2)
+    q2 = poly_exact_div(g2, _restrict(l1, p2))
     if q2 is None:
         return SplitResult("irreducible", notes=["g|l2 not divisible by l1|l2"])
     sq1 = square_root_up_to_scalar(q1)
@@ -310,33 +247,83 @@ def _split_odd(C: PlaneCurve, G: MultiPoly, A, delta: int) -> SplitResult:
         return SplitResult("irreducible", notes=["pinned restriction is not a square"])
     c1, w1 = sq1
     c2, w2 = sq2
-    # normalize H1|l2 = w2: scale*g2 = e2*(H1|l2)^2 gives scale = 1/c2,
-    # then (H2|l1)^2 = -scale*c1 * w1^2
+    # normalize H1|l2 = w2: scale*g2 = (l1|l2)*(H1|l2)^2 gives scale = 1/c2,
+    # then (H2|l1)^2 = -scale*c1 * w1^2 = lam^2 * w1^2
     scale = 1 / to_scalar(c2, FIELD_QI)
-    rho = -to_scalar(c1, FIELD_QI) * scale
-    lam = sqrt_in_field(rho, FIELD_QI)
+    lam = sqrt_in_field(-to_scalar(c1, FIELD_QI) * scale, FIELD_QI)
     if lam is None:
         if delta == 3:
             return SplitResult("inconclusive",
                                notes=["branch scalar is not a square in Q(i); "
                                       "witness would need a quadratic extension"])
         return SplitResult("inconclusive", notes=["non-square branch scalar"])
-    definitive = True
-    U1 = _solve_form_with_restrictions(m, [(p2, w2)])
-    for lam_sign in (lam, -lam):
-        U2 = _solve_form_with_restrictions(m, [(p1, w1 * lam_sign)])
-        if U1 is None or U2 is None:
+    result = _finish(C, A, "odd", G, scale, l1, l2, [_solve_form_with_restrictions(m, [(p2, w2)])],
+                     "odd-case search not definitive")
+    # H2 is fixed up to sign; report the one with H2|l1 = +lam*w1
+    if result.witness is not None and _restrict(result.witness.H2, p1) != w1 * lam:
+        result.witness.H2 = -result.witness.H2
+    return result
+
+
+def _finish(C: PlaneCurve, A, parity: str, G: MultiPoly, scale: Scalar,
+            P: MultiPoly, R: MultiPoly, pins, exhausted: str) -> SplitResult:
+    """Settle scale*G = P*H1**2 - R*H2**2, (P, R) = (1, q) for even delta
+    and (l1, l2) for odd delta, from each pinned H1p in turn.
+
+    The pins fix H1 on each line of R (l1 and l2 for even delta, l2 for
+    odd delta), so H1 = H1p + h*R with h a form of degree m - deg R,
+    m = deg H1.  As P*R = q for both parities,
+
+        H2**2 = (P*H1**2 - scale*G)/R = -E0 + 2*h*P*H1p + h**2*q =: M(h),
+        E0 = (scale*G - P*H1p**2)/R.
+
+    When m = deg R (delta = 4 even, delta = 3 odd) h is one scalar and M(h)
+    a quadratic form, a scalar times a square iff its matrix has rank <= 1,
+    i.e. iff h is a common root of the 2x2 minors.  Rank 0 cannot occur:
+    M(h) = 0 gives scale*G = P*H1**2 with deg H1 >= 1, and G is squarefree.
+    So every common root, in Q(i) or not, gives a witness over the
+    algebraic closure, and one outside Q(i) certifies "split".  For
+    m < deg R, h = 0 is forced; for m > deg R only h = 0 is tried, and an
+    empty search is "inconclusive" with the note given as exhausted."""
+    q = P * R
+    m = (G.total_degree() - P.total_degree()) // 2
+    notes: List[str] = []
+    for H1p in pins:
+        E0 = None if H1p is None else poly_exact_div(G * scale - P * H1p * H1p, R)
+        if E0 is None:
             continue
-        found, sure = _odd_solve(G, scale, l1, l2, U1, U2, m)
-        definitive = definitive and sure
-        if found is not None:
-            H1, H2 = found
-            witness = SplitWitness("odd", H1, H2, scale)
-            if witness.identity_holds(C, A):
-                return SplitResult("split", witness)
-    if delta <= 5 and definitive:
+        PH = P * H1p * 2
+        candidates, complete = [to_scalar(0, FIELD_QI)], True
+        if m == R.total_degree():
+            # the entries of the matrix of M(w) as polynomials in w
+            mats = [_quadratic_matrix(M) for M in (-E0, PH, q)]
+            ent = [[MultiPoly.make(("w",), FIELD_QI, [((k,), mats[k][i][j]) for k in range(3)])
+                    for j in range(3)] for i in range(3)]
+            minors = [ent[r1][c1] * ent[r2][c2] - ent[r1][c2] * ent[r2][c1]
+                      for r1, r2 in combinations(range(3), 2) for c1, c2 in combinations(range(3), 2)]
+            minors = [mnr for mnr in minors if not mnr.is_zero()]
+            if minors:
+                candidates, complete = common_roots(minors, FIELD_QI)
+        for h0 in candidates:
+            got = square_root_up_to_scalar(-E0 + PH * h0 + q * (h0 * h0))
+            if got is None:
+                continue
+            c, l = got
+            e = sqrt_in_field(c, FIELD_QI)
+            if e is None:
+                return SplitResult("split", None,
+                                   notes + ["witness requires an algebraic extension of Q(i)"])
+            witness = SplitWitness(parity, H1p + R * h0, l * e, scale)
+            if not witness.identity_holds(C, A):
+                raise InternalError("split witness failed verification")
+            return SplitResult("split", witness, notes)
+        if not complete:
+            notes.append("rank condition has only irrational roots")
+    if notes:
+        return SplitResult("split", None, notes + ["witness exists only over an extension of Q(i)"])
+    if m <= R.total_degree():
         return SplitResult("irreducible")
-    return SplitResult("inconclusive", notes=["odd-case search not definitive"])
+    return SplitResult("inconclusive", notes=[exhausted])
 
 
 def _split_line(G: MultiPoly, A, l1, l2) -> SplitResult:
@@ -368,46 +355,6 @@ def _combination(G: MultiPoly, forms: List[MultiPoly]) -> Optional[List[Scalar]]
     return solve_linear(rows, [to_scalar(G.terms.get(m, 0), FIELD_QI) for m in monos])
 
 
-def _odd_solve(G, scale, l1, l2, U1, U2, m):
-    """Settle the free coefficients in H1 = U1 + u*l2, H2 = U2 + v*l1
-    (m = 1) by a two-unknown polynomial system.  Returns (solution or None,
-    search-was-definitive)."""
-    uv = ("x", "y", "z", "u", "v")
-    un = MultiPoly.variable("u", uv, FIELD_QI)
-    vn = MultiPoly.variable("v", uv, FIELD_QI)
-    if m != 1:
-        H1, H2 = U1, U2
-        lhs = G * scale - l1 * H1 * H1 + l2 * H2 * H2
-        return ((H1, H2) if lhs.is_zero() else None), False
-    H1 = U1.with_vars(uv) + l2.with_vars(uv) * un
-    H2 = U2.with_vars(uv) + l1.with_vars(uv) * vn
-    E = (G.with_vars(uv) * scale
-         - l1.with_vars(uv) * H1 * H1
-         + l2.with_vars(uv) * H2 * H2)
-    eqs = _coefficient_system(E, ("u", "v"))
-    sols, definitive = solve_zero_dim(eqs, FIELD_QI) or ([], False)
-    for u0, v0 in sols:
-        H1s = (U1 + l2 * u0).promote(FIELD_QI)
-        H2s = (U2 + l1 * v0).promote(FIELD_QI)
-        check = G * scale - l1 * H1s * H1s + l2 * H2s * H2s
-        if check.is_zero():
-            return (H1s, H2s), definitive
-    return None, definitive
-
-
-def _coefficient_system(E: MultiPoly, unknowns) -> List[MultiPoly]:
-    """Group E by monomials in the non-unknown variables; each group gives a
-    polynomial equation in the unknowns."""
-    idx = [E.vars.index(u) for u in unknowns]
-    rest_idx = [k for k in range(len(E.vars)) if k not in idx]
-    groups = {}
-    for exp, c in E.terms.items():
-        key = tuple(exp[k] for k in rest_idx)
-        uexp = tuple(exp[k] for k in idx)
-        groups.setdefault(key, {})[uexp] = c
-    return [MultiPoly.make(tuple(unknowns), E.field, terms) for terms in groups.values()]
-
-
 # -- the conic shortcut ---------------------------------------------------------
 
 
@@ -428,7 +375,6 @@ def conic_focus_split(C: PlaneCurve, A: Tuple[Scalar, Scalar]
     polar = MultiPoly.make(CURVE_VARS, FIELD_QI,
                            {(1, 0, 0): lcoef[0], (0, 1, 0): lcoef[1], (0, 0, 1): lcoef[2]})
     return _combination(G, [polar * polar, distance_form(A)]) is not None, polar
-
 
 
 # -- plane components of a split -------------------------------------------------
@@ -459,11 +405,6 @@ def witness_components(C: PlaneCurve, A: Tuple[Scalar, Scalar], r2,
             "z": s,
         }).with_vars(vars3)
 
-    if witness.parity == "even":
-        sheet0 = on_line(witness.H1)
-    else:
-        l1, _ = cyclic_tangent_pair(A)
-        sheet0 = on_line(l1) * on_line(witness.H1)
     sheet1 = on_line(witness.H2)
     qa = ((x - a) ** 2 + (y - b) ** 2).with_vars(("x", "y"))
     constraint = s * s - qa.with_vars(vars3)
@@ -471,16 +412,22 @@ def witness_components(C: PlaneCurve, A: Tuple[Scalar, Scalar], r2,
     strip = [witness.H2.dehomogenize("z").with_vars(("x", "y")),
              qa,                      # the cyclic line pair through A
              qa - r * r]              # the base circle itself
+    if witness.parity == "even":
+        sheet0 = on_line(witness.H1)
+    else:
+        # on_line(l1) = (s - r)*l1(x, y, 1): on l1(x, y, 1) = 0 the constraint's
+        # roots are both s = 0, where the sheet vanishes, so l1 divides raw
+        l1, _ = cyclic_tangent_pair(A)
+        sheet0 = on_line(l1) * on_line(witness.H1)
+        strip.append(l1.dehomogenize("z").with_vars(("x", "y")))
     for sign in (1, -1):
         w = sheet0 + sheet1 * (s - r) * s * sign
         raw = sylvester_resultant(w, constraint, "s").with_vars(("x", "y"))
         if raw.is_zero():
             return None
         comp = _strip_extraneous(raw, strip)
-        deg = comp.total_degree()
-        comp_h = comp.homogenize("z", deg)
         try:
-            comps.append(PlaneCurve(comp_h))
+            comps.append(PlaneCurve(comp.homogenize("z", comp.total_degree())))
         except (ConchoidError, ValueError):
             return None
     return comps[0], comps[1]
@@ -488,8 +435,8 @@ def witness_components(C: PlaneCurve, A: Tuple[Scalar, Scalar], r2,
 
 def _strip_extraneous(raw: MultiPoly, strippers: List[MultiPoly]) -> MultiPoly:
     """Divide out degenerate-configuration factors (vanishing elimination
-    leading coefficient, the cyclic pair, the base circle), never past the
-    last nonconstant part."""
+    leading coefficient, the cyclic pair, the base circle, and l1 for an odd
+    witness), never past the last nonconstant part."""
     out = raw
     for factor in strippers:
         if factor.is_constant():

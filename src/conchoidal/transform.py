@@ -170,8 +170,7 @@ def extract_known_components(R: PlaneCurve, scene: Scene,
 # -- elimination cross-check -----------------------------------------------------
 
 
-def elimination_crosscheck(B: PlaneCurve, C: PlaneCurve,
-                           samples: int = 25, seed: int = 20113) -> MultiPoly:
+def elimination_crosscheck(B: PlaneCurve, C: PlaneCurve) -> MultiPoly:
     """Affine equation of the set-theoretic conchoid by eliminating x, y from
     (F(u-x, v-y, 1), x*v - y*u, G(x, y, 1)) with two pairwise Sylvester
     resultants, then taking the squarefree part and pruning extraneous
@@ -203,15 +202,14 @@ def elimination_crosscheck(B: PlaneCurve, C: PlaneCurve,
     if r.is_constant():
         raise EliminationDegenerateError("elimination produced no curve")
     s = squarefree_part(r)
-    s = _prune_axis_factors(s, B, C, samples, seed)
+    s = _prune_axis_factors(s, B, C)
     out = s.substitute({"u": MultiPoly.variable("x", ("x", "y"), field),
                         "v": MultiPoly.variable("y", ("x", "y"), field)})
     return out.with_vars(("x", "y")).monic()
 
 
-def _prune_axis_factors(s: MultiPoly, B: PlaneCurve, C: PlaneCurve,
-                        samples: int, seed: int) -> MultiPoly:
-    rng = random.Random(seed)
+def _prune_axis_factors(s: MultiPoly, B: PlaneCurve, C: PlaneCurve) -> MultiPoly:
+    rng = random.Random(20113)       # one fixed seed: the check is deterministic
     for axis, make_point in (("u", lambda t: (Fraction(0), t)),
                              ("v", lambda t: (t, Fraction(0)))):
         axis_poly = MultiPoly.variable(axis, s.vars, s.field)
@@ -219,7 +217,7 @@ def _prune_axis_factors(s: MultiPoly, B: PlaneCurve, C: PlaneCurve,
         if q is None:
             continue
         keep = True
-        for _ in range(samples):
+        for _ in range(25):          # membership samples per axis
             t = Fraction(rng.randint(-400, 400), rng.randint(1, 40))
             a, b = make_point(t)
             member = membership_value(B, C, ProjPoint(a, b, 1))

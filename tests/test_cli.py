@@ -146,6 +146,46 @@ def test_split_json_field(capsys):
                    '"H1": "i*x - 25/4*i*z", "H2": "5/4*i", "scale": "9/16", "field": "Qi"}\n')
 
 
+ODD_CUBIC = "x^3+2*x^2*z-3*x*y^2+x*z^2-2*y^2*z"
+# l1*H1^2 - l2*H2^2 about the origin, for (H1, H2) = (x^2+y*z, x*y-z^2) and
+# (x^2-z^2, y^2+x*z); the second H1 is the form the solver pins
+QUINTIC = ("x^5+i*x^4*y-x^3*y^2+2*x^3*y*z+i*x^2*y^3+2*i*x^2*y^2*z+2*x^2*y*z^2"
+           "+(1-2*i)*x*y^2*z^2-x*z^4+i*y^3*z^2+i*y*z^4")
+PINNED_QUINTIC = ("x^5+i*x^4*y-3*x^3*z^2-2*x^2*y^2*z-i*x^2*y*z^2-x*y^4+2*i*x*y^3*z"
+                  "+x*z^4+i*y^5+i*y*z^4")
+
+
+def test_split_odd_answers(capsys):
+    code, out, _ = run(capsys, "split", "--C", "y^2*z-x^3-x*z^2-2*z^3")
+    assert code == 3
+    assert out == ("verdict: inconclusive\nnote: g|l1 not divisible by l2|l1\n"
+                   "note: C is not certified absolutely irreducible; the criterion assumes it is\n")
+    code, out, _ = run(capsys, "split", "--C", ODD_CUBIC, "--json")
+    assert code == 0
+    assert out == ('{"verdict": "split", "notes": [], "parity": "odd", '
+                   '"H1": "-1/2*i*x + 1/2*y - 1/2*i*z", "H2": "-1/2*x + 1/2*i*y - 1/2*z", '
+                   '"scale": "-1/2", "field": "Qi"}\n')
+    code, out, _ = run(capsys, "split", "--field", "Qi", "--C", QUINTIC)
+    assert code == 3
+    assert out == "verdict: inconclusive\nnote: odd-case search not definitive\n"
+
+
+def test_split_quintic_with_the_pinned_H1(capsys):
+    code, out, _ = run(capsys, "split", "--field", "Qi", "--C", PINNED_QUINTIC)
+    assert code == 0
+    assert out == ("verdict: split\nparity odd: scale*G = l1*H1^2 - l2*H2^2\n"
+                   "H1 = -x^2 + z^2\nH2 = x*z + y^2\nscale = 1 (field Q)\n")
+
+
+def test_split_components_of_an_odd_witness(capsys):
+    # two real quintics, with no spare factor x + i*y
+    code, out, _ = run(capsys, "split", "--C", ODD_CUBIC, "--components")
+    assert code == 0
+    assert ("components: x^5 + 2*x^4*z - 2*x^3*y^2 + 2*x^2*y*z^2 - 3*x*y^4 + 4*x*y^2*z^2"
+            " - 2*y^4*z + 2*y^3*z^2; x^5 + 2*x^4*z - 2*x^3*y^2 - 2*x^2*y*z^2 - 3*x*y^4"
+            " + 4*x*y^2*z^2 - 2*y^4*z - 2*y^3*z^2\n") in out
+
+
 def test_focus_exit(capsys):
     assert run(capsys, "focus", "--C", "(y+z)^2-(x^2+y^2)")[0] == 0
     assert run(capsys, "focus", "--C", "1/25*x^2+1/9*y^2-z^2")[0] == 1
@@ -287,6 +327,18 @@ def test_recognize_proper_yes_via_cli(capsys):
                        "--mode", "proper", "--json")
     assert code == 0
     assert json.loads(out)["verdict"] == "yes"
+
+
+def test_recognize_proper_odd_degree_is_not_a_certified_no(capsys):
+    # a quintic factor of the proper conchoid of ODD_CUBIC meets x + i*y = 0
+    # only at the center, with odd contact 3: no everywhere-tangent cyclic
+    # line, yet no certificate of "no"
+    code, out, _ = run(capsys, "recognize", "--D",
+                       "x^5+2*x^4*z-2*x^3*y^2+2*x^2*y*z^2-3*x*y^4+4*x*y^2*z^2-2*y^4*z+2*y^3*z^2",
+                       "--mode", "proper")
+    assert code == 3
+    assert out.startswith("verdict: inconclusive\n")
+    assert "[fail] cyclic-tangent-lines" in out
 
 
 def test_main_keeps_no_state_between_calls(capsys):

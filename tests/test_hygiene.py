@@ -2,7 +2,8 @@
 so a bug surfaces as a traceback instead of turning into a verdict; the
 package has one Sylvester determinant, one gcd, one exact division, one
 substitution, one Q(i) scalar, one root finder, one quartic splitter, one
-double-component search and one polynomial type; no module imports a name
+double-component search, one splitting finisher for both parities and one
+polynomial type; no module imports a name
 it never uses; and every function the benchmark's tracer wraps by name
 still exists."""
 
@@ -22,7 +23,8 @@ DIVISION_ORACLE = re.compile(r"\bdivision_oracle\b|\bgrlex_exact_div\b")
 SUBSTITUTE_ORACLE = re.compile(r"\bsubstitute_oracle\b|\bsubstitute_per_term\b")
 GAUSSIAN_ORACLE = re.compile(r"\bgaussian_oracle\b")
 ROOTS_ORACLE = re.compile(r"roots_oracle|_re_im_split|_rational_zeros_uv")
-SOLVER_ORACLES = re.compile(r"quartic_oracle|quartic_split_oracle|double_component_oracle")
+SOLVER_ORACLES = re.compile(r"quartic_oracle|quartic_split_oracle|double_component_oracle"
+                            r"|odd_split_oracle|_odd_solve|_coefficient_system")
 SYLVESTER_LAYOUT = re.compile(r"\bsylvester_rows\(")
 SECOND_POLY_TYPE = re.compile(r"\bUniPoly\b|\bas_unipoly\b|\bdivmod\b|\bdeflate_root\b")
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -85,10 +87,11 @@ def test_no_library_use_of_the_roots_oracle():
 
 
 def test_no_library_use_of_the_solver_oracles():
-    # the quartic split runs on solve_zero_dim and the double component on
-    # derivative_gcd; the hand-rolled versions live in tests/ as oracles
+    # the quartic split runs on solve_zero_dim, the double component on
+    # derivative_gcd and the odd split on the finisher the even split uses;
+    # the hand-rolled versions live in tests/ as oracles
     hits = _source_hits(SOLVER_ORACLES)
-    assert not hits, "uses of the quartic or double-component oracle:\n" + "\n".join(hits)
+    assert not hits, "uses of the quartic, double-component or odd-split oracle:\n" + "\n".join(hits)
 
 
 def _annotation_names(node):

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conchoidal import (
+    MultiPoly,
     PlaneCurve,
     Scene,
     conchoidal_transform,
@@ -15,16 +16,30 @@ from conchoidal import (
     split_test,
     witness_components,
 )
-from conchoidal.errors import DegenerateConicError, NotSquarefreeError
+from conchoidal.curves import recenter
+from conchoidal.errors import (
+    CyclicTangentError,
+    DegenerateConicError,
+    InternalError,
+    NotSquarefreeError,
+)
 from conchoidal.curves import CURVE_VARS
-from conchoidal.fields import FIELD_QI, GaussianRational, sqrt_in_field
+from conchoidal.fields import FIELD_Q, FIELD_QI, GaussianRational, sqrt_in_field
+from conchoidal.gcd import is_squarefree
+from conchoidal.grammar import poly_to_text, scalar_to_text
+from conchoidal.multipoly import poly_exact_div
 from conchoidal.roots import square_root_up_to_scalar
 from conchoidal.splitting import (
+    SplitWitness,
     _branch_restrictions,
+    _monomials,
+    _restrict,
     _solve_form_with_restrictions,
     cyclic_line,
     distance_form,
 )
+from helpers import random_form
+from odd_split_oracle import odd_split_oracle
 
 ORIGIN = (Fraction(0), Fraction(0))
 PARABOLA = PlaneCurve.from_text("(y+z)^2-(x^2+y^2)")
@@ -137,8 +152,6 @@ def _random_conic_and_point(rng):
             conic = PlaneCurve(eq)
         except ValueError:
             continue
-        from conchoidal.gcd import is_squarefree
-
         if not is_squarefree(conic.equation):
             continue
         A = (Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)))
@@ -243,8 +256,6 @@ def test_sextic_split_with_a_non_square_scalar():
 
 
 def _random_form_qi(rng, degree):
-    from helpers import random_form
-
     re = random_form(rng, degree)
     im = random_form(rng, degree)
     return re.promote(FIELD_QI) + im.promote(FIELD_QI) * GaussianRational(0, 1)
@@ -253,9 +264,6 @@ def _random_form_qi(rng, degree):
 def test_constructed_even_witnesses_are_found():
     # build G = H1^2 - q H2^2 from random real forms and require the solver
     # to certify the split
-    from conchoidal.gcd import is_squarefree
-    from helpers import random_form
-
     rng = random.Random(606)
     found = {2: 0, 4: 0}
     while min(found.values()) < 4:
@@ -285,8 +293,6 @@ def test_constructed_even_witnesses_are_found():
 def test_constructed_odd_witnesses_are_found():
     # G = l1 H1^2 + l2 conj(H1)^2 is a real curve with the odd witness
     # (H1, i conj(H1))
-    from conchoidal.gcd import is_squarefree
-
     rng = random.Random(707)
     done = 0
     while done < 4:
@@ -313,9 +319,6 @@ def test_constructed_odd_witnesses_are_found():
 
 
 def test_random_quartics_do_not_crash_and_witnesses_verify():
-    from conchoidal.errors import NotSquarefreeError
-    from helpers import random_form
-
     rng = random.Random(808)
     tried = 0
     while tried < 8:
@@ -343,3 +346,110 @@ def test_reducible_input_has_reducible_proper_conchoid():
     part1 = extract_known_components(conchoidal_transform(circle, l1), scene).residual()
     part2 = extract_known_components(conchoidal_transform(circle, l2), scene).residual()
     assert whole.proportional_to(part1 * part2)
+
+
+# -- odd degree ------------------------------------------------------------------
+
+
+def _split_text(res):
+    """The fields of a split answer as the CLI prints them."""
+    w = res.witness
+    fields = (res.verdict, res.notes)
+    if w is None:
+        return fields
+    return fields + (w.parity, poly_to_text(w.H1), poly_to_text(w.H2), scalar_to_text(w.scale))
+
+
+def _linear_forms(field, count):
+    coeff = st.integers(-3, 3)
+    scalar = coeff if field == FIELD_Q else st.builds(GaussianRational, coeff, coeff)
+    return st.lists(st.tuples(scalar, scalar, scalar), min_size=count, max_size=count)
+
+
+def _form(coeffs, degree):
+    return MultiPoly.make(CURVE_VARS, FIELD_QI, dict(zip(_monomials(degree), coeffs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([FIELD_Q, FIELD_QI]),
+       st.sampled_from(["witness", "real", "random"]),
+       st.integers(-2, 2), st.integers(-2, 2))
+def test_odd_split_agrees_with_the_oracle(data, field, family, a, b):
+    # on constructed split cubics (l1 H1^2 - l2 H2^2, and the real
+    # l1 H^2 + l2 conj(H)^2) and random cubics, the one finisher gives the
+    # odd solver's verdict, notes, H1, H2 and scale
+    A = (Fraction(a), Fraction(b))
+    l1, l2 = cyclic_tangent_pair(A)
+    if family == "random":
+        G = _form(data.draw(st.lists(st.integers(-3, 3), min_size=10, max_size=10)), 3)
+        if field == FIELD_QI:
+            G = G + _form(data.draw(st.lists(st.integers(-3, 3), min_size=10, max_size=10)),
+                          3) * GaussianRational(0, 1)
+    else:
+        # conj(H) makes the real family real only for H outside Q[x, y, z]
+        forms_field = FIELD_QI if family == "real" else field
+        H1, H2 = (_form(c, 1) for c in data.draw(_linear_forms(forms_field, 2)))
+        G = (l1 * H1 * H1 - l2 * H2 * H2 if family == "witness"
+             else l1 * H1 * H1 + l2 * H1.conj() * H1.conj())
+    assume(G.total_degree() == 3 and is_squarefree(G))
+    C = PlaneCurve(G)
+    try:
+        want = odd_split_oracle(C, A)
+    except CyclicTangentError:
+        with pytest.raises(CyclicTangentError):
+            split_test(C, A)
+        return
+    got = split_test(C, A)
+    assert _split_text(got) == _split_text(want)
+    if got.witness is not None:
+        assert (got.witness.H1, got.witness.H2) == (want.witness.H1, want.witness.H2)
+
+
+@pytest.mark.parametrize("delta", [5, 7])
+def test_odd_split_with_the_pinned_H1(delta):
+    # C = l1 U1^2 - l2 H2^2 with U1 the form the solver pins from the branch
+    # data of l1 H1^2 - l2 H2^2: H1 = U1 and h = 0, so the one finisher
+    # reads H2 off M(0) and certifies the split
+    rng = random.Random(1900 + delta)
+    m = (delta - 1) // 2
+    l1, l2 = cyclic_tangent_pair(ORIGIN)
+    found = 0
+    while found < 2:
+        H1, H2 = (random_form(rng, m).promote(FIELD_QI) for _ in range(2))
+        G = l1 * H1 * H1 - l2 * H2 * H2
+        if G.total_degree() != delta or not is_squarefree(G):
+            continue
+        _, p2, _, g2 = _branch_restrictions(G, ORIGIN)
+        _, w2 = square_root_up_to_scalar(poly_exact_div(g2, _restrict(l1, p2)))
+        U1 = _solve_form_with_restrictions(m, [(p2, w2)])
+        C = PlaneCurve(l1 * U1 * U1 - l2 * H2 * H2)
+        res = split_test(C, ORIGIN)
+        assert res.verdict == "split" and res.notes == []
+        assert res.witness.parity == "odd" and res.witness.identity_holds(C, ORIGIN)
+        found += 1
+
+
+def test_failing_odd_witness_is_a_bug(monkeypatch):
+    monkeypatch.setattr(SplitWitness, "identity_holds", lambda self, C, A: False)
+    with pytest.raises(InternalError):
+        split_test(PlaneCurve.from_text("x^3+2*x^2*z-3*x*y^2+x*z^2-2*y^2*z"), ORIGIN)
+
+
+@pytest.mark.parametrize("A", [ORIGIN, (Fraction(1), Fraction(-1)), (Fraction(-2), Fraction(1))])
+def test_odd_components_multiply_to_the_proper_conchoid(A):
+    # the real cubics l1 H^2 + l2 conj(H)^2 split; for each radius the two
+    # components multiply to the proper conchoid, recentred to A, with no
+    # spare factor l1
+    l1, l2 = cyclic_tangent_pair(A)
+    for text in ("x+i*y+z", "(1+i)*x-y+2*z", "x-2*i*z", "2*x+i*y-z"):
+        H = parse_poly(text, FIELD_QI)
+        C = PlaneCurve(l1 * H * H + l2 * H.conj() * H.conj())
+        witness = split_test(C, A).witness
+        moved = recenter(C, A)
+        for r2 in (Fraction(1), Fraction(4), Fraction(9, 4)):
+            comps = witness_components(C, A, r2, witness)
+            circle = PlaneCurve.from_text(f"x^2+y^2-{r2}*z^2")
+            resid = extract_known_components(conchoidal_transform(circle, moved),
+                                             Scene(circle), moved).residual()
+            proper = recenter(PlaneCurve(resid), (-A[0], -A[1])).equation
+            assert proper.proportional_to(comps[0].equation * comps[1].equation), (text, r2)
