@@ -1,16 +1,17 @@
 """Iterated conchoids and the two recognition procedures of the circle case.
 
 Both recognizers run a pipeline of necessary checks (each recorded in the
-report), enumerate finitely many candidate centers and squared radii, and
-verify candidates by an exact forward conchoid computation.  In complete
-mode a squared radius must first pass a certified necessary condition on
-one line through the center (`_line_radius_filter`: a squarefree-degree
+report) down to finitely many candidate centers, then share one search
+over each center's squared radii (`_search`) and one verifier, an exact
+forward conchoid computation (`_verified_candidate`).  In complete mode a
+squared radius must first pass a certified necessary condition on one
+line through the center (`_line_radius_filter`: a squarefree-degree
 bound, one univariate gcd), which rejects most wrong radii without a
 forward computation; a radius that passes is still verified, and that
-verification stays the certificate of every "yes".  Only centers
-in Q^2 and rational squared radii are searched (the proper mode reads its
-center off a tangent line through a cyclic point, solved over Q(i)).  A
-center with an irrational or non-real Q(i) coordinate, like any irrational
+verification stays the certificate of every "yes".  Only centers in Q^2
+and rational squared radii are searched (the proper mode reads its center
+off a tangent line through a cyclic point, solved over Q(i)).  A center
+with an irrational or non-real Q(i) coordinate, like any irrational
 candidate, yields an "inconclusive" verdict, never a "no".
 """
 
@@ -126,7 +127,7 @@ def candidate_radii(D: PlaneCurve, A: Tuple[Scalar, Scalar],
         if restricted.is_constant():
             continue
         pts = []
-        for r, _ in rational_roots(restricted, restricted.field):
+        for r, _ in rational_roots(restricted):
             rr = as_fraction(r)
             if rr is None:
                 continue
@@ -194,24 +195,6 @@ def _double_component(resid: MultiPoly) -> Optional[MultiPoly]:
     return g.monic()
 
 
-def _conchoid_double_component(B: PlaneCurve, scene: Scene, Dc: PlaneCurve
-                               ) -> Optional[MultiPoly]:
-    """The double component of the proper part of the conchoid of Dc with
-    respect to B, or None."""
-    resid = extract_known_components(conchoidal_transform(B, Dc), scene).residual()
-    return None if resid is None else _double_component(resid)
-
-
-def _forward(B: PlaneCurve, cand: MultiPoly) -> Optional[Tuple[PlaneCurve, PlaneCurve]]:
-    """(candidate curve, its conchoid with respect to B), or None when the
-    candidate is not a valid curve or its transform is degenerate."""
-    try:
-        cand_curve = PlaneCurve(cand)
-        return cand_curve, conchoidal_transform(B, cand_curve)
-    except (ConchoidError, ValueError):
-        return None
-
-
 def _rational_multiple_points(D: PlaneCurve, min_mult: int
                               ) -> Tuple[List[Tuple[Fraction, Fraction]], bool]:
     """Affine rational points with multiplicity >= min_mult, solved from
@@ -219,7 +202,7 @@ def _rational_multiple_points(D: PlaneCurve, min_mult: int
     is no such point over the closure."""
     d = D.equation.dehomogenize("z").with_vars(("x", "y"))
     uv = MultiPoly(("u", "v"), d.field, d.terms)
-    solved = solve_zero_dim([uv, uv.derivative("u"), uv.derivative("v")], d.field)
+    solved = solve_zero_dim([uv, uv.derivative("u"), uv.derivative("v")])
     candidates, definitive_no = solved or ([], False)
     points: List[Tuple[Fraction, Fraction]] = []
     for x0, y0 in candidates:
@@ -239,9 +222,9 @@ _LINE_DIRECTION = (Fraction(3, 5), Fraction(4, 5))
 
 def _line_radius_filter(D: PlaneCurve, A: Tuple[Scalar, Scalar], delta: int
                         ) -> Callable[[Scalar], bool]:
-    """A necessary condition on r2 for `_verified_complete_candidate(D, A,
-    r2)` to return a witness, read on one line through A.  Built once per
-    center; delta = deg(D) / 4.
+    """A necessary condition on r2 for `_verified_candidate(D, A, r2,
+    proper=False)` to return a witness, read on one line through A.  Built
+    once per center; delta = deg(D) / 4.
 
     Lemma.  Let A be any point with coordinates in Q(i), r2 != 0 and
     r^2 = r2, L the line A + s u (u the unit vector above), D_L(s) =
@@ -303,16 +286,77 @@ def _line_radius_filter(D: PlaneCurve, A: Tuple[Scalar, Scalar], delta: int
     return admits
 
 
-def _verified_complete_candidate(D: PlaneCurve, A: Tuple[Fraction, Fraction],
-                                 r2: Fraction) -> Optional[MultiPoly]:
-    """Candidate source curve whose full conchoid reproduces D, or None."""
+def _verified_candidate(D: PlaneCurve, A: Tuple[Fraction, Fraction], r2: Fraction,
+                        proper: bool) -> Optional[MultiPoly]:
+    """A source curve for D about A with squared radius r2, verified by a
+    forward conchoid and moved back to A, or None.  The candidates are the
+    double component of the proper part of the conchoid of D (D a whole
+    conchoid) and, in proper mode, the sheet components of D's own split
+    witness (D a single component).  A candidate is accepted when its
+    conchoid is proportional to D (complete mode), or when D divides the
+    proper part of its conchoid (proper mode)."""
+    origin = (Fraction(0), Fraction(0))
     Dc = recenter(D, A)
-    B = CircleSpec((Fraction(0), Fraction(0)), r2).curve()
-    cand = _conchoid_double_component(B, Scene(B), Dc)
-    forward = None if cand is None else _forward(B, cand)
-    if forward is None or not forward[1].equation.proportional_to(Dc.equation):
-        return None
-    return recenter(forward[0], (-A[0], -A[1])).equation
+    B = CircleSpec(origin, r2).curve()
+    scene = Scene(B)
+    resid = extract_known_components(conchoidal_transform(B, Dc), scene).residual()
+    double = None if resid is None else _double_component(resid)
+    candidates: List[MultiPoly] = [] if double is None else [double]
+    if proper:
+        try:
+            witness = split_test(Dc, origin).witness
+        except (ConchoidError, ValueError):
+            witness = None
+        comps = None if witness is None else witness_components(Dc, origin, r2, witness)
+        candidates += [] if comps is None else [c.equation for c in comps]
+    for cand in candidates:
+        try:
+            C = PlaneCurve(cand)
+            T = conchoidal_transform(B, C)
+        except (ConchoidError, ValueError):
+            continue
+        if proper:
+            resid = extract_known_components(T, scene).residual()
+            ok = resid is not None and poly_exact_div(resid, Dc.equation) is not None
+        else:
+            ok = T.equation.proportional_to(Dc.equation)
+        if ok:
+            return recenter(C, (-A[0], -A[1])).equation
+    return None
+
+
+def _search(report: RecognitionReport, D: PlaneCurve,
+            centers: Sequence[Tuple[Fraction, Fraction]], proper: bool) -> RecognitionReport:
+    """Try each center's squared-radius candidates in order, through the
+    line filter first in complete mode, and finish the report: "yes" with
+    the first verified witness, otherwise "inconclusive"."""
+    verification = "pattern-verification" if proper else "witness-verification"
+    any_radii = False
+    for A in centers:
+        radii, _ = candidate_radii(D, A)
+        if not radii:
+            continue
+        any_radii = True
+        admits = (lambda r2: True) if proper else _line_radius_filter(D, A, D.degree // 4)
+        for r2 in radii:
+            witness = _verified_candidate(D, A, r2, proper) if admits(r2) else None
+            if witness is not None:
+                center = f"center ({A[0]}, {A[1]})"
+                if proper:
+                    report.checks.append(CheckRecord("affine-intersection", True, center))
+                report.checks.append(CheckRecord(verification, True, f"{center}, r2 = {r2}"))
+                report.candidates.append(Candidate(A, r2, witness))
+                report.verdict = "yes"
+                return report
+    if not any_radii:
+        report.checks.append(CheckRecord("radius-candidates", False,
+                                         "no rational radius candidate"))
+    else:
+        report.checks.append(CheckRecord(
+            verification, False, "no candidate reproduced the iterated pattern" if proper
+            else "no candidate passed the forward verification"))
+    report.verdict = "inconclusive"
+    return report
 
 
 def recognize_complete(D: PlaneCurve) -> RecognitionReport:
@@ -352,30 +396,7 @@ def recognize_complete(D: PlaneCurve) -> RecognitionReport:
         report.verdict = "no" if definitive else "inconclusive"
         return report
 
-    any_radii = False
-    for A in points:
-        radii, _ = candidate_radii(D, A)
-        if not radii:
-            continue
-        any_radii = True
-        admits = _line_radius_filter(D, A, delta)
-        for r2 in radii:
-            if not admits(r2):
-                continue
-            witness = _verified_complete_candidate(D, A, r2)
-            if witness is not None:
-                report.checks.append(CheckRecord(
-                    "witness-verification", True,
-                    f"center ({A[0]}, {A[1]}), r2 = {r2}"))
-                report.candidates.append(Candidate(A, r2, witness))
-                report.verdict = "yes"
-                return report
-    report.checks.append(CheckRecord(
-        "radius-candidates" if not any_radii else "witness-verification", False,
-        "no rational radius candidate" if not any_radii
-        else "no candidate passed the forward verification"))
-    report.verdict = "inconclusive"
-    return report
+    return _search(report, D, points, proper=False)
 
 
 # -- proper-conchoid recognition ------------------------------------------------------
@@ -396,7 +417,16 @@ def _tangent_cyclic_lines(D: PlaneCurve) -> Tuple[List[GaussianRational], bool]:
     An empty list is never definitive for odd deg D: a component of a split
     proper conchoid need not restrict to a square (a quintic factor of the
     proper conchoid of x^3 + 2x^2z - 3xy^2 + xz^2 - 2y^2z about the origin
-    restricts to -4i s^3 t^2 on x + i y = 0, odd contact 3 at the center)."""
+    restricts to -4i s^3 t^2 on x + i y = 0, odd contact 3 at the center).
+    For even deg D it is, on the premise that every proper conchoid about
+    A = (a, b), and every component of a split one, restricts to a nonzero
+    square up to scalar on cyclic_line(a + i b, 1), the line l1.  On l1 the
+    form q = l1 l2 vanishes, so the circle (1 - w)^2 q - r2 z^2 is constant
+    in w and the conchoid restricts to z^(2 delta) times the square of the
+    source's top form, up to scalar; likewise each sheet resultant
+    Res_s(w, s^2 - q) of ``witness_components`` restricts to w(0)^2.  The
+    factors divided out afterwards escape this argument; a test checks the
+    premise on random proper conchoids and split components."""
     G = D.equation.promote(FIELD_QI)
     stc = ST + ("c",)
     p = G.substitute(cyclic_line(MultiPoly.variable("c", ("c",), FIELD_QI), 1)).with_vars(stc)
@@ -414,25 +444,18 @@ def _tangent_cyclic_lines(D: PlaneCurve) -> Tuple[List[GaussianRational], bool]:
         if conds is None:
             definitive = False
         else:
-            roots, complete = common_roots(conds, FIELD_QI)
+            roots, complete = common_roots(conds)
             definitive = definitive and complete
             candidates.extend(roots)
     # degenerate candidates: deeper contact at the cyclic point
     if not a[0].is_zero():
-        roots0, complete0 = common_roots([a[0]], FIELD_QI)
+        roots0, complete0 = common_roots([a[0]])
         definitive = definitive and complete0
         candidates.extend(roots0)
     confirmed = []
-    seen = set()
-    for c0 in candidates:
-        key = (c0.re, c0.im)
-        if key in seen:
-            continue
-        seen.add(key)
+    for c0 in dict.fromkeys(candidates):
         restricted = G.substitute(cyclic_line(c0, 1)).with_vars(ST)
-        if restricted.is_zero():
-            continue
-        if square_root_up_to_scalar(restricted) is not None:
+        if not restricted.is_zero() and square_root_up_to_scalar(restricted) is not None:
             confirmed.append(c0)
     return confirmed, definitive
 
@@ -489,59 +512,5 @@ def recognize_proper(D: PlaneCurve) -> RecognitionReport:
         report.verdict = "no" if definitive else "inconclusive"
         return report
 
-    any_radii = False
-    for c0 in cvals:
-        A = (c0.re, c0.im)   # intersection of the line with its conjugate
-        radii, _ = candidate_radii(D, A)
-        if radii:
-            any_radii = True
-        for r2 in radii:
-            witness = _verified_proper_candidate(D, A, r2)
-            if witness is not None:
-                report.checks.append(CheckRecord(
-                    "affine-intersection", True, f"center ({A[0]}, {A[1]})"))
-                report.checks.append(CheckRecord(
-                    "pattern-verification", True,
-                    f"center ({A[0]}, {A[1]}), r2 = {r2}"))
-                report.candidates.append(Candidate(A, r2, witness))
-                report.verdict = "yes"
-                return report
-    if not any_radii:
-        report.checks.append(CheckRecord("radius-candidates", False,
-                                         "no rational radius candidate"))
-    else:
-        report.checks.append(CheckRecord("pattern-verification", False,
-                                         "no candidate reproduced the iterated pattern"))
-    report.verdict = "inconclusive"
-    return report
-
-
-def _verified_proper_candidate(D: PlaneCurve, A: Tuple[Fraction, Fraction],
-                               r2: Fraction) -> Optional[MultiPoly]:
-    """Candidate source curves C, accepted when the proper conchoid of C
-    contains D.  Two candidate generators: a multiplicity-2 non-exceptional
-    component of the conchoid of D (D = a whole proper conchoid), and the
-    sheet components of D's own splitting witness (D = a single component)."""
-    Dc = recenter(D, A)
-    origin = (Fraction(0), Fraction(0))
-    B = CircleSpec(origin, r2).curve()
-    scene = Scene(B)
-    cand = _conchoid_double_component(B, scene, Dc)
-    candidates: List[MultiPoly] = [] if cand is None else [cand]
-    try:
-        split = split_test(Dc, origin)
-    except (ConchoidError, ValueError):
-        split = None
-    if split is not None and split.witness is not None:
-        comps = witness_components(Dc, origin, r2, split.witness)
-        if comps is not None:
-            candidates.extend(c.equation for c in comps)
-    for cand in candidates:
-        forward = _forward(B, cand)
-        if forward is None:
-            continue
-        proper = extract_known_components(forward[1], scene).residual()
-        if proper is None or poly_exact_div(proper, Dc.equation) is None:
-            continue
-        return recenter(forward[0], (-A[0], -A[1])).equation
-    return None
+    # the center is where each line meets its conjugate
+    return _search(report, D, [(c0.re, c0.im) for c0 in cvals], proper=True)

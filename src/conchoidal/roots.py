@@ -172,8 +172,8 @@ def rational_roots(f: MultiPoly, field: str = None) -> List[Tuple[Scalar, int]]:
 # -- zero-dimensional systems ----------------------------------------------
 
 
-def common_roots(polys: Sequence[MultiPoly], field: str) -> Tuple[List[Scalar], bool]:
-    """Common roots in the field of one or more nonzero polynomials in one
+def common_roots(polys: Sequence[MultiPoly]) -> Tuple[List[Scalar], bool]:
+    """Common roots in their field of one or more nonzero polynomials in one
     variable, found on their gcd.  The flag is True when the root
     multiplicities add up to the gcd's degree, i.e. no common root over the
     algebraic closure was missed."""
@@ -182,13 +182,13 @@ def common_roots(polys: Sequence[MultiPoly], field: str) -> Tuple[List[Scalar], 
         g = p if g is None else poly_gcd(g, p)
         if g.is_constant():
             return [], True
-    roots = rational_roots(g, field)
+    roots = rational_roots(g)
     return [r for r, _ in roots], sum(m for _, m in roots) == g.total_degree()
 
 
-def solve_zero_dim(eqs: Sequence[MultiPoly], field: str
+def solve_zero_dim(eqs: Sequence[MultiPoly]
                    ) -> Optional[Tuple[List[Tuple[Scalar, Scalar]], bool]]:
-    """Common solutions in the field of polynomials in (u, v), as
+    """Common solutions in their field of polynomials in (u, v), as
     (points, complete).  v is eliminated by pairwise resultants (vanishing
     ones skipped), u is solved on their gcd together with the v-free
     equations, and v by back-substitution.  complete is True when no
@@ -208,7 +208,7 @@ def solve_zero_dim(eqs: Sequence[MultiPoly], field: str
         upolys.append(r)
     if not upolys:
         return None
-    uroots, complete = common_roots(upolys, field)
+    uroots, complete = common_roots(upolys)
     points: List[Tuple[Scalar, Scalar]] = []
     for u0 in uroots:
         restricted = [e.partial_eval({"u": u0}) for e in eqs]
@@ -216,10 +216,10 @@ def solve_zero_dim(eqs: Sequence[MultiPoly], field: str
             continue
         vpolys = [e for e in restricted if not e.is_zero()]
         if not vpolys:
-            points.append((u0, to_scalar(0, field)))
+            points.append((u0, to_scalar(0, eqs[0].field)))
             complete = False
             continue
-        vroots, vcomplete = common_roots(vpolys, field)
+        vroots, vcomplete = common_roots(vpolys)
         complete = complete and vcomplete
         points.extend((u0, v0) for v0 in vroots)
     return points, complete
@@ -294,7 +294,7 @@ def _quartic_quadratic_split(p: MultiPoly) -> Optional[Tuple[MultiPoly, MultiPol
     u = MultiPoly.variable("u", ("u", "v"), p.field)
     v = MultiPoly.variable("v", ("u", "v"), p.field)
     e = r2 - v - u * (r3 - u)
-    solved = solve_zero_dim([u * e + v * (r3 - u) - r1, v * e - r0], p.field)
+    solved = solve_zero_dim([u * e + v * (r3 - u) - r1, v * e - r0])
     if solved is None:
         raise InternalError("the quartic split system has no nonzero eliminant")
     points = solved[0]
@@ -318,22 +318,21 @@ def factor_binary_form(form: MultiPoly) -> Tuple[Scalar, List[Tuple[MultiPoly, i
     if len(vars) != 2:
         raise ValueError(f"binary form must be declared over two variables, got {vars}")
     xv, yv = vars
-    field = form.field
     p = form.partial_eval({yv: Fraction(1)}).with_vars((xv,))
     factors: List[Tuple[MultiPoly, int]] = []
     y_mult = form.total_degree() - p.total_degree()
     if y_mult:
-        factors.append((MultiPoly.variable(yv, vars, field), y_mult))
+        factors.append((MultiPoly.variable(yv, vars, form.field), y_mult))
     for sq, mult in squarefree_decompose_uni(p):
-        for piece in _factor_squarefree_uni(sq, field):
+        for piece in _factor_squarefree_uni(sq):
             factors.append((piece.homogenize(yv).with_vars(vars), mult))
     return p.lc(), factors
 
 
-def _factor_squarefree_uni(p: MultiPoly, field: str) -> List[MultiPoly]:
+def _factor_squarefree_uni(p: MultiPoly) -> List[MultiPoly]:
     out: List[MultiPoly] = []
-    t = MultiPoly.variable(p.vars[0], p.vars, field)
-    for r, _ in rational_roots(p, field):
+    t = MultiPoly.variable(p.vars[0], p.vars, p.field)
+    for r, _ in rational_roots(p):
         out.append(t - r)
         p = poly_exact_div(p, t - r)
     if p.total_degree() == 0:

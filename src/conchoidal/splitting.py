@@ -303,7 +303,7 @@ def _finish(C: PlaneCurve, A, parity: str, G: MultiPoly, scale: Scalar,
                       for r1, r2 in combinations(range(3), 2) for c1, c2 in combinations(range(3), 2)]
             minors = [mnr for mnr in minors if not mnr.is_zero()]
             if minors:
-                candidates, complete = common_roots(minors, FIELD_QI)
+                candidates, complete = common_roots(minors)
         for h0 in candidates:
             got = square_root_up_to_scalar(-E0 + PH * h0 + q * (h0 * h0))
             if got is None:

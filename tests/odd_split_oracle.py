@@ -104,7 +104,7 @@ def _odd_solve(G, scale, l1, l2, U1, U2, m):
          - l1.with_vars(uv) * H1 * H1
          + l2.with_vars(uv) * H2 * H2)
     eqs = _coefficient_system(E, ("u", "v"))
-    sols, definitive = solve_zero_dim(eqs, FIELD_QI) or ([], False)
+    sols, definitive = solve_zero_dim(eqs) or ([], False)
     for u0, v0 in sols:
         H1s = (U1 + l2 * u0).promote(FIELD_QI)
         H2s = (U2 + l1 * v0).promote(FIELD_QI)

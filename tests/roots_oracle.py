@@ -37,7 +37,7 @@ def _re_im_split(f: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
 
 def _rational_zeros_uv(A: MultiPoly, B: MultiPoly):
     """Common rational zeros of two polynomials over Q in (u, v)."""
-    solved = solve_zero_dim([A, B], FIELD_Q)
+    solved = solve_zero_dim([A, B])
     if solved is None:
         raise InternalError("resultant of the zero-split parts vanished")
     return solved[0]

@@ -202,6 +202,61 @@ def test_recognize_modes(capsys):
     assert code == 3
 
 
+# One input per report branch and mode: "yes", no rational radius candidate
+# (the complete conchoid of x^2 + 2y^2 = 3 with r2 = 1 meets both axes at
+# irrational points; so does the circle of radius sqrt(2)), and radius
+# candidates of which none verifies (a quartic that passes every necessary
+# check, and two concentric circles whose radii differ by an irrational).
+RECOGNIZE_REPORTS = [
+    ("complete", "4*y^2*z^2+x^4+x^2*y^2-4*x^3*z-4*x*y^2*z+3*x^2*z^2", 0,
+     '{"verdict": "yes", "checks": [{"name": "reduced", "passed": true, "detail": ""}, '
+     '{"name": "degree-multiple-of-4", "passed": true, "detail": "degree 4, delta 1"}, '
+     '{"name": "infinity-splits", "passed": true, "detail": "restriction = const*(x^2+y^2)^1 * (x)^2"}, '
+     '{"name": "high-multiplicity-point", "passed": true, "detail": "1 rational point(s) of multiplicity >= 2"}, '
+     '{"name": "witness-verification", "passed": true, "detail": "center (0, 0), r2 = 1"}], '
+     '"candidates": [{"center": ["0", "0"], "r2": "1", "witness": "x - 2*z"}]}'),
+    ("complete", ("x^8+6*x^6*y^2-8*x^6*z^2+13*x^4*y^4-34*x^4*y^2*z^2+4*x^4*z^4+12*x^2*y^6"
+                  "-46*x^2*y^4*z^2+4*x^2*y^2*z^4+4*y^8-20*y^6*z^2+y^4*z^4"), 3,
+     '{"verdict": "inconclusive", "checks": [{"name": "reduced", "passed": true, "detail": ""}, '
+     '{"name": "degree-multiple-of-4", "passed": true, "detail": "degree 8, delta 2"}, '
+     '{"name": "infinity-splits", "passed": true, "detail": "restriction = const*(x^2+y^2)^2 * (x^2 + 2*y^2)^2"}, '
+     '{"name": "high-multiplicity-point", "passed": true, "detail": "1 rational point(s) of multiplicity >= 4"}, '
+     '{"name": "radius-candidates", "passed": false, "detail": "no rational radius candidate"}], '
+     '"candidates": []}'),
+    ("complete", "(x^2+y^2)*(x-z)^2-4*x^2*z^2+3*y^2*z^2", 3,
+     '{"verdict": "inconclusive", "checks": [{"name": "reduced", "passed": true, "detail": ""}, '
+     '{"name": "degree-multiple-of-4", "passed": true, "detail": "degree 4, delta 1"}, '
+     '{"name": "infinity-splits", "passed": true, "detail": "restriction = const*(x^2+y^2)^1 * (x)^2"}, '
+     '{"name": "high-multiplicity-point", "passed": true, "detail": "1 rational point(s) of multiplicity >= 2"}, '
+     '{"name": "witness-verification", "passed": false, "detail": "no candidate passed the forward verification"}], '
+     '"candidates": []}'),
+    ("proper", "x^4+(y^2-2*y*z-4*z^2)*x^2-2*y^3*z-3*y^2*z^2", 0,
+     '{"verdict": "yes", "checks": [{"name": "degree", "passed": true, "detail": "degree 4"}, '
+     '{"name": "reduced", "passed": true, "detail": ""}, '
+     '{"name": "cyclic-tangent-lines", "passed": true, "detail": "1 everywhere-tangent line(s) through the cyclic points"}, '
+     '{"name": "affine-intersection", "passed": true, "detail": "center (0, 0)"}, '
+     '{"name": "pattern-verification", "passed": true, "detail": "center (0, 0), r2 = 9/16"}], '
+     '"candidates": [{"center": ["0", "0"], "r2": "9/16", "witness": "x^4 + x^2*y^2 - 2*x^2*y*z - 25/16*x^2*z^2 - 2*y^3*z - 3/2*y^2*z^2"}]}'),
+    ("proper", "x^2+y^2-2*z^2", 3,
+     '{"verdict": "inconclusive", "checks": [{"name": "degree", "passed": true, "detail": "degree 2"}, '
+     '{"name": "reduced", "passed": true, "detail": ""}, '
+     '{"name": "cyclic-tangent-lines", "passed": true, "detail": "1 everywhere-tangent line(s) through the cyclic points"}, '
+     '{"name": "radius-candidates", "passed": false, "detail": "no rational radius candidate"}], '
+     '"candidates": []}'),
+    ("proper", "(x^2+y^2-z^2)*(x^2+y^2-2*z^2)", 3,
+     '{"verdict": "inconclusive", "checks": [{"name": "degree", "passed": true, "detail": "degree 4"}, '
+     '{"name": "reduced", "passed": true, "detail": ""}, '
+     '{"name": "cyclic-tangent-lines", "passed": true, "detail": "1 everywhere-tangent line(s) through the cyclic points"}, '
+     '{"name": "pattern-verification", "passed": false, "detail": "no candidate reproduced the iterated pattern"}], '
+     '"candidates": []}'),
+]
+
+
+@pytest.mark.parametrize("mode, D, code, line", RECOGNIZE_REPORTS)
+def test_recognize_report_lines(capsys, mode, D, code, line):
+    assert run(capsys, "recognize", "--D", D, "--mode", mode, "--json")[:2] == (code, line + "\n")
+
+
 def test_eliminate(capsys):
     code, out, _ = run(capsys, "eliminate", "--B", "x^2+y^2-z^2", "--C", "x")
     assert code == 0

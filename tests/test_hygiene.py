@@ -2,10 +2,10 @@
 so a bug surfaces as a traceback instead of turning into a verdict; the
 package has one Sylvester determinant, one gcd, one exact division, one
 substitution, one Q(i) scalar, one root finder, one quartic splitter, one
-double-component search, one splitting finisher for both parities and one
-polynomial type; no module imports a name
-it never uses; and every function the benchmark's tracer wraps by name
-still exists."""
+double-component search, one splitting finisher for both parities, one
+recognition verifier and one polynomial type; no module imports a name
+it never uses; every private module-level function is used; and every
+function the benchmark's tracer wraps by name still exists."""
 
 import ast
 import importlib
@@ -25,6 +25,7 @@ GAUSSIAN_ORACLE = re.compile(r"\bgaussian_oracle\b")
 ROOTS_ORACLE = re.compile(r"roots_oracle|_re_im_split|_rational_zeros_uv")
 SOLVER_ORACLES = re.compile(r"quartic_oracle|quartic_split_oracle|double_component_oracle"
                             r"|odd_split_oracle|_odd_solve|_coefficient_system")
+RECOGNIZE_ORACLE = re.compile(r"recognize_oracle|_verified_complete_candidate|_verified_proper_candidate")
 SYLVESTER_LAYOUT = re.compile(r"\bsylvester_rows\(")
 SECOND_POLY_TYPE = re.compile(r"\bUniPoly\b|\bas_unipoly\b|\bdivmod\b|\bdeflate_root\b")
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -94,6 +95,13 @@ def test_no_library_use_of_the_solver_oracles():
     assert not hits, "uses of the quartic, double-component or odd-split oracle:\n" + "\n".join(hits)
 
 
+def test_no_library_use_of_the_recognition_oracle():
+    # _verified_candidate is the one forward verifier of both recognition
+    # modes; the two per-mode verifiers live in tests/recognize_oracle.py
+    hits = _source_hits(RECOGNIZE_ORACLE)
+    assert not hits, "uses of the per-mode recognition verifiers:\n" + "\n".join(hits)
+
+
 def _annotation_names(node):
     """Names in an annotation, including those inside string annotations."""
     for sub in ast.walk(node):
@@ -130,6 +138,25 @@ def test_no_unused_imports():
                 used.update(_annotation_names(node.annotation))
         hits += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
     assert not hits, "unused imports:\n" + "\n".join(sorted(hits))
+
+
+def test_private_functions_are_used():
+    # a module-level _private function must be referenced somewhere in the
+    # package outside its own body, so a merge leaves no orphan helper
+    trees = [(path.name, ast.parse(path.read_text()))
+             for path in sorted(Path(conchoidal.__file__).parent.glob("*.py"))]
+    hits = []
+    for name, tree in trees:
+        for fn in tree.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+                    and not fn.name.startswith("__")):
+                continue
+            own = {id(node) for node in ast.walk(fn)}
+            if not any(id(node) not in own
+                       and fn.name in (getattr(node, "id", None), getattr(node, "attr", None))
+                       for _, other in trees for node in ast.walk(other)):
+                hits.append(f"{name}:{fn.lineno}: {fn.name}")
+    assert not hits, "unreferenced private functions:\n" + "\n".join(hits)
 
 
 def test_sylvester_layout_is_one_module():

@@ -10,19 +10,27 @@ from conchoidal import (
     CircleSpec,
     MultiPoly,
     PlaneCurve,
+    Scene,
     candidate_radii,
     conchoidal_transform,
+    extract_known_components,
     iterated_conchoid,
     parse_poly,
     recenter,
     recognize_complete,
     recognize_proper,
+    witness_components,
 )
+from conchoidal.errors import ConchoidError
 from conchoidal.fields import FIELD_Q, FIELD_QI, GaussianRational
+from conchoidal.gcd import is_squarefree
 from conchoidal.multipoly import poly_exact_div
+from conchoidal.roots import square_root_up_to_scalar
+from conchoidal.splitting import ST, SplitWitness, cyclic_line, distance_form
 
 from double_component_oracle import double_component_oracle
 from helpers import random_form
+from recognize_oracle import _verified_complete_candidate, _verified_proper_candidate
 
 UNIT = CircleSpec((Fraction(0), Fraction(0)), Fraction(1))
 INTRO_QUARTIC = PlaneCurve.from_text(
@@ -315,7 +323,7 @@ def test_line_filter_skips_the_wrong_radii(monkeypatch, D, before, after):
 
 
 def _source_curve(data, delta: int, shape: str) -> PlaneCurve:
-    """A line or conic (relative to the center): generic, through the
+    """A curve of degree delta (relative to the center): generic, through the
     center, or with the filter's direction (3, 4) as an asymptotic one."""
     coef = st.integers(-4, 4)
     x, y, z = (MultiPoly.variable(v, ("x", "y", "z")) for v in ("x", "y", "z"))
@@ -342,3 +350,77 @@ def test_line_filter_admits_the_generating_radius(delta, shape, data, a, b, r2):
     source = _source_curve(data, delta, shape)
     D = conchoid_about((a, b), r2, source)
     assert recognize._line_radius_filter(D, (Fraction(a), Fraction(b)), delta)(r2)
+
+
+# -- the one forward verifier, and the premise of proper mode's even-degree "no" ------
+
+RADII = (Fraction(1), Fraction(4), Fraction(9, 4))
+
+
+def proper_conchoid_about(A, r2, source: PlaneCurve) -> PlaneCurve:
+    """The proper part of ``conchoid_about(A, r2, source)``."""
+    circle = CircleSpec((Fraction(0), Fraction(0)), r2).curve()
+    resid = extract_known_components(conchoidal_transform(circle, source),
+                                     Scene(circle), source).residual()
+    assume(resid is not None)
+    return recenter(PlaneCurve(resid), (-A[0], -A[1]))
+
+
+@pytest.mark.parametrize("proper", (False, True))
+@pytest.mark.parametrize("whole", (False, True))
+@pytest.mark.parametrize("shape", ("generic", "through-center"))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data(), delta=st.sampled_from((1, 2)), a=st.integers(-2, 2), b=st.integers(-2, 2),
+       r2=st.sampled_from(RADII), wrong=st.sampled_from(RADII))
+def test_verified_candidate_agrees_with_the_oracle(proper, whole, shape, data, delta, a, b, r2, wrong):
+    # both modes on complete and on proper conchoids; a source through the
+    # center puts the circle into the complete conchoid but not the proper
+    # one, so there the two acceptance tests differ
+    assume(wrong != r2)
+    source = _source_curve(data, delta, shape)
+    D = (conchoid_about if whole else proper_conchoid_about)((a, b), r2, source)
+    A = (Fraction(a), Fraction(b))
+    oracle = _verified_proper_candidate if proper else _verified_complete_candidate
+    for radius in (r2, wrong):
+        assert recognize._verified_candidate(D, A, radius, proper) == oracle(D, A, radius)
+
+
+def _square_on_l1(D: PlaneCurve, a, b) -> bool:
+    """D restricts to a nonzero square up to scalar on the line through
+    (a, b) and the cyclic point [1 : i : 0]."""
+    line = cyclic_line(GaussianRational(a, b), 1)
+    restricted = D.equation.promote(FIELD_QI).substitute(line).with_vars(ST)
+    return not restricted.is_zero() and square_root_up_to_scalar(restricted) is not None
+
+
+@pytest.mark.parametrize("delta", (1, 2, 3))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), a=st.integers(-2, 2), b=st.integers(-2, 2), r2=st.sampled_from(RADII))
+def test_whole_proper_conchoids_are_squares_on_the_cyclic_line(delta, data, a, b, r2):
+    # the premise under recognize_proper's even-degree "no" (see
+    # _tangent_cyclic_lines), for a whole proper conchoid about (a, b)
+    D = proper_conchoid_about((a, b), r2, _source_curve(data, delta, "generic"))
+    assert _square_on_l1(D, a, b)
+
+
+@pytest.mark.parametrize("delta", (2, 4))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), a=st.integers(-2, 2), b=st.integers(-2, 2),
+       r2=st.sampled_from(RADII))
+def test_split_components_are_squares_on_the_cyclic_line(delta, seed, a, b, r2):
+    # the same premise for each component of the split proper conchoid of
+    # C = H1^2 - q H2^2 about A = (a, b)
+    rng = random.Random(seed)
+    A = (Fraction(a), Fraction(b))
+    H1, H2 = (random_form(rng, m).promote(FIELD_QI) for m in (delta // 2, delta // 2 - 1))
+    G = H1 * H1 - distance_form(A) * H2 * H2
+    try:
+        C = PlaneCurve(G)
+    except (ConchoidError, ValueError):
+        assume(False)
+    assume(C.degree == delta and is_squarefree(C.equation))
+    for comp in witness_components(C, A, r2, SplitWitness("even", H1, H2, 1)):
+        # the cyclic line pair through A, which the witness keeps when C is
+        # the circle of radius r about A, is removed from every proper conchoid
+        if not comp.equation.proportional_to(distance_form(A)):
+            assert _square_on_l1(comp, a, b), (G, A, r2)

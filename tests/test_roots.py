@@ -191,7 +191,7 @@ def test_quartic_split_of_a_random_quartic_agrees_with_the_oracle(data, field):
 def test_quartic_split_system_without_eliminant_is_a_bug(monkeypatch):
     # the (a, b) system is zero-dimensional, so a None from the solver
     # raises instead of reading as "no split"
-    monkeypatch.setattr(roots, "solve_zero_dim", lambda eqs, field: None)
+    monkeypatch.setattr(roots, "solve_zero_dim", lambda eqs: None)
     with pytest.raises(InternalError):
         factor_binary_form(parse_poly("x^4+y^4").with_vars(("x", "y")))
 
@@ -375,26 +375,26 @@ def _uv(text):
 
 def test_common_roots_examples():
     t1, t2 = uni([-1, 1]), uni([-2, 0, 1])              # t - 1, t^2 - 2
-    assert common_roots([t1 * t2, t1 * t2 * uni([-3, 1])], FIELD_Q) == ([Fraction(1)], False)
-    assert common_roots([t1 * uni([-3, 1]), t1], FIELD_Q) == ([Fraction(1)], True)
-    assert common_roots([t1, uni([-3, 1])], FIELD_Q) == ([], True)
-    assert common_roots([uni([5])], FIELD_Q) == ([], True)
+    assert common_roots([t1 * t2, t1 * t2 * uni([-3, 1])]) == ([Fraction(1)], False)
+    assert common_roots([t1 * uni([-3, 1]), t1]) == ([Fraction(1)], True)
+    assert common_roots([t1, uni([-3, 1])]) == ([], True)
+    assert common_roots([uni([5])]) == ([], True)
 
 
 def test_solve_zero_dim_degenerate_systems():
     # u^2 = 2 has no rational root: nothing found, nothing certified
-    assert solve_zero_dim([_uv("x^2-2"), _uv("y")], FIELD_Q) == ([], False)
+    assert solve_zero_dim([_uv("x^2-2"), _uv("y")]) == ([], False)
     # inconsistent: coprime eliminants, or a constant resultant
-    assert solve_zero_dim([_uv("x-1"), _uv("x-2")], FIELD_Q) == ([], True)
-    assert solve_zero_dim([_uv("y-x"), _uv("y-x-1")], FIELD_Q) == ([], True)
-    assert solve_zero_dim([_uv("x*y-1"), _uv("3")], FIELD_Q) == ([], True)
+    assert solve_zero_dim([_uv("x-1"), _uv("x-2")]) == ([], True)
+    assert solve_zero_dim([_uv("y-x"), _uv("y-x-1")]) == ([], True)
+    assert solve_zero_dim([_uv("x*y-1"), _uv("3")]) == ([], True)
     # every equation vanishes on the line u = 0: (0, 0) stands for it
-    points, complete = solve_zero_dim([_uv("x^2-x"), _uv("x*y")], FIELD_Q)
+    points, complete = solve_zero_dim([_uv("x^2-x"), _uv("x*y")])
     assert points == [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))]
     assert not complete
     # one genuinely bivariate equation has no eliminant
-    assert solve_zero_dim([_uv("x^2+y^2-1")], FIELD_Q) is None
-    assert solve_zero_dim([_uv("x^2+y^2-1"), MultiPoly.zero(UV)], FIELD_Q) is None
+    assert solve_zero_dim([_uv("x^2+y^2-1")]) is None
+    assert solve_zero_dim([_uv("x^2+y^2-1"), MultiPoly.zero(UV)]) is None
 
 
 def _key(point):
@@ -429,6 +429,6 @@ def test_solve_zero_dim_recovers_planted_points(gaussian, coords, c):
                 basis = basis * (u - aj) * (1 / to_scalar(a - aj, field))
         L = L + basis
     g = v - L
-    points, complete = solve_zero_dim([g, f + g * g * c, f * 2 + (u + v) * g], field)
+    points, complete = solve_zero_dim([g, f + g * g * c, f * 2 + (u + v) * g])
     assert complete
     assert sorted(map(_key, points)) == sorted(map(_key, pts))
