@@ -13,13 +13,16 @@ the cap in z is d delta, half of D.  In the homogeneous case a variable of
 largest cap is set to 1 and put back at the end.  The determinant is
 sampled on the lower set {p : |p| <= D, p_i <= cap_i} in the k remaining
 variables, which holds every monomial it can have; only the m + n + 2
-coefficients are evaluated, and each sample is the max(m, n) hybrid Bezout
-determinant of their values, a Z or Z[i] determinant by fraction-free
-Bareiss.  Integer forward differences along the first variable, then the
-same interpolation on smaller lower sets in the rest, give its Newton
-form, and Horner steps in the falling-factorial basis turn it into
-monomials; the list scales are divided out once at the end.  An off-grid
-residual, taken on the full Sylvester matrix, guards the degree.  One row
+coefficients are evaluated, and each sample is a Z or Z[i] determinant of
+their values, at most min(m, n)-square, by fraction-free Bareiss: for
+m != n one pseudo-remainder step of the longer list by the shorter, then
+the hybrid Bezout matrix, divided exactly by a power of the shorter list's
+top value (_sample_det); for m = n the hybrid Bezout matrix.  Integer
+forward differences along the first variable, then the same interpolation
+on smaller lower sets in the rest, give its Newton form, and Horner steps
+in the falling-factorial basis turn it into monomials; the list scales are
+divided out once at the end.  An off-grid residual, taken on the full
+Sylvester matrix, guards the degree and the sample reduction.  One row
 builder lays out every Sylvester matrix, and only this module calls it.
 """
 
@@ -293,11 +296,11 @@ def _at_prefix(part: dict, prefix: tuple) -> List[int]:
     return out
 
 
-def _dets_on_line(parts, prefix: tuple, ts, gaussian: bool, build) -> list:
-    """[det_scalar(build(values)) for t in ts], values being the integer
-    polynomials ``parts`` at prefix + (t,).  Each part is [{exponent: c}],
-    or its [re, im] pair over Z[i]; the parts are reduced once at the
-    prefix and evaluated by Horner in the last variable."""
+def _dets_on_line(parts, prefix: tuple, ts, gaussian: bool, det) -> list:
+    """[det(values) for t in ts], values being the integer polynomials
+    ``parts`` at prefix + (t,).  Each part is [{exponent: c}], or its
+    [re, im] pair over Z[i]; the parts are reduced once at the prefix and
+    evaluated by Horner in the last variable."""
     dense = [[_at_prefix(p, prefix) for p in e] for e in parts]
     out = []
     for t in ts:
@@ -306,24 +309,18 @@ def _dets_on_line(parts, prefix: tuple, ts, gaussian: bool, build) -> list:
                       for re, im in dense]
         else:
             values = [_horner(c, t) if c else 0 for (c,) in dense]
-        out.append(det_scalar(build(values)))
+        out.append(det(values))
     return out
 
 
 def _hybrid_bezout(fc: List, gc: List) -> List[List]:
-    """The max(m, n)-square hybrid Bezout matrix of the ascending Z or Z[i]
-    coefficient lists fc, gc at nominal degrees m, n >= 1 (Diaz-Toca and
-    Gonzalez-Vega 2004), columns ascending; its determinant is
-    resultant_nominal(fc, gc).  For m >= n: the rows g, u g, ...,
-    u^(m-n-1) g, then H_1, ..., H_n with H_k = u H_(k-1) + a_(m-k+1) g~
-    - b~_(m-k+1) f, g~ = u^(m-n) g; the top coefficient of each H_k
-    cancels.  For m < n the roles swap, with the sign (-1)^(mn)."""
+    """The m-square hybrid Bezout matrix of the ascending Z or Z[i]
+    coefficient lists fc, gc at nominal degrees m >= 1 and n <= m
+    (Diaz-Toca and Gonzalez-Vega 2004), columns ascending; its determinant
+    is resultant_nominal(fc, gc).  The rows are g, u g, ..., u^(m-n-1) g,
+    then H_1, ..., H_n with H_k = u H_(k-1) + a_(m-k+1) g~ - b~_(m-k+1) f,
+    g~ = u^(m-n) g; the top coefficient of each H_k cancels."""
     m, n = len(fc) - 1, len(gc) - 1
-    if m < n:
-        rows = _hybrid_bezout(gc, fc)
-        if m * n % 2:
-            rows[0], rows[1] = rows[1], rows[0]
-        return rows
     gaussian = type(fc[0]) is tuple
     zero = (0, 0) if gaussian else 0
     gt = [zero] * (m - n) + gc
@@ -342,6 +339,98 @@ def _hybrid_bezout(fc: List, gc: List) -> List[List]:
     return rows
 
 
+def _sample_det(fc: List, gc: List):
+    """resultant_nominal(fc, gc) of ascending Z or Z[i] value lists at
+    nominal degrees m != n, both >= 1, an int or an (re, im) pair, from one
+    det_scalar call on a matrix of size at most min(m, n).
+
+    Let f be the shorter list, at degree m < n, since
+    Res_(m,n)(f, g) = (-1)^(mn) Res_(n,m)(g, f):
+    moving the m rows of one list past the n of the other is mn row swaps.
+    Write S(f, g) for the Sylvester matrix of sylvester_rows, f-rows first
+    and coefficients descending.  While f_m = 0 the first column of S is
+    g_n in the first g-row, row n, and zero elsewhere; deleting that row
+    and column leaves S at nominal degrees (m-1, n), so
+    Res_(m,n)(f, g) = (-1)^n g_n Res_(m-1,n)(f, g), down to
+    Res_(0,n)(f, g) = f_0^n, n rows of f_0 on the diagonal.
+
+    For a = f_m != 0, n - m + 1 steps r <- a r - r_k u^(k-m) f, from r = g
+    at k = n down to k = m, give the pseudo-remainder r = a^(n-m+1) g - q f,
+    deg q <= n - m, deg r <= m - 1.  Then
+        Res_(m,n)(f, g) a^((n-m+1)(m-1)) = Res_(m,m-1)(f, r),
+    the m-square hybrid Bezout determinant of f and r:
+    (1) scaling the m g-rows of S by a^(n-m+1) scales Res_(m,n) by
+        a^((n-m+1)m);
+    (2) g-row j is u^(m-1-j) g, and u^(m-1-j) q f is a sum of the f-rows
+        u^i f with i <= n - 1, so subtracting it leaves the determinant
+        unchanged: a^((n-m+1)m) Res_(m,n)(f, g) = Res_(m,n)(f, r);
+    (3) r has its top n - m + 1 nominal coefficients zero, so the first
+        column of S(f, r) is a over zeros, and deleting the first row and
+        column leaves S at nominal degrees (m, n - 1): n - m + 1 such steps
+        give Res_(m,n)(f, r) = a^(n-m+1) Res_(m,m-1)(f, r).
+    Dividing (1)-(3) by a^(n-m+1) gives the identity; the division by
+    a^((n-m+1)(m-1)) must be exact, and a remainder is an InternalError."""
+    m, n = len(fc) - 1, len(gc) - 1
+    negate = m > n and m * n % 2
+    if m > n:
+        fc, gc, m, n = gc, fc, n, m
+    # step k only changes the window r[k-m:k]; the entries below it are
+    # scaled lazily: r[k-m] joins the window at step k, having missed the
+    # n - k scalings by a of the earlier steps, and takes p = a^(n-k) then
+    if type(fc[0]) is tuple:
+        lr, li = -1 if negate else 1, 0          # the first-column factors
+        while m and fc[m] == (0, 0):
+            gr, gi = gc[n] if n % 2 == 0 else (-gc[n][0], -gc[n][1])
+            lr, li = lr * gr - li * gi, lr * gi + li * gr
+            m -= 1
+        if not m:
+            ar, ai = fc[0]
+            for _ in range(n - 1):
+                lr, li = lr * ar - li * ai, lr * ai + li * ar
+            dr, di = det_scalar([[fc[0]]])
+            return (lr * dr - li * di, lr * di + li * dr)
+        ar, ai = fc[m]
+        f, r, pr, pi = fc[:m + 1], list(gc), 1, 0
+        for k in range(n, m - 1, -1):
+            s = k - m
+            xr, xi = r[s]
+            r[s] = (pr * xr - pi * xi, pr * xi + pi * xr)
+            cr, ci = r[k]
+            r[s:k] = [(ar * xr - ai * xi - cr * yr + ci * yi, ar * xi + ai * xr - cr * yi - ci * yr)
+                      for (xr, xi), (yr, yi) in zip(r[s:k], f)]
+            pr, pi = pr * ar - pi * ai, pr * ai + pi * ar
+        dr, di = det_scalar(_hybrid_bezout(f, r[:m]))
+        qr, qi = 1, 0                              # a^((n-m+1)(m-1)) = p^(m-1)
+        for _ in range(m - 1):
+            qr, qi = qr * pr - qi * pi, qr * pi + qi * pr
+        norm = qr * qr + qi * qi                   # divide: times conj(q), over |q|^2
+        nr, ni = dr * qr + di * qi, di * qr - dr * qi
+        dr, di = nr // norm, ni // norm
+        if dr * norm != nr or di * norm != ni:
+            raise InternalError("pseudo-remainder sample not divisible")
+        return (lr * dr - li * di, lr * di + li * dr)
+    lead = -1 if negate else 1
+    while m and not fc[m]:
+        lead *= gc[n] if n % 2 == 0 else -gc[n]
+        m -= 1
+    if not m:
+        return lead * fc[0] ** (n - 1) * det_scalar([[fc[0]]])
+    a = fc[m]
+    f, r, p = fc[:m + 1], list(gc), 1
+    for k in range(n, m - 1, -1):
+        s = k - m
+        r[s] *= p
+        c = r[k]
+        r[s:k] = [a * x - c * y for x, y in zip(r[s:k], f)]
+        p *= a
+    det = det_scalar(_hybrid_bezout(f, r[:m]))
+    divisor = p ** (m - 1)
+    quotient = det // divisor
+    if quotient * divisor != det:
+        raise InternalError("pseudo-remainder sample not divisible")
+    return lead * quotient
+
+
 # -- the Sylvester determinant ---------------------------------------------------
 
 
@@ -351,9 +440,11 @@ def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int]
     variables at ``index``, the others dropped, sampled on the lower set
     _simplex(D, caps) in them.  Each list is scaled to Z (or Z[i])
     coefficients first; the scales are divided out at the end.  Each sample
-    is the max(m, n) hybrid Bezout determinant of the m + n + 2 values.  The
-    residual at a point off the grid comes from the full Sylvester matrix;
-    if nonzero, ``error`` is raised."""
+    is one det_scalar call on the m + n + 2 values: the m-square hybrid
+    Bezout matrix for m = n, else _sample_det, at most min(m, n)-square.
+    The residual at a point off the grid comes from the full Sylvester
+    matrix, so it also checks the reduction; if nonzero, ``error`` is
+    raised."""
     gaussian = any(im_part(c) for e in fc + gc for c in e.terms.values())
 
     def key(exp):
@@ -367,11 +458,16 @@ def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int]
         scale *= row_lcm ** count
         parts += [_integer_parts(e, row_lcm, gaussian, key) for e in entries]
     k = len(index)
+    if m == n:
+        def sample(v):
+            return det_scalar(_hybrid_bezout(v[:m + 1], v[m + 1:]))
+    else:
+        def sample(v):
+            return _sample_det(v[:m + 1], v[m + 1:])
     values = {}
     for prefix in _simplex(D, caps[:-1]):
         ts = range(min(D - sum(prefix), caps[-1]) + 1)
-        dets = _dets_on_line(parts, prefix, ts, gaussian,
-                             lambda v: _hybrid_bezout(v[:m + 1], v[m + 1:]))
+        dets = _dets_on_line(parts, prefix, ts, gaussian, sample)
         values.update(zip([prefix + (t,) for t in ts], dets))
     if gaussian:
         interpolated = [_interp_simplex({p: v[j] for p, v in values.items()}, D, caps)
@@ -383,7 +479,7 @@ def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int]
     off = (D + 1,) * k
     zero = (0, 0) if gaussian else 0
     expected = _dets_on_line(parts, off[:-1], off[-1:], gaussian,
-                             lambda v: sylvester_rows(v[:m + 1], v[m + 1:], zero))[0]
+                             lambda v: det_scalar(sylvester_rows(v[:m + 1], v[m + 1:], zero)))[0]
     got = tuple(_horner(_at_prefix(poly, off[:-1]), D + 1) for poly in interpolated)
     if got != (expected if gaussian else (expected,)):
         raise error(f"interpolation residual nonzero at degree {D}")

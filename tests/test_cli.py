@@ -94,9 +94,15 @@ def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
 def test_broken_determinant_sample_is_an_internal_error(capsys, monkeypatch):
     # the conchoid's coefficient lists are forms, so its degree is certain and
     # a nonzero residual can only be a bug: exit 4, not a "degree bound" no.
-    # Each scalar determinant of the README transform, every grid sample and
-    # the residual, is corrupted in turn by 10**9, far above what the exact
-    # integer differences could round away, whatever the sample layout
+    # Each scalar determinant of the README transform and of a circle x
+    # cubic one, every grid sample and the residual, is corrupted in turn by
+    # the prime 10**9 + 7.  The circle x cubic samples are 2x2 after a
+    # pseudo-remainder step, and each is divided exactly by a^2, a the
+    # circle's top value at the sample: a prime offset fails that division
+    # unless a^2 = 1, and then stays far above what the exact integer
+    # differences could round away, whatever the sample layout.  A power of
+    # ten would not do: 10**9 is divisible by a^2 = 2500 at one sample, and
+    # the differences round the 4*10**5 left over away, so no check fires.
     from conchoidal import resultant
     from conchoidal.transform import conchoidal_transform
 
@@ -106,18 +112,26 @@ def test_broken_determinant_sample_is_an_internal_error(capsys, monkeypatch):
     def corrupted(rows):
         calls.append(len(rows))
         value = exact(rows)
-        return value + 10 ** 9 if len(calls) == corrupt[0] else value
+        return value + 10 ** 9 + 7 if len(calls) == corrupt[0] else value
 
     monkeypatch.setattr(resultant, "det_scalar", corrupted)
-    B, C = PlaneCurve.from_text("x^2+y^2-z^2"), PlaneCurve.from_text("x-2*z")
-    conchoidal_transform(B, C)
-    count = len(calls)
-    assert count > 1
-    for j in range(1, count + 1):
+    # (B, C, sample and residual sizes, whether the samples divide by a^e > 1)
+    for B, C, sizes, divided in (("x^2+y^2-z^2", "x-2*z", {1, 3}, False),
+                                 ("x^2+y^2-z^2", "y^2*z-x^3-x*z^2-2*z^3", {2, 5}, True)):
+        B, C = PlaneCurve.from_text(B), PlaneCurve.from_text(C)
         calls.clear()
-        corrupt[0] = j
-        with pytest.raises(InternalError):
-            conchoidal_transform(B, C)
+        corrupt[0] = 0
+        conchoidal_transform(B, C)
+        count = len(calls)
+        assert count > 1 and set(calls) == sizes
+        messages = set()
+        for j in range(1, count + 1):
+            calls.clear()
+            corrupt[0] = j
+            with pytest.raises(InternalError) as raised:
+                conchoidal_transform(B, C)
+            messages.add(str(raised.value))
+        assert ("pseudo-remainder sample not divisible" in messages) == divided
     calls.clear()
     corrupt[0] = 1
     code, _, err = run(capsys, "transform", "--B", "x^2+y^2-z^2", "--C", "x-2*z")

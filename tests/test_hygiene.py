@@ -142,19 +142,26 @@ def test_no_unused_imports():
 
 def test_private_functions_are_used():
     # a module-level _private function must be referenced somewhere in the
-    # package outside its own body, so a merge leaves no orphan helper
+    # package outside its own body, so a merge leaves no orphan helper.  One
+    # walk of each module collects the names it references, each with the
+    # module-level function whose body holds it (None outside any)
     trees = [(path.name, ast.parse(path.read_text()))
              for path in sorted(Path(conchoidal.__file__).parent.glob("*.py"))]
+    referenced = {}               # name -> {(module, enclosing function or None)}
+    for name, tree in trees:
+        for top in tree.body:
+            owner = top.name if isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                ref = getattr(node, "id", None) or getattr(node, "attr", None)
+                if ref:
+                    referenced.setdefault(ref, set()).add((name, owner))
     hits = []
     for name, tree in trees:
         for fn in tree.body:
             if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
                     and not fn.name.startswith("__")):
                 continue
-            own = {id(node) for node in ast.walk(fn)}
-            if not any(id(node) not in own
-                       and fn.name in (getattr(node, "id", None), getattr(node, "attr", None))
-                       for _, other in trees for node in ast.walk(other)):
+            if not referenced.get(fn.name, set()) - {(name, fn.name)}:
                 hits.append(f"{name}:{fn.lineno}: {fn.name}")
     assert not hits, "unreferenced private functions:\n" + "\n".join(hits)
 
@@ -187,12 +194,14 @@ def test_traced_layers_resolve():
 
 
 def test_membership_oracle_stays_on_bareiss(monkeypatch):
-    # the transform samples hybrid Bezout determinants; the membership
-    # oracle takes the whole Sylvester matrix, so it stays independent
+    # the transform samples pseudo-remainder reduced hybrid Bezout
+    # determinants; the membership oracle takes the whole Sylvester matrix,
+    # so it stays independent of both
     def banned(*args):
-        raise InternalError("the membership oracle used the hybrid Bezout matrix")
+        raise InternalError("the membership oracle used the transform's sample kernel")
 
     monkeypatch.setattr(resultant, "_hybrid_bezout", banned)
+    monkeypatch.setattr(resultant, "_sample_det", banned)
     B = PlaneCurve.from_text("x^2+y^2-z^2")
     C = PlaneCurve.from_text("x-2*z")
     assert membership_value(B, C, ProjPoint.affine(3, 0)).value == 0

@@ -25,6 +25,7 @@ from conchoidal.resultant import (
     _falling_to_monomial,
     _hybrid_bezout,
     _interp_simplex,
+    _sample_det,
     _simplex,
     det_scalar,
     resultant_nominal,
@@ -430,17 +431,22 @@ def _coefficient_lists(rng, m, n, draw, zero):
 
 
 def test_hybrid_bezout_is_the_nominal_resultant():
-    # m < n, m = n and m > n over Z and Z[i], against the Sylvester determinant
+    # m > n and m = n over Z and Z[i], n = 0 included, against the Sylvester
+    # determinant; m < n is the same matrix of the swapped lists, with the
+    # sign (-1)^(mn)
     rng = random.Random(101)
-    for m, n in product(range(1, 9), repeat=2):
+    for m, n in product(range(1, 9), range(0, 9)):
+        sign = (-1) ** (m * n) if m < n else 1
         fc, gc = _coefficient_lists(rng, m, n, lambda: rng.randint(-6, 6), 0)
-        assert len(_hybrid_bezout(fc, gc)) == max(m, n)
-        assert det_scalar(_hybrid_bezout(fc, gc)) == resultant_nominal(fc, gc)
+        rows = _hybrid_bezout(fc, gc) if m >= n else _hybrid_bezout(gc, fc)
+        assert len(rows) == max(m, n)
+        assert sign * det_scalar(rows) == resultant_nominal(fc, gc)
         fc, gc = _coefficient_lists(rng, m, n, lambda: (rng.randint(-4, 4), rng.randint(-4, 4)),
                                    (0, 0))
-        re, im = det_scalar(_hybrid_bezout(fc, gc))
+        rows = _hybrid_bezout(fc, gc) if m >= n else _hybrid_bezout(gc, fc)
+        re, im = det_scalar(rows)
         gauss = [[GaussianRational(a, b) for a, b in c] for c in (fc, gc)]
-        assert GaussianRational(re, im) == resultant_nominal(*gauss)
+        assert GaussianRational(sign * re, sign * im) == resultant_nominal(*gauss)
 
 
 def _sizes_of_samples(monkeypatch):
@@ -466,6 +472,58 @@ def test_generic_conchoid_samples_are_half_size_on_the_capped_set(monkeypatch):
     poly_matrix_det(fc, gc, 32)
     assert sum(1 for y in range(33) for z in range(17) if y + z <= 32) == 425
     assert sizes == [4] * 425 + [8]
+
+
+def test_circle_quartic_conchoid_samples_are_two_by_two(monkeypatch):
+    # the conchoid of a circle and a quartic has degree 16 and z-degree <= 8:
+    # at x = 1 it is sampled on y + z <= 16, z <= 8, each sample a 2x2 hybrid
+    # Bezout determinant after one pseudo-remainder step of the quartic's
+    # values by the circle's; the residual sample is the full 6x6 Sylvester
+    # matrix
+    rng = random.Random(109)
+    fc, gc = conchoid_coefficients(parse_poly("x^2+y^2-4*z^2"), random_form(rng, 4))
+    sizes = _sizes_of_samples(monkeypatch)
+    poly_matrix_det(fc, gc, 16)
+    assert sum(1 for y in range(17) for z in range(9) if y + z <= 16) == 117
+    assert sizes == [2] * 117 + [6]
+
+
+def test_pseudo_remainder_sample_is_the_nominal_resultant(monkeypatch):
+    # every m != n in 1..6 x 1..9 over Z and Z[i]: generic lists, zero
+    # leading values on either list or both, and a shorter list with its two
+    # top values zero (the first-column rule runs twice), zero but for its
+    # constant, or all zero; the reduced sample is resultant_nominal, the
+    # full Sylvester matrix by Bareiss, from one det_scalar call of size at
+    # most min(m, n).  About 0.3 s.
+    rng = random.Random(107)
+    sizes = _sizes_of_samples(monkeypatch)
+    draws = ((lambda: rng.randint(-6, 6), 0),
+             (lambda: (rng.randint(-4, 4), rng.randint(-4, 4)), (0, 0)))
+    for m, n in product(range(1, 7), range(1, 10)):
+        if m == n:
+            continue
+        for (draw, zero), shape in product(draws, range(7)):
+            fc = [draw() for _ in range(m + 1)]
+            gc = [draw() for _ in range(n + 1)]
+            short = fc if m < n else gc
+            if shape in (1, 3):
+                fc[-1] = zero
+            if shape in (2, 3):
+                gc[-1] = zero
+            if shape == 4:
+                short[-2:] = [zero] * 2
+            if shape == 5:
+                short[1:] = [zero] * (len(short) - 1)
+            if shape == 6:
+                short[:] = [zero] * len(short)
+            sizes.clear()
+            got = _sample_det(fc, gc)
+            assert len(sizes) == 1 and sizes[0] <= min(m, n)
+            if zero == 0:
+                assert got == resultant_nominal(fc, gc)
+            else:
+                gauss = [[GaussianRational(a, b) for a, b in c] for c in (fc, gc)]
+                assert GaussianRational(*got) == resultant_nominal(*gauss)
 
 
 def _capped(f, var, cap):
