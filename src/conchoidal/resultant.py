@@ -3,24 +3,26 @@
 poly_matrix_det is the one polynomial determinant, and every resultant
 goes through it: the determinant of the Sylvester matrix of two ascending
 lists of polynomial coefficients at nominal degrees m, n >= 1, by the
-classical evaluation-interpolation scheme on an exact integer kernel.  Each
-list is scaled to integer coefficients, or to Gaussian-integer ones over
-Q(i).  When every nonzero entry of each list is a form of one degree, a and
-b, the determinant is homogeneous of degree D = n a + m b.  Otherwise D
-is the caller's degree bound.  Each variable v gets an isobaric cap on
-deg_v of the determinant (_isobaric_bound, at most D); for the conchoid
-the cap in z is d delta, half of D.  In the homogeneous case a variable of
-largest cap is set to 1 and put back at the end.  The determinant is
-sampled on the lower set {p : |p| <= D, p_i <= cap_i} in the k remaining
-variables, which holds every monomial it can have; only the m + n + 2
-coefficients are evaluated, and each sample is a Z or Z[i] determinant of
-their values, at most min(m, n)-square, by fraction-free Bareiss: for
-m != n one pseudo-remainder step of the longer list by the shorter, then
-the hybrid Bezout matrix, divided exactly by a power of the shorter list's
-top value (_sample_det); for m = n the hybrid Bezout matrix.  Integer
-forward differences along the first variable, then the same interpolation
-on smaller lower sets in the rest, give its Newton form, and Horner steps
-in the falling-factorial basis turn it into monomials; the list scales are
+classical evaluation-interpolation scheme on one exact integer kernel.  Each
+list is scaled to integer coefficients; over Q(i) each Gaussian integer
+re + im i is packed into Z as re + im N, N a power of two, and unpacked at
+the end (_base, _unpack), so no step in between knows about i.  When every
+nonzero entry of each list is a form of one degree, a and b, the
+determinant is homogeneous of degree D = n a + m b.  Otherwise D is the
+caller's degree bound.  Each variable v gets an isobaric cap on deg_v of
+the determinant (_isobaric_bound, at most D); for the conchoid the cap in
+z is d delta, half of D.  In the homogeneous case a variable of largest
+cap is set to 1 and put back at the end.  The determinant is sampled on
+the lower set {p : |p| <= D, p_i <= cap_i} in the k remaining variables,
+which holds every monomial it can have; only the m + n + 2 coefficients
+are evaluated, and each sample is an integer determinant of their values,
+at most min(m, n)-square, by fraction-free Bareiss: for m != n one
+pseudo-remainder step of the longer list by the shorter, then the hybrid
+Bezout matrix, divided exactly by a power of the shorter list's top value
+(_sample_det); for m = n the hybrid Bezout matrix.  Checked integer forward
+differences along the first variable, then the same interpolation on
+smaller lower sets in the rest, give its Newton form, and Horner steps in
+the falling-factorial basis turn it into monomials; the list scales are
 divided out once at the end.  An off-grid residual, taken on the full
 Sylvester matrix, guards the degree and the sample reduction.  One row
 builder lays out every Sylvester matrix, and only this module calls it.
@@ -30,7 +32,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import comb, lcm
+from math import comb, lcm, prod
+from operator import sub
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import DegreeBoundError, InternalError
@@ -85,35 +88,28 @@ def conchoid_coefficients(f: MultiPoly, g: MultiPoly) -> Tuple[List[MultiPoly], 
 
 
 def det_scalar(rows: List[List]) -> Scalar:
-    """Exact determinant of a square scalar matrix.
-
-    Entries are ints, ``(re, im)`` int pairs standing for Gaussian integers,
-    or Fractions/GaussianRationals.  Z and Z[i] matrices run fraction-free
-    Bareiss and return an int or an ``(re, im)`` pair.  Rational matrices
-    are row-scaled onto the same kernels and return a Fraction, or a
-    GaussianRational when any entry is one."""
+    """Exact determinant of a square matrix of ints, Fractions or
+    GaussianRationals, by fraction-free Bareiss over Z.  An int matrix gives
+    an int.  Otherwise the rows are scaled to integer (re, im) parts and the
+    result is a Fraction, or a GaussianRational when any entry is one; such
+    a matrix is packed into Z at i -> N = _base(row norms) and its
+    determinant unpacked, exact as _interpolated_det proves."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
     entries = [c for row in rows for c in row]
     if all(type(c) is int for c in entries):
         return _det_int(rows)
-    if all(type(c) is tuple for c in entries):
-        return _det_gauss(rows)
     gaussian = any(isinstance(c, GaussianRational) for c in entries)
     scale = 1
     scaled = []
     for row in rows:
         row_lcm = _denominator_lcm(row)
         scale *= row_lcm
-        if gaussian:
-            scaled.append([(_times(re_part(c), row_lcm), _times(im_part(c), row_lcm))
-                           for c in row])
-        else:
-            scaled.append([_times(re_part(c), row_lcm) for c in row])
-    if gaussian:
-        return _make(*_det_gauss(scaled), scale)      # scale > 0: a product of lcms
-    return Fraction(_det_int(scaled), scale)
+        scaled.append([(_times(re_part(c), row_lcm), _times(im_part(c), row_lcm)) for c in row])
+    N = _base([sum(abs(re) + abs(im) for re, im in row) for row in scaled]) if gaussian else 0
+    det = _det_int([[re + im * N for re, im in row] for row in scaled])
+    return _make(*_unpack(det, N), scale) if gaussian else Fraction(det, scale)   # scale > 0
 
 
 def _denominator_lcm(scalars: Iterable) -> int:
@@ -157,38 +153,25 @@ def _det_int(rows) -> int:
     return sign * mat[n - 1][n - 1]
 
 
-def _det_gauss(rows) -> tuple:
-    """Fraction-free Bareiss over Z[i] on (re, im) int pairs; every division
-    by the previous pivot q is exact, done as multiplication by conj(q)
-    followed by integer division by |q|^2."""
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    sign = 1
-    qr, qi = 1, 0
-    for k in range(n - 1):
-        if mat[k][k] == (0, 0):
-            for i in range(k + 1, n):
-                if mat[i][k] != (0, 0):
-                    mat[k], mat[i] = mat[i], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return (0, 0)
-        kr, ki = mat[k][k]
-        norm = qr * qr + qi * qi
-        tail_k = mat[k][k + 1:]
-        for i in range(k + 1, n):
-            row = mat[i]
-            mr, mi = row[k]
-            new = []
-            for (ar, ai), (br, bi) in zip(row[k + 1:], tail_k):
-                sr = kr * ar - ki * ai - mr * br + mi * bi
-                si = kr * ai + ki * ar - mr * bi - mi * br
-                new.append(((sr * qr + si * qi) // norm, (si * qr - sr * qi) // norm))
-            row[k + 1:] = new
-        qr, qi = kr, ki
-    re, im = mat[n - 1][n - 1]
-    return (re, im) if sign > 0 else (-re, -im)
+# -- Gaussian integers packed into Z --------------------------------------------
+
+
+def _base(norms: Sequence[int]) -> int:
+    """N = 2^(bitlen(B) + 1) for B the product of the row l1 norms of a
+    matrix, so that B < N/2 bounds every digit of its packed determinant."""
+    return 1 << (prod(norms).bit_length() + 1)
+
+
+def _unpack(v: int, N: int) -> Tuple[int, int]:
+    """(re, im) of c(i) from v = c(N), c an integer polynomial whose
+    coefficients c_j all have |c_j| < N/2: v read as balanced base-N
+    digits, and N^j folded to i^j."""
+    digits, half = [], N // 2
+    while v:
+        digit = (v + half) % N - half           # in [-N/2, N/2)
+        digits.append(digit)
+        v = (v - digit) // N
+    return sum(digits[0::4]) - sum(digits[2::4]), sum(digits[1::4]) - sum(digits[3::4])
 
 
 # -- integer interpolation ------------------------------------------------------
@@ -198,10 +181,22 @@ def _falling_coefficients(values: Sequence[int]) -> List[int]:
     """c with v(t) = sum_k c[k] * t(t-1)...(t-k+1), from the samples
     v(0), v(1), ... of a polynomial with integer coefficients: the forward
     differences (Delta^k v)(0) / k!.  Step k divides every difference by k,
-    which is exact for such a v and keeps the numbers small."""
+    which keeps the numbers small, and is exact for such a v whatever its
+    degree: Delta^k t(t-1)...(t-j+1) = k! C(j, k) t(t-1)...(t-j+k+1), and v
+    has integer coefficients in that basis, so every (Delta^k v)(s) / k! is
+    an integer.  So true samples pass, and a degree bound that is too small
+    still reaches the off-grid residual.  One sum per step checks the
+    divisions: the differences telescope to d_last - d_(k-1) and each floor
+    remainder lies in [0, k), so k times the sum of the quotients is
+    d_last - d_(k-1) exactly when every division was exact; otherwise an
+    InternalError is raised."""
     d = list(values)
-    for k in range(1, len(d)):
-        d[k:] = [(a - b) // k for a, b in zip(d[k:], d[k - 1:])]
+    d[1:] = map(sub, d[1:], d)
+    for k in range(2, len(d)):
+        q = [x // k for x in map(sub, d[k:], d[k - 1:])]
+        if k * sum(q) != d[-1] - d[k - 1]:
+            raise InternalError("interpolation difference not divisible")
+        d[k:] = q
     return d
 
 
@@ -257,27 +252,6 @@ def _interp_simplex(values: dict, D: int, caps: Sequence[int]) -> dict:
     return terms
 
 
-def _integer_parts(e: MultiPoly, multiple: int, gaussian: bool, key) -> List[dict]:
-    """multiple * e as an integer polynomial {key(exponent): c}, or as its
-    (re, im) pair of integer polynomials when ``gaussian``."""
-    parts = [{}, {}] if gaussian else [{}]
-    for exp, c in e.terms.items():
-        k = key(exp)
-        for part, value in zip(parts, (re_part(c), im_part(c))):
-            if value:
-                part[k] = _times(value, multiple)
-    return parts
-
-
-def _divide_out(parts: List[dict], scale: int) -> dict:
-    """{k: c / scale} for scale > 0, from one integer coefficient map, or
-    from its (re, im) pair over Z[i]."""
-    if len(parts) == 1:
-        return {k: Fraction(c, scale) for k, c in parts[0].items()}
-    re, im = parts
-    return {k: _make(re.get(k, 0), im.get(k, 0), scale) for k in re.keys() | im.keys()}
-
-
 def _horner(coeffs: Sequence[int], t: int) -> int:
     total = 0
     for c in reversed(coeffs):
@@ -296,53 +270,37 @@ def _at_prefix(part: dict, prefix: tuple) -> List[int]:
     return out
 
 
-def _dets_on_line(parts, prefix: tuple, ts, gaussian: bool, det) -> list:
+def _dets_on_line(parts: List[dict], prefix: tuple, ts, det) -> list:
     """[det(values) for t in ts], values being the integer polynomials
-    ``parts`` at prefix + (t,).  Each part is [{exponent: c}], or its
-    [re, im] pair over Z[i]; the parts are reduced once at the prefix and
-    evaluated by Horner in the last variable."""
-    dense = [[_at_prefix(p, prefix) for p in e] for e in parts]
-    out = []
-    for t in ts:
-        if gaussian:
-            values = [(_horner(re, t), _horner(im, t)) if re or im else (0, 0)
-                      for re, im in dense]
-        else:
-            values = [_horner(c, t) if c else 0 for (c,) in dense]
-        out.append(det(values))
-    return out
+    ``parts``, each {exponent: c}, at prefix + (t,); they are reduced once
+    at the prefix and evaluated by Horner in the last variable."""
+    dense = [_at_prefix(p, prefix) for p in parts]
+    return [det([_horner(c, t) if c else 0 for c in dense]) for t in ts]
 
 
-def _hybrid_bezout(fc: List, gc: List) -> List[List]:
-    """The m-square hybrid Bezout matrix of the ascending Z or Z[i]
+def _hybrid_bezout(fc: List[int], gc: List[int]) -> List[List[int]]:
+    """The m-square hybrid Bezout matrix of the ascending integer
     coefficient lists fc, gc at nominal degrees m >= 1 and n <= m
     (Diaz-Toca and Gonzalez-Vega 2004), columns ascending; its determinant
     is resultant_nominal(fc, gc).  The rows are g, u g, ..., u^(m-n-1) g,
     then H_1, ..., H_n with H_k = u H_(k-1) + a_(m-k+1) g~ - b~_(m-k+1) f,
     g~ = u^(m-n) g; the top coefficient of each H_k cancels."""
     m, n = len(fc) - 1, len(gc) - 1
-    gaussian = type(fc[0]) is tuple
-    zero = (0, 0) if gaussian else 0
-    gt = [zero] * (m - n) + gc
-    rows = [[zero] * j + gc + [zero] * (m - n - 1 - j) for j in range(m - n)]
-    h = [zero] * (m + 1)                      # u H_(k-1)
+    gt = [0] * (m - n) + gc
+    rows = [[0] * j + gc + [0] * (m - n - 1 - j) for j in range(m - n)]
+    h = [0] * (m + 1)                         # u H_(k-1)
     for k in range(m, m - n, -1):
         a, b = fc[k], gt[k]
-        if gaussian:
-            (ar, ai), (br, bi) = a, b
-            h = [(x + ar * y - ai * yi - br * z + bi * zi, xi + ar * yi + ai * y - br * zi - bi * z)
-                 for (x, xi), (y, yi), (z, zi) in zip(h, gt, fc)]
-        else:
-            h = [x + a * y - b * z for x, y, z in zip(h, gt, fc)]
+        h = [x + a * y - b * z for x, y, z in zip(h, gt, fc)]
         rows.append(h[:m])
-        h = [zero] + h[:m]
+        h = [0] + h[:m]
     return rows
 
 
-def _sample_det(fc: List, gc: List):
-    """resultant_nominal(fc, gc) of ascending Z or Z[i] value lists at
-    nominal degrees m != n, both >= 1, an int or an (re, im) pair, from one
-    det_scalar call on a matrix of size at most min(m, n).
+def _sample_det(fc: List[int], gc: List[int]) -> int:
+    """resultant_nominal(fc, gc) of ascending integer value lists at nominal
+    degrees m != n, both >= 1, from one det_scalar call on a matrix of size
+    at most min(m, n).
 
     Let f be the shorter list, at degree m < n, since
     Res_(m,n)(f, g) = (-1)^(mn) Res_(n,m)(g, f):
@@ -371,45 +329,9 @@ def _sample_det(fc: List, gc: List):
     Dividing (1)-(3) by a^(n-m+1) gives the identity; the division by
     a^((n-m+1)(m-1)) must be exact, and a remainder is an InternalError."""
     m, n = len(fc) - 1, len(gc) - 1
-    negate = m > n and m * n % 2
+    lead = -1 if m > n and m * n % 2 else 1
     if m > n:
         fc, gc, m, n = gc, fc, n, m
-    # step k only changes the window r[k-m:k]; the entries below it are
-    # scaled lazily: r[k-m] joins the window at step k, having missed the
-    # n - k scalings by a of the earlier steps, and takes p = a^(n-k) then
-    if type(fc[0]) is tuple:
-        lr, li = -1 if negate else 1, 0          # the first-column factors
-        while m and fc[m] == (0, 0):
-            gr, gi = gc[n] if n % 2 == 0 else (-gc[n][0], -gc[n][1])
-            lr, li = lr * gr - li * gi, lr * gi + li * gr
-            m -= 1
-        if not m:
-            ar, ai = fc[0]
-            for _ in range(n - 1):
-                lr, li = lr * ar - li * ai, lr * ai + li * ar
-            dr, di = det_scalar([[fc[0]]])
-            return (lr * dr - li * di, lr * di + li * dr)
-        ar, ai = fc[m]
-        f, r, pr, pi = fc[:m + 1], list(gc), 1, 0
-        for k in range(n, m - 1, -1):
-            s = k - m
-            xr, xi = r[s]
-            r[s] = (pr * xr - pi * xi, pr * xi + pi * xr)
-            cr, ci = r[k]
-            r[s:k] = [(ar * xr - ai * xi - cr * yr + ci * yi, ar * xi + ai * xr - cr * yi - ci * yr)
-                      for (xr, xi), (yr, yi) in zip(r[s:k], f)]
-            pr, pi = pr * ar - pi * ai, pr * ai + pi * ar
-        dr, di = det_scalar(_hybrid_bezout(f, r[:m]))
-        qr, qi = 1, 0                              # a^((n-m+1)(m-1)) = p^(m-1)
-        for _ in range(m - 1):
-            qr, qi = qr * pr - qi * pi, qr * pi + qi * pr
-        norm = qr * qr + qi * qi                   # divide: times conj(q), over |q|^2
-        nr, ni = dr * qr + di * qi, di * qr - dr * qi
-        dr, di = nr // norm, ni // norm
-        if dr * norm != nr or di * norm != ni:
-            raise InternalError("pseudo-remainder sample not divisible")
-        return (lr * dr - li * di, lr * di + li * dr)
-    lead = -1 if negate else 1
     while m and not fc[m]:
         lead *= gc[n] if n % 2 == 0 else -gc[n]
         m -= 1
@@ -417,6 +339,9 @@ def _sample_det(fc: List, gc: List):
         return lead * fc[0] ** (n - 1) * det_scalar([[fc[0]]])
     a = fc[m]
     f, r, p = fc[:m + 1], list(gc), 1
+    # step k only changes the window r[k-m:k]; the entries below it are
+    # scaled lazily: r[k-m] joins the window at step k, having missed the
+    # n - k scalings by a of the earlier steps, and takes p = a^(n-k) then
     for k in range(n, m - 1, -1):
         s = k - m
         r[s] *= p
@@ -431,6 +356,8 @@ def _sample_det(fc: List, gc: List):
     return lead * quotient
 
 
+
+
 # -- the Sylvester determinant ---------------------------------------------------
 
 
@@ -438,13 +365,35 @@ def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int]
                       caps: List[int], error) -> dict:
     """{exponent: c} of the determinant of sylvester_rows(fc, gc) in the
     variables at ``index``, the others dropped, sampled on the lower set
-    _simplex(D, caps) in them.  Each list is scaled to Z (or Z[i])
-    coefficients first; the scales are divided out at the end.  Each sample
-    is one det_scalar call on the m + n + 2 values: the m-square hybrid
-    Bezout matrix for m = n, else _sample_det, at most min(m, n)-square.
-    The residual at a point off the grid comes from the full Sylvester
-    matrix, so it also checks the reduction; if nonzero, ``error`` is
-    raised."""
+    _simplex(D, caps) in them.  Each list is scaled to integer (re, im)
+    coefficients, and the scales are divided out at the end.  Over Q(i)
+    each re + im i is packed into Z as re + im N, N = _base of the Sylvester
+    row norms, and each interpolated coefficient is unpacked by _unpack
+    (Kronecker substitution; von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 8); Q input is never packed.  Each sample is one det_scalar
+    call on the m + n + 2 values: the m-square hybrid Bezout matrix for
+    m = n, else _sample_det, at most min(m, n)-square.  The residual at a
+    point off the grid comes from the full Sylvester matrix, so it also
+    checks the reduction; if nonzero, ``error`` is raised.
+
+    Why the packing is exact.  Let P in Z[N][vars] be the Sylvester
+    determinant of the scaled lists with i replaced by a variable N.
+    Bareiss, the first-column rule, the pseudo-remainder identity and the
+    hybrid Bezout determinant hold over any commutative ring, so they hold
+    for the integer matrices at N = 2^K, the image of the ring map
+    Z[N] -> Z, and every exact division stays exact; each zero test (a zero
+    top value, a zero pivot) tests the integer matrix, which is all those
+    identities need.  So each sample is P(point; 2^K), and interpolation,
+    linear over Z, yields c(2^K) for the coefficient c in Z[N] of each
+    monomial.  The l1 norm (the sum of |re| + |im|, or of |c_j|, over the
+    terms) is subadditive and submultiplicative, so ||P||_1 <= B =
+    (sum_i ||fc_i||_1)^n (sum_j ||gc_j||_1)^m, the product over the rows of
+    the entry norms, and every digit c_j of every c has |c_j| <= B < N/2:
+    _unpack reads c exactly, and P at N = i is the Z[i] determinant.  D and
+    the caps bound P as they come from the entry degrees, which packing
+    keeps: for B > 0 each |re| + |im| <= B < N/2, so re + im N = 0 only for
+    re = im = 0, and for B = 0 a list and the determinant are 0.  A nonzero
+    c may vanish at i, as 1 + N^2 does; MultiPoly.make drops that 0."""
     gaussian = any(im_part(c) for e in fc + gc for c in e.terms.values())
 
     def key(exp):
@@ -452,12 +401,16 @@ def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int]
 
     m, n = len(fc) - 1, len(gc) - 1
     scale = 1
-    parts = []
+    pairs, norms = [], []
     for entries, count in ((fc, n), (gc, m)):       # n rows of f, m rows of g
         row_lcm = _denominator_lcm(c for e in entries for c in e.terms.values())
         scale *= row_lcm ** count
-        parts += [_integer_parts(e, row_lcm, gaussian, key) for e in entries]
-    k = len(index)
+        scaled = [{key(exp): (_times(re_part(c), row_lcm), _times(im_part(c), row_lcm))
+                   for exp, c in e.terms.items()} for e in entries]
+        pairs += scaled
+        norms += [sum(abs(re) + abs(im) for p in scaled for re, im in p.values())] * count
+    N = _base(norms) if gaussian else 0
+    parts = [{k: re + im * N for k, (re, im) in p.items()} for p in pairs]
     if m == n:
         def sample(v):
             return det_scalar(_hybrid_bezout(v[:m + 1], v[m + 1:]))
@@ -467,23 +420,18 @@ def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int]
     values = {}
     for prefix in _simplex(D, caps[:-1]):
         ts = range(min(D - sum(prefix), caps[-1]) + 1)
-        dets = _dets_on_line(parts, prefix, ts, gaussian, sample)
-        values.update(zip([prefix + (t,) for t in ts], dets))
-    if gaussian:
-        interpolated = [_interp_simplex({p: v[j] for p, v in values.items()}, D, caps)
-                        for j in (0, 1)]
-    else:
-        interpolated = [_interp_simplex(values, D, caps)]
+        values.update(zip([prefix + (t,) for t in ts], _dets_on_line(parts, prefix, ts, sample)))
+    terms = _interp_simplex(values, D, caps)
 
     # Residual check at a point outside the grid.
-    off = (D + 1,) * k
-    zero = (0, 0) if gaussian else 0
-    expected = _dets_on_line(parts, off[:-1], off[-1:], gaussian,
-                             lambda v: det_scalar(sylvester_rows(v[:m + 1], v[m + 1:], zero)))[0]
-    got = tuple(_horner(_at_prefix(poly, off[:-1]), D + 1) for poly in interpolated)
-    if got != (expected if gaussian else (expected,)):
+    off = (D + 1,) * len(index)
+    expected = _dets_on_line(parts, off[:-1], off[-1:],
+                             lambda v: det_scalar(sylvester_rows(v[:m + 1], v[m + 1:], 0)))[0]
+    if _horner(_at_prefix(terms, off[:-1]), D + 1) != expected:
         raise error(f"interpolation residual nonzero at degree {D}")
-    return _divide_out(interpolated, scale)
+    if gaussian:
+        return {e: _make(*_unpack(c, N), scale) for e, c in terms.items()}
+    return {e: Fraction(c, scale) for e, c in terms.items()}
 
 
 def _isobaric_bound(fc: List[MultiPoly], gc: List[MultiPoly], degree) -> int:
@@ -507,9 +455,10 @@ def _isobaric_bound(fc: List[MultiPoly], gc: List[MultiPoly], degree) -> int:
 def poly_matrix_det(fc: List[MultiPoly], gc: List[MultiPoly], degree_bound: int) -> MultiPoly:
     """Exact determinant of sylvester_rows(fc, gc): the resultant of the
     ascending polynomial coefficient lists fc, gc at nominal degrees
-    m, n >= 1, over the union of their variables; degree_bound must be >=
-    its total degree.  It is sampled only on the monomials that its
-    isobaric degree caps allow."""
+    m, n >= 1, over the union of their variables.  degree_bound must be >=
+    its total degree with i read as a variable over Q(i), as a bound from
+    the entry degrees (_isobaric_bound) is.  It is sampled only on the
+    monomials that its isobaric degree caps allow."""
     m, n = len(fc) - 1, len(gc) - 1
     if m < 1 or n < 1:
         raise ValueError("Sylvester determinant of a nominal degree below 1")

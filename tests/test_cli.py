@@ -94,49 +94,63 @@ def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
 def test_broken_determinant_sample_is_an_internal_error(capsys, monkeypatch):
     # the conchoid's coefficient lists are forms, so its degree is certain and
     # a nonzero residual can only be a bug: exit 4, not a "degree bound" no.
-    # Each scalar determinant of the README transform and of a circle x
-    # cubic one, every grid sample and the residual, is corrupted in turn by
-    # the prime 10**9 + 7.  The circle x cubic samples are 2x2 after a
-    # pseudo-remainder step, and each is divided exactly by a^2, a the
-    # circle's top value at the sample: a prime offset fails that division
-    # unless a^2 = 1, and then stays far above what the exact integer
-    # differences could round away, whatever the sample layout.  A power of
-    # ten would not do: 10**9 is divisible by a^2 = 2500 at one sample, and
-    # the differences round the 4*10**5 left over away, so no check fires.
+    # Each scalar determinant of four transforms, every grid sample and the
+    # residual, is corrupted in turn by +1, -1, +2, +6 and the prime
+    # 10**9 + 7, and every one of the 780 runs is an InternalError: the
+    # checked forward differences catch what their divisions would round
+    # away, the exact division by a^2 of the circle x cubic samples (2x2
+    # after a pseudo-remainder step) what it leaves inexact, and the
+    # off-grid residual the rest.  The Q(i) pair's samples are packed
+    # Gaussian integers.  About 1 s.
     from conchoidal import resultant
     from conchoidal.transform import conchoidal_transform
 
     exact = resultant.det_scalar
-    calls, corrupt = [], [0]
+    calls, corrupt = [], [0, 0]          # the call to corrupt, and by how much
 
     def corrupted(rows):
         calls.append(len(rows))
         value = exact(rows)
-        return value + 10 ** 9 + 7 if len(calls) == corrupt[0] else value
+        return value + corrupt[1] if len(calls) == corrupt[0] else value
 
     monkeypatch.setattr(resultant, "det_scalar", corrupted)
-    # (B, C, sample and residual sizes, whether the samples divide by a^e > 1)
-    for B, C, sizes, divided in (("x^2+y^2-z^2", "x-2*z", {1, 3}, False),
-                                 ("x^2+y^2-z^2", "y^2*z-x^3-x*z^2-2*z^3", {2, 5}, True)):
-        B, C = PlaneCurve.from_text(B), PlaneCurve.from_text(C)
+
+    def messages(B, C, offset, count):
+        out = set()
+        for j in range(1, count + 1):
+            calls.clear()
+            corrupt[:] = [j, offset]
+            with pytest.raises(InternalError) as raised:
+                conchoidal_transform(B, C)
+            out.add(str(raised.value))
+        return out
+
+    # (B, C, field, sample and residual sizes, whether the samples divide by a^e > 1)
+    for B, C, field, sizes, divided in (
+            ("x^2+y^2-z^2", "x-2*z", "Q", {1, 3}, False),
+            ("x^2+y^2-z^2", "y^2*z-x^3-x*z^2-2*z^3", "Q", {2, 5}, True),
+            ("x^2+y^2-z^2", "x^2+2*y^2-9*z^2", "Q", {2, 4}, False),
+            ("x^2+i*y^2-z^2", "x*y-(1+i)*z^2", "Qi", {2, 4}, False)):
+        B, C = PlaneCurve.from_text(B, field), PlaneCurve.from_text(C, field)
         calls.clear()
         corrupt[0] = 0
         conchoidal_transform(B, C)
         count = len(calls)
         assert count > 1 and set(calls) == sizes
-        messages = set()
-        for j in range(1, count + 1):
-            calls.clear()
-            corrupt[0] = j
-            with pytest.raises(InternalError) as raised:
-                conchoidal_transform(B, C)
-            messages.add(str(raised.value))
-        assert ("pseudo-remainder sample not divisible" in messages) == divided
-    calls.clear()
-    corrupt[0] = 1
-    code, _, err = run(capsys, "transform", "--B", "x^2+y^2-z^2", "--C", "x-2*z")
-    assert code == 4
-    assert err.startswith("internal error: interpolation residual nonzero")
+        for offset in (1, -1, 2, 6, 10 ** 9 + 7):
+            found = messages(B, C, offset, count)
+            assert ("pseudo-remainder sample not divisible" in found) == divided
+    # ((D + 1)!)^2 = 14400, D = 4, leaves every difference of the README
+    # transform exact, so each of its 13 corrupted samples reaches the residual
+    B, C = PlaneCurve.from_text("x^2+y^2-z^2"), PlaneCurve.from_text("x-2*z")
+    assert messages(B, C, 14400, 13) == {"interpolation residual nonzero at degree 4"}
+    for offset, message in ((10 ** 9 + 7, "interpolation difference not divisible"),
+                            (14400, "interpolation residual nonzero")):
+        calls.clear()
+        corrupt[:] = [1, offset]
+        code, _, err = run(capsys, "transform", "--B", "x^2+y^2-z^2", "--C", "x-2*z")
+        assert code == 4
+        assert err.startswith("internal error: " + message)
 
 
 def test_split_components(capsys):

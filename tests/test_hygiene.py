@@ -1,9 +1,10 @@
 """Source checks: no handler in the package may swallow arbitrary errors,
 so a bug surfaces as a traceback instead of turning into a verdict; the
-package has one Sylvester determinant, one gcd, one exact division, one
-substitution, one Q(i) scalar, one root finder, one quartic splitter, one
-double-component search, one splitting finisher for both parities, one
-recognition verifier and one polynomial type; no module imports a name
+package has one Sylvester determinant, one integer determinant kernel for
+Q and Q(i), one gcd, one exact division, one substitution, one Q(i)
+scalar, one root finder, one quartic splitter, one double-component
+search, one splitting finisher for both parities, one recognition
+verifier and one polynomial type; no module imports a name
 it never uses; every private module-level function is used; and every
 function the benchmark's tracer wraps by name still exists."""
 
@@ -22,6 +23,8 @@ PRS_ORACLE = re.compile(r"\bgcd_oracle\b|\bprs_gcd\b|\b_pseudo_rem\b|\bsubresult
 DIVISION_ORACLE = re.compile(r"\bdivision_oracle\b|\bgrlex_exact_div\b")
 SUBSTITUTE_ORACLE = re.compile(r"\bsubstitute_oracle\b|\bsubstitute_per_term\b")
 GAUSSIAN_ORACLE = re.compile(r"\bgaussian_oracle\b")
+GAUSS_KERNEL_ORACLE = re.compile(r"gauss_kernel_oracle|\b_det_gauss\b|_hybrid_bezout_gauss"
+                                 r"|_sample_det_gauss")
 ROOTS_ORACLE = re.compile(r"roots_oracle|_re_im_split|_rational_zeros_uv")
 SOLVER_ORACLES = re.compile(r"quartic_oracle|quartic_split_oracle|double_component_oracle"
                             r"|odd_split_oracle|_odd_solve|_coefficient_system")
@@ -78,6 +81,13 @@ def test_no_library_use_of_the_gaussian_oracle():
     # class lives in tests/gaussian_oracle.py as the oracle
     hits = _source_hits(GAUSSIAN_ORACLE)
     assert not hits, "uses of the Fraction-pair Gaussian oracle:\n" + "\n".join(hits)
+
+
+def test_no_library_use_of_the_gaussian_kernel_oracle():
+    # Q(i) determinants pack each Gaussian integer into Z and run the one
+    # integer kernel; the Z[i] pair kernel lives in tests/gauss_kernel_oracle.py
+    hits = _source_hits(GAUSS_KERNEL_ORACLE)
+    assert not hits, "uses of the Z[i] pair kernel oracle:\n" + "\n".join(hits)
 
 
 def test_no_library_use_of_the_roots_oracle():

@@ -21,18 +21,21 @@ from conchoidal import (
 from conchoidal import resultant
 from conchoidal.errors import DegreeBoundError
 from conchoidal.resultant import (
+    _base,
     _falling_coefficients,
     _falling_to_monomial,
     _hybrid_bezout,
     _interp_simplex,
     _sample_det,
     _simplex,
+    _unpack,
     det_scalar,
     resultant_nominal,
     sylvester_rows,
 )
 
 from bareiss_oracle import det_bareiss_poly
+from gauss_kernel_oracle import _det_gauss, _hybrid_bezout_gauss, _sample_det_gauss
 from helpers import random_form, random_poly
 
 VARS = ("x", "y", "z")
@@ -50,6 +53,19 @@ OVER_Q_AND_QI = (lambda make: make(), _gaussian)
 def _oracle(fc, gc):
     """The Bareiss determinant of the Sylvester matrix of the lists."""
     return det_bareiss_poly(sylvester_rows(fc, gc, fc[0] - fc[0]))
+
+
+def _pack(pairs, N):
+    """Z[i] (re, im) pairs packed into Z at i -> N."""
+    return [re + im * N for re, im in pairs]
+
+
+def _sylvester_base(fc, gc):
+    """The packing base of the Z[i] pair lists fc, gc: _base of the row
+    norms of their Sylvester matrix, n rows of fc and m rows of gc."""
+    m, n = len(fc) - 1, len(gc) - 1
+    norm_f, norm_g = (sum(abs(re) + abs(im) for re, im in c) for c in (fc, gc))
+    return _base([norm_f] * n + [norm_g] * m)
 
 
 def test_phi_forms_line():
@@ -299,19 +315,65 @@ def _leibniz_det(rows):
 
 
 def test_det_scalar_gaussian_integer_kernel():
-    # Z[i] Bareiss on (re, im) pairs, with zero pivots forcing row swaps,
-    # against the permutation expansion over Q(i)
+    # Z[i] matrices, with zero pivots forcing row swaps, packed into Z at
+    # N = _base(row norms) and unpacked, against the permutation expansion
+    # over Q(i) and the Z[i] Bareiss oracle
     rng = random.Random(53)
     for n in (1, 2, 3, 4):
         for _ in range(8):
             pairs = [[(rng.randint(-9, 9), rng.randint(-9, 9)) if rng.random() < 0.7 else (0, 0)
                       for _ in range(n)] for _ in range(n)]
-            re, im = det_scalar(pairs)
+            N = _base([sum(abs(a) + abs(b) for a, b in row) for row in pairs])
+            re, im = _unpack(det_scalar([_pack(row, N) for row in pairs]), N)
             expected = _leibniz_det([[GaussianRational(a, b) for a, b in row] for row in pairs])
             assert GaussianRational(re, im) == expected
+            assert (re, im) == _det_gauss(pairs)
             rational = [[GaussianRational(Fraction(a, 3), Fraction(b, 2)) for a, b in row]
                         for row in pairs]
             assert det_scalar(rational) == _leibniz_det(rational)
+
+
+def test_det_scalar_packing_base_clears_the_largest_digit():
+    # a 1x1 matrix of l1 norm B = 2^k - 1 packs into a digit of k bits; the
+    # base 2^(k + 1) reads it back, where 2^k would read 2^k - 1 as -1 + i
+    for k in (1, 2, 3, 7, 8, 31, 64, 65, 200):
+        B = 2 ** k - 1
+        for value in (GaussianRational(B), GaussianRational(-B), GaussianRational(0, B),
+                      GaussianRational(0, -B), GaussianRational(B // 2 + 1, -(B // 2)),
+                      GaussianRational(Fraction(B, 3), Fraction(-B, 3))):
+            assert det_scalar([[value]]) == value
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 5), st.integers(1, 5))
+def test_packed_kernel_matches_the_gaussian_oracle(data, m, n):
+    # the Z[i] kernel that packing replaced, on random Z[i] matrices and
+    # value lists, against the packed Z kernel read back by _unpack: Bareiss,
+    # the m = n hybrid Bezout sample and the m != n pseudo-remainder sample
+    pair = st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6)) \
+        | st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    rows = data.draw(st.lists(st.lists(pair, min_size=m, max_size=m), min_size=m, max_size=m))
+    N = _base([sum(abs(re) + abs(im) for re, im in row) for row in rows])
+    assert _unpack(det_scalar([_pack(row, N) for row in rows]), N) == _det_gauss(rows)
+    fc = data.draw(st.lists(pair, min_size=m + 1, max_size=m + 1))
+    gc = data.draw(st.lists(pair, min_size=n + 1, max_size=n + 1))
+    N = _sylvester_base(fc, gc)
+    if m == n:
+        got = det_scalar(_hybrid_bezout(_pack(fc, N), _pack(gc, N)))
+        expected = _det_gauss(_hybrid_bezout_gauss(fc, gc))
+    else:
+        got = _sample_det(_pack(fc, N), _pack(gc, N))
+        expected = _sample_det_gauss(fc, gc)
+    assert _unpack(got, N) == expected
+
+
+def test_gaussian_cancellation_leaves_no_zero_term():
+    # det [[i x, x + y], [-x, i x]] = (i^2 + 1) x^2 + x y: its x^2
+    # coefficient packs to 1 + N^2, not 0, and unpacks to 0
+    x, y = (MultiPoly.variable(v, VARS, FIELD_QI) for v in ("x", "y"))
+    ix = x * GaussianRational(0, 1)
+    det = poly_matrix_det([x + y, ix], [ix, -x], 2)
+    assert det == x * y and len(det.terms) == 1
 
 
 def test_gaussian_conchoid_matches_bareiss():
@@ -433,7 +495,8 @@ def _coefficient_lists(rng, m, n, draw, zero):
 def test_hybrid_bezout_is_the_nominal_resultant():
     # m > n and m = n over Z and Z[i], n = 0 included, against the Sylvester
     # determinant; m < n is the same matrix of the swapped lists, with the
-    # sign (-1)^(mn)
+    # sign (-1)^(mn).  The Z[i] lists are packed into Z at the base of their
+    # Sylvester row norms and the determinant unpacked
     rng = random.Random(101)
     for m, n in product(range(1, 9), range(0, 9)):
         sign = (-1) ** (m * n) if m < n else 1
@@ -443,10 +506,12 @@ def test_hybrid_bezout_is_the_nominal_resultant():
         assert sign * det_scalar(rows) == resultant_nominal(fc, gc)
         fc, gc = _coefficient_lists(rng, m, n, lambda: (rng.randint(-4, 4), rng.randint(-4, 4)),
                                    (0, 0))
-        rows = _hybrid_bezout(fc, gc) if m >= n else _hybrid_bezout(gc, fc)
-        re, im = det_scalar(rows)
+        N = _sylvester_base(fc, gc)
+        packed = _pack(fc, N), _pack(gc, N)
+        rows = _hybrid_bezout(*packed) if m >= n else _hybrid_bezout(*packed[::-1])
+        re, im = _unpack(sign * det_scalar(rows), N)
         gauss = [[GaussianRational(a, b) for a, b in c] for c in (fc, gc)]
-        assert GaussianRational(sign * re, sign * im) == resultant_nominal(*gauss)
+        assert GaussianRational(re, im) == resultant_nominal(*gauss)
 
 
 def _sizes_of_samples(monkeypatch):
@@ -489,7 +554,8 @@ def test_circle_quartic_conchoid_samples_are_two_by_two(monkeypatch):
 
 
 def test_pseudo_remainder_sample_is_the_nominal_resultant(monkeypatch):
-    # every m != n in 1..6 x 1..9 over Z and Z[i]: generic lists, zero
+    # every m != n in 1..6 x 1..9 over Z and Z[i], the Z[i] lists packed
+    # into Z at the base of their Sylvester row norms: generic lists, zero
     # leading values on either list or both, and a shorter list with its two
     # top values zero (the first-column rule runs twice), zero but for its
     # constant, or all zero; the reduced sample is resultant_nominal, the
@@ -517,7 +583,11 @@ def test_pseudo_remainder_sample_is_the_nominal_resultant(monkeypatch):
             if shape == 6:
                 short[:] = [zero] * len(short)
             sizes.clear()
-            got = _sample_det(fc, gc)
+            if zero == 0:
+                got = _sample_det(fc, gc)
+            else:
+                N = _sylvester_base(fc, gc)
+                got = _unpack(_sample_det(_pack(fc, N), _pack(gc, N)), N)
             assert len(sizes) == 1 and sizes[0] <= min(m, n)
             if zero == 0:
                 assert got == resultant_nominal(fc, gc)
