@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .modular import modular_gcd
-from .multipoly import MultiPoly, poly_exact_div
+from .modular import line_multiplicity, modular_gcd
+from .multipoly import MultiPoly, _aligned, divide_out, poly_exact_div
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -105,15 +105,28 @@ def squarefree_decompose_uni(f: MultiPoly) -> List[Tuple[MultiPoly, int]]:
 
 
 def multiplicity_of_factor(f: MultiPoly, p: MultiPoly) -> Tuple[int, MultiPoly]:
-    """Largest k with p**k | f; returns (k, f / p**k)."""
+    """Largest k with p**k | f; returns (k, f / p**k), and f itself when k = 0.
+
+    Bound.  Let f_L and p_L be the images of f and p on the line of
+    ``modular.line_multiplicity``: every variable but one set to a fixed
+    point, modulo the prime P (i -> s with s^2 = -1 over Q(i)).  Suppose P
+    divides no denominator, p_L is nonconstant and f_L is nonzero.  Then f
+    and p lie over the discrete valuation ring R = Z localized at P (Z[i]
+    at (P, i - s)), and p is nonzero modulo P, so its content is a unit and
+    p**k is primitive (Gauss's lemma).  If f = p**k * h, then h lies in
+    R[x], and the ring map from R[x] to F_P[t] gives f_L = p_L**k * h_L.
+    As f_L is nonzero, p_L**k divides it: k is at most k_L, the
+    multiplicity of p_L in f_L.  So at most k_L exact divisions run, in
+    one integer form (``multipoly.divide_out``), and k_L = 0 settles k = 0
+    with none.  Without an image the divisions run until one misses.
+    """
     if f.is_zero():
         raise ValueError("multiplicity of a factor in the zero polynomial")
     if p.is_constant():
         raise ValueError("multiplicity of a constant factor")
-    k = 0
-    while True:
-        q = poly_exact_div(f, p)
-        if q is None:
-            return k, f
-        f = q
-        k += 1
+    a, b = _aligned(f, p)
+    bound = line_multiplicity(a, b)
+    if bound == 0:
+        return 0, f
+    k, q = divide_out(a, b, bound)
+    return (k, q) if k else (0, f)

@@ -21,7 +21,10 @@ interpolated densely (Newton) up to the degree bound.  Primes are combined
 by CRT and rational reconstruction of the lex-monic gcd.  Unlucky primes
 and points show up as images of larger lex-leading monomial and are
 dropped.  See ``gcd`` for the two certificates that make the answer exact.
-``line_image_misses`` is the miss certificate of ``multipoly.poly_exact_div``.
+``line_multiplicity`` bounds the multiplicity of one polynomial in another
+by their images on one line: ``multipoly.poly_exact_div`` reads a bound
+of 0 as a certified miss, and ``gcd.multiplicity_of_factor`` divides at
+most that many times.
 """
 
 from __future__ import annotations
@@ -383,18 +386,31 @@ def modular_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 # -- the line image of an exact division ----------------------------------------------
 
 
-def line_image_misses(f: MultiPoly, g: MultiPoly) -> bool:
-    """True when the images of f and g (same variables and field) on one
-    line modulo the first gcd prime show that g does not divide f."""
+def line_multiplicity(f: MultiPoly, g: MultiPoly) -> Optional[int]:
+    """The multiplicity of g_L in f_L, the images of f and g (same
+    variables and field) on one line modulo the first gcd prime p; None
+    when p divides a denominator, g_L is constant or f_L is zero.
+
+    The line keeps the variable in which g has the largest degree and sets
+    each other variable number k to (k+1)*step; i -> s over Q(i).  The
+    result bounds the multiplicity of g in f (proof in
+    ``gcd.multiplicity_of_factor``), so 0 certifies that g does not divide f.
+    """
     p, s = _gcd_prime(0)
     degrees = [max(e[k] for e in g.terms) for k in range(len(g.vars))]
     if not any(degrees):
-        return False
+        return None
     keep = degrees.index(max(degrees))
     b = _line_image(g, keep, p, s)
     a = _line_image(f, keep, p, s) if b is not None and len(b) > 1 else None
-    # g_L divides f_L iff their gcd has the degree of g_L
-    return a is not None and len(poly_gcd_mod_p(a, b, p)) < len(b)
+    if not a:
+        return None
+    k = 0
+    # g_L divides a iff their gcd has the degree of g_L
+    while len(poly_gcd_mod_p(a, b, p)) == len(b):
+        a = _uquo(a, b, p)
+        k += 1
+    return k
 
 
 def _line_image(h: MultiPoly, keep: int, p: int, s: int) -> Optional[List[int]]:

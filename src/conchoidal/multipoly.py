@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd, lcm
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -484,31 +485,83 @@ def _aligned(a: MultiPoly, b: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
 def poly_exact_div(f: MultiPoly, g: MultiPoly) -> Optional[MultiPoly]:
     """Quotient q with f = q*g exactly, or None when g does not divide f.
 
-    Misses.  With p and s the first gcd prime of ``modular`` and its square
-    root of -1, keep the variable in which g has the largest degree, set
-    the others to fixed points and reduce modulo p (i -> s over Q(i)) to
-    f_L and g_L in F_p[t].  Suppose no denominator is divisible by p and
-    g_L is nonconstant.  Then f and g lie over the discrete valuation ring
-    R = Z localized at p (Z[i] at (p, i - s)), and g is nonzero modulo p,
-    so its content is a unit.  If f = q*g, Gauss's lemma over R puts q in
-    R[x], so f_L = q_L*g_L: a nonzero remainder of f_L by g_L certifies
-    that g does not divide f.  Otherwise (a p in a denominator, a constant
-    or zero g_L, a zero remainder) the division decides.
-
-    Division.  Graded-lex reduction, the remainder kept in one dict with a
-    lazy max-heap of its exponents (Johnson 1974): q costs |q|*|g|.
+    A miss is usually certified with no division: ``modular.line_multiplicity``
+    bounds the multiplicity of g in f by their images on one line modulo a
+    prime (the proof is in ``gcd.multiplicity_of_factor``), so a bound of 0
+    means that g does not divide f.  Otherwise ``divide_out`` decides.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     f, g = _aligned(f, g)
     if f.is_zero():
         return f
-    from .modular import line_image_misses   # modular imports this module
-    if line_image_misses(f, g):
+    from .modular import line_multiplicity   # modular imports this module
+    if line_multiplicity(f, g) == 0:
         return None
-    g_exp, g_c = g.leading()
-    g_rest = [(e, c) for e, c in g.terms.items() if e != g_exp]
-    rem = dict(f.terms)
+    k, q = divide_out(f, g, 1)
+    return q if k else None
+
+
+def divide_out(f: MultiPoly, g: MultiPoly, bound: Optional[int]) -> Tuple[int, MultiPoly]:
+    """(k, f / g**k) for the largest k <= bound with g**k | f, with no bound
+    for None; f and g aligned, f nonzero, g nonconstant when unbounded.
+
+    Integers over Q.  f is scaled once to F = L_f*f and g to G = L_g*g/c,
+    with L the lcm of the denominators and c the integer content of L_g*g,
+    so F and G lie in Z[x] and G is primitive.  Then g**k divides f iff G
+    divides F k times, each quotient in Z[x]: if an integer F' = H*G with
+    H in Q[x], write H = c(H)*H0 with H0 primitive; G*H0 is primitive by
+    Gauss's lemma, so c(H) is the content of F', an integer.  Graded-lex
+    reduction by one divisor finds the terms of an exact quotient in
+    descending order, so each step of an exact division is an integer
+    division, and a nonzero r % lc(G) proves that G does not divide F'.
+    The k-th quotient is rebuilt once: f / g**k = F_k * (L_g/c)**k / L_f,
+    one ``Fraction`` per term.  Over Q(i) the coefficients stay
+    ``GaussianRational``, integers over one denominator, and each step is
+    the field division.
+
+    Division.  Graded-lex reduction, the remainder kept in one dict with a
+    lazy max-heap of its exponents (Johnson 1974): q costs |q|*|g|.
+    """
+    integral = f.field == FIELD_Q
+    if integral:
+        F, f_den = _integer_form(f)
+        G, g_den = _integer_form(g)
+        content = gcd(*G.values())
+        G = {e: c // content for e, c in G.items()}
+    else:
+        F, G = f.terms, g.terms
+    k = 0
+    while bound is None or k < bound:
+        q = _heap_quotient(F, G, integral)
+        if q is None:
+            break
+        F, k = q, k + 1
+    if not k:
+        return 0, f
+    if integral:
+        scale = Fraction(g_den, content) ** k / f_den
+        num, den = scale.numerator, scale.denominator
+        F = {e: Fraction(c * num, den) for e, c in F.items()}
+    else:
+        F = {e: to_scalar(c, f.field) for e, c in F.items()}
+    return k, MultiPoly(f.vars, f.field, F)
+
+
+def _integer_form(h: MultiPoly) -> Tuple[Dict[Tuple[int, ...], int], int]:
+    """(L*h as int coefficients, L) with L the lcm of h's denominators over Q."""
+    den = lcm(*(c.denominator for c in h.terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in h.terms.items()}, den
+
+
+def _heap_quotient(f: Dict[Tuple[int, ...], Scalar], g: Dict[Tuple[int, ...], Scalar],
+                   integral: bool) -> Optional[Dict[Tuple[int, ...], Scalar]]:
+    """The exact quotient of two term dicts, or None; with ``integral`` every
+    quotient step must be an exact integer division."""
+    g_exp = max(g, key=_grlex_key)
+    g_c = g[g_exp]
+    g_rest = [(e, c) for e, c in g.items() if e != g_exp]
+    rem = dict(f)
     heap = sorted(map(_heap_entry, rem))   # a sorted list is a heap
     q_terms: Dict[Tuple[int, ...], Scalar] = {}
     while heap:
@@ -519,7 +572,13 @@ def poly_exact_div(f: MultiPoly, g: MultiPoly) -> Optional[MultiPoly]:
         diff = tuple([a - b for a, b in zip(r_exp, g_exp)])
         if any(d < 0 for d in diff):
             return None
-        c = q_terms[diff] = r_c / g_c
+        if not integral:
+            c = r_c / g_c
+        elif r_c % g_c:
+            return None
+        else:
+            c = r_c // g_c
+        q_terms[diff] = c
         for e, gc in g_rest:
             exp = tuple([a + b for a, b in zip(diff, e)])
             t, old = c * gc, rem.pop(exp, None)
@@ -528,7 +587,7 @@ def poly_exact_div(f: MultiPoly, g: MultiPoly) -> Optional[MultiPoly]:
                 heappush(heap, _heap_entry(exp))
             elif old != t:
                 rem[exp] = old - t
-    return MultiPoly(f.vars, f.field, {e: to_scalar(c, f.field) for e, c in q_terms.items()})
+    return q_terms
 
 
 def _heap_entry(exp: Tuple[int, ...]):   # pops in descending graded-lex order
