@@ -35,7 +35,7 @@ Otherwise more primes are taken.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .modular import line_multiplicity, modular_gcd
 from .multipoly import MultiPoly, _aligned, divide_out, poly_exact_div
@@ -104,8 +104,11 @@ def squarefree_decompose_uni(f: MultiPoly) -> List[Tuple[MultiPoly, int]]:
     return out
 
 
-def multiplicity_of_factor(f: MultiPoly, p: MultiPoly) -> Tuple[int, MultiPoly]:
+def multiplicity_of_factor(f: MultiPoly, p: MultiPoly, images: Optional[dict] = None
+                           ) -> Tuple[int, MultiPoly]:
     """Largest k with p**k | f; returns (k, f / p**k), and f itself when k = 0.
+    ``images`` keeps the line images of this f between calls with other p
+    (``modular.line_multiplicity``).
 
     Bound.  Let f_L and p_L be the images of f and p on the line of
     ``modular.line_multiplicity``: every variable but one set to a fixed
@@ -125,7 +128,7 @@ def multiplicity_of_factor(f: MultiPoly, p: MultiPoly) -> Tuple[int, MultiPoly]:
     if p.is_constant():
         raise ValueError("multiplicity of a constant factor")
     a, b = _aligned(f, p)
-    bound = line_multiplicity(a, b)
+    bound = line_multiplicity(a, b, images)
     if bound == 0:
         return 0, f
     k, q = divide_out(a, b, bound)

@@ -386,7 +386,8 @@ def modular_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 # -- the line image of an exact division ----------------------------------------------
 
 
-def line_multiplicity(f: MultiPoly, g: MultiPoly) -> Optional[int]:
+def line_multiplicity(f: MultiPoly, g: MultiPoly, images: Optional[dict] = None
+                      ) -> Optional[int]:
     """The multiplicity of g_L in f_L, the images of f and g (same
     variables and field) on one line modulo the first gcd prime p; None
     when p divides a denominator, g_L is constant or f_L is zero.
@@ -395,6 +396,9 @@ def line_multiplicity(f: MultiPoly, g: MultiPoly) -> Optional[int]:
     each other variable number k to (k+1)*step; i -> s over Q(i).  The
     result bounds the multiplicity of g in f (proof in
     ``gcd.multiplicity_of_factor``), so 0 certifies that g does not divide f.
+    ``images``, when given, keeps the images of this f by variables and
+    kept variable, so a caller that tries several g on one f images f once
+    per line.
     """
     p, s = _gcd_prime(0)
     degrees = [max(e[k] for e in g.terms) for k in range(len(g.vars))]
@@ -402,7 +406,12 @@ def line_multiplicity(f: MultiPoly, g: MultiPoly) -> Optional[int]:
         return None
     keep = degrees.index(max(degrees))
     b = _line_image(g, keep, p, s)
-    a = _line_image(f, keep, p, s) if b is not None and len(b) > 1 else None
+    if b is None or len(b) < 2:
+        return None
+    images = {} if images is None else images
+    if (f.vars, keep) not in images:
+        images[f.vars, keep] = _line_image(f, keep, p, s)
+    a = images[f.vars, keep]
     if not a:
         return None
     k = 0

@@ -18,14 +18,21 @@ which holds every monomial it can have; only the m + n + 2 coefficients
 are evaluated, and each sample is an integer determinant of their values,
 at most min(m, n)-square, by fraction-free Bareiss: for m != n one
 pseudo-remainder step of the longer list by the shorter, then the hybrid
-Bezout matrix, divided exactly by a power of the shorter list's top value
-(_sample_det); for m = n the hybrid Bezout matrix.  Checked integer forward
-differences along the first variable, then the same interpolation on
-smaller lower sets in the rest, give its Newton form, and Horner steps in
-the falling-factorial basis turn it into monomials; the list scales are
-divided out once at the end.  An off-grid residual, taken on the full
-Sylvester matrix, guards the degree and the sample reduction.  One row
-builder lays out every Sylvester matrix, and only this module calls it.
+Bezout matrix, divided exactly by a power of the shorter list's top value;
+for m = n the hybrid Bezout matrix (_resultants).  The samples of one grid
+line go through these steps as one batch: each value is a list, one entry
+per sample, and each step one list comprehension over the line.  A sample
+whose pivot or top value is zero where others on its line are not runs
+again as a batch of one, which takes the branch a single matrix takes
+(_regroup); det_scalar is such a batch of one.  A determinant and an exact
+quotient are unique, so each sample is the integer that one matrix at a
+time gives.  Checked integer forward differences along the first
+variable, then the same interpolation on smaller lower sets in the rest,
+give its Newton form, and Horner steps in the falling-factorial basis turn
+it into monomials; the list scales are divided out once at the end.  An
+off-grid residual, taken on the full Sylvester matrix, guards the degree
+and the sample reduction.  One row builder lays out every Sylvester
+matrix, and only this module calls it.
 """
 
 from __future__ import annotations
@@ -89,17 +96,18 @@ def conchoid_coefficients(f: MultiPoly, g: MultiPoly) -> Tuple[List[MultiPoly], 
 
 def det_scalar(rows: List[List]) -> Scalar:
     """Exact determinant of a square matrix of ints, Fractions or
-    GaussianRationals, by fraction-free Bareiss over Z.  An int matrix gives
-    an int.  Otherwise the rows are scaled to integer (re, im) parts and the
-    result is a Fraction, or a GaussianRational when any entry is one; such
-    a matrix is packed into Z at i -> N = _base(row norms) and its
-    determinant unpacked, exact as _interpolated_det proves."""
+    GaussianRationals, by fraction-free Bareiss over Z (_bareiss, a batch of
+    one).  An int matrix gives an int.  Otherwise the rows are scaled to
+    integer (re, im) parts and the result is a Fraction, or a
+    GaussianRational when any entry is one; such a matrix is packed into Z
+    at i -> N = _base(row norms) and its determinant unpacked, exact as
+    _interpolated_det proves."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
     entries = [c for row in rows for c in row]
     if all(type(c) is int for c in entries):
-        return _det_int(rows)
+        return _bareiss([[[c] for c in row] for row in rows])[0]
     gaussian = any(isinstance(c, GaussianRational) for c in entries)
     scale = 1
     scaled = []
@@ -108,7 +116,7 @@ def det_scalar(rows: List[List]) -> Scalar:
         scale *= row_lcm
         scaled.append([(_times(re_part(c), row_lcm), _times(im_part(c), row_lcm)) for c in row])
     N = _base([sum(abs(re) + abs(im) for re, im in row) for row in scaled]) if gaussian else 0
-    det = _det_int([[re + im * N for re, im in row] for row in scaled])
+    det = _bareiss([[[re + im * N] for re, im in row] for row in scaled])[0]
     return _make(*_unpack(det, N), scale) if gaussian else Fraction(det, scale)   # scale > 0
 
 
@@ -126,31 +134,53 @@ def _times(q: Fraction, multiple: int) -> int:
     return q.numerator * (multiple // q.denominator)
 
 
-def _det_int(rows) -> int:
-    """Fraction-free Bareiss over Z; every division is exact."""
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    sign, prev = 1, 1
+# -- batches: each value is a list, one entry per sample -------------------------
+
+
+def _regroup(kernel, lists: List[List[List[int]]], flags: Sequence[int]) -> List[int]:
+    """kernel(lists) for a batch whose samples s with flags[s] == 0 need a
+    zero test of their own: the other samples run as one batch, each of
+    these as a batch of one, and the results come back in sample order.
+    ``lists`` is a list of lists of entries, each entry a list of values."""
+    def run(samples):
+        return kernel([[[e[s] for s in samples] for e in row] for row in lists])
+
+    regular = [s for s, x in enumerate(flags) if x]
+    out = dict(zip(regular, run(regular) if regular else []))
+    out.update((s, run([s])[0]) for s, x in enumerate(flags) if not x)
+    return [out[s] for s in range(len(flags))]
+
+
+def _bareiss(mat: List[List[List[int]]]) -> List[int]:
+    """The determinants of a batch of square integer matrices, entry (i, j)
+    of sample s being mat[i][j][s], by fraction-free Bareiss; every division
+    is exact.  A zero pivot in a batch of one is swapped with the first row
+    below it that has a nonzero entry in its column; a batch of more than
+    one with a zero pivot in some sample restarts by _regroup."""
+    rows = [list(r) for r in mat]
+    n, size = len(rows), len(rows[0][0])
+    sign, prev = 1, [1] * size
     for k in range(n - 1):
-        if not mat[k][k]:
+        pivot = rows[k][k]
+        if not all(pivot):
+            if size > 1:
+                return _regroup(_bareiss, mat, pivot)
             for i in range(k + 1, n):
-                if mat[i][k]:
-                    mat[k], mat[i] = mat[i], mat[k]
+                if rows[i][k][0]:
+                    rows[k], rows[i] = rows[i], rows[k]
                     sign = -sign
                     break
             else:
-                return 0
-        pivot = mat[k][k]
-        tail_k = mat[k][k + 1:]
+                return [0]
+            pivot = rows[k][k]
+        tail_k = rows[k][k + 1:]
         for i in range(k + 1, n):
-            row = mat[i]
-            m = row[k]
-            if m:
-                row[k + 1:] = [(pivot * a - m * b) // prev for a, b in zip(row[k + 1:], tail_k)]
-            elif pivot != prev:
-                row[k + 1:] = [pivot * a // prev for a in row[k + 1:]]
+            row = rows[i]
+            col = row[k]
+            row[k + 1:] = [[(p * a - c * b) // q for p, a, c, b, q in zip(pivot, x, col, y, prev)]
+                           for x, y in zip(row[k + 1:], tail_k)]
         prev = pivot
-    return sign * mat[n - 1][n - 1]
+    return rows[n - 1][n - 1] if sign > 0 else [-v for v in rows[n - 1][n - 1]]
 
 
 # -- Gaussian integers packed into Z --------------------------------------------
@@ -252,13 +282,6 @@ def _interp_simplex(values: dict, D: int, caps: Sequence[int]) -> dict:
     return terms
 
 
-def _horner(coeffs: Sequence[int], t: int) -> int:
-    total = 0
-    for c in reversed(coeffs):
-        total = total * t + c
-    return total
-
-
 def _at_prefix(part: dict, prefix: tuple) -> List[int]:
     """Ascending coefficients in the last variable of p(prefix, t), p given
     as {exponent: c}."""
@@ -270,37 +293,48 @@ def _at_prefix(part: dict, prefix: tuple) -> List[int]:
     return out
 
 
-def _dets_on_line(parts: List[dict], prefix: tuple, ts, det) -> list:
-    """[det(values) for t in ts], values being the integer polynomials
-    ``parts``, each {exponent: c}, at prefix + (t,); they are reduced once
-    at the prefix and evaluated by Horner in the last variable."""
-    dense = [_at_prefix(p, prefix) for p in parts]
-    return [det([_horner(c, t) if c else 0 for c in dense]) for t in ts]
+def _on_line(parts: List[dict], prefix: tuple, ts: Sequence[int]) -> List[List[int]]:
+    """The values of the integer polynomials ``parts``, each {exponent: c},
+    at prefix + (t,) for t in ts, one list per polynomial: each is reduced
+    once at the prefix and evaluated by Horner in the last variable, one
+    step for all of ts."""
+    out = []
+    for p in parts:
+        coeffs = _at_prefix(p, prefix)
+        values = [0] * len(ts)
+        for c in reversed(coeffs):
+            values = [v * t + c for v, t in zip(values, ts)]
+        out.append(values)
+    return out
 
 
-def _hybrid_bezout(fc: List[int], gc: List[int]) -> List[List[int]]:
-    """The m-square hybrid Bezout matrix of the ascending integer
+def _hybrid_bezout(fc: List[List[int]], gc: List[List[int]]) -> List[List[List[int]]]:
+    """The m-square hybrid Bezout matrices of a batch of ascending integer
     coefficient lists fc, gc at nominal degrees m >= 1 and n <= m
-    (Diaz-Toca and Gonzalez-Vega 2004), columns ascending; its determinant
-    is resultant_nominal(fc, gc).  The rows are g, u g, ..., u^(m-n-1) g,
-    then H_1, ..., H_n with H_k = u H_(k-1) + a_(m-k+1) g~ - b~_(m-k+1) f,
-    g~ = u^(m-n) g; the top coefficient of each H_k cancels."""
+    (Diaz-Toca and Gonzalez-Vega 2004), columns ascending; their
+    determinants are resultant_nominal(fc, gc).  The rows are g, u g, ...,
+    u^(m-n-1) g, then H_1, ..., H_n with H_k = u H_(k-1) + a_(m-k+1) g~ -
+    b~_(m-k+1) f, g~ = u^(m-n) g; the top coefficient of each H_k cancels,
+    so it is not computed."""
     m, n = len(fc) - 1, len(gc) - 1
-    gt = [0] * (m - n) + gc
-    rows = [[0] * j + gc + [0] * (m - n - 1 - j) for j in range(m - n)]
-    h = [0] * (m + 1)                         # u H_(k-1)
+    zero = [0] * len(fc[0])
+    gt = [zero] * (m - n) + gc
+    rows = [[zero] * j + gc + [zero] * (m - n - 1 - j) for j in range(m - n)]
+    h = [zero] * m                            # u H_(k-1) below its top
     for k in range(m, m - n, -1):
         a, b = fc[k], gt[k]
-        h = [x + a * y - b * z for x, y, z in zip(h, gt, fc)]
-        rows.append(h[:m])
-        h = [0] + h[:m]
+        h = [[x + p * y - q * z for x, p, y, q, z in zip(hx, a, gy, b, fz)]
+             for hx, gy, fz in zip(h, gt, fc)]
+        rows.append(h)
+        h = [zero] + h[:-1]
     return rows
 
 
-def _sample_det(fc: List[int], gc: List[int]) -> int:
-    """resultant_nominal(fc, gc) of ascending integer value lists at nominal
-    degrees m != n, both >= 1, from one det_scalar call on a matrix of size
-    at most min(m, n).
+def _resultants(fc: List[List[int]], gc: List[List[int]]) -> List[int]:
+    """resultant_nominal(fc, gc) of a batch of ascending integer value lists
+    at nominal degrees m, n >= 1, from one _bareiss call per batch on
+    matrices of size at most min(m, n): for m = n the hybrid Bezout
+    matrices, else one pseudo-remainder step first.
 
     Let f be the shorter list, at degree m < n, since
     Res_(m,n)(f, g) = (-1)^(mn) Res_(n,m)(g, f):
@@ -310,7 +344,9 @@ def _sample_det(fc: List[int], gc: List[int]) -> int:
     g_n in the first g-row, row n, and zero elsewhere; deleting that row
     and column leaves S at nominal degrees (m-1, n), so
     Res_(m,n)(f, g) = (-1)^n g_n Res_(m-1,n)(f, g), down to
-    Res_(0,n)(f, g) = f_0^n, n rows of f_0 on the diagonal.
+    Res_(0,n)(f, g) = f_0^n, n rows of f_0 on the diagonal.  This rule runs
+    batched while f_m is zero in every sample; when it is zero in some
+    samples only, those go through _regroup.
 
     For a = f_m != 0, n - m + 1 steps r <- a r - r_k u^(k-m) f, from r = g
     at k = n down to k = m, give the pseudo-remainder r = a^(n-m+1) g - q f,
@@ -329,33 +365,39 @@ def _sample_det(fc: List[int], gc: List[int]) -> int:
     Dividing (1)-(3) by a^(n-m+1) gives the identity; the division by
     a^((n-m+1)(m-1)) must be exact, and a remainder is an InternalError."""
     m, n = len(fc) - 1, len(gc) - 1
-    lead = -1 if m > n and m * n % 2 else 1
+    if m == n:
+        return _bareiss(_hybrid_bezout(fc, gc))
+    lists = [fc, gc]
+    sign = -1 if m > n and m * n % 2 else 1
     if m > n:
         fc, gc, m, n = gc, fc, n, m
-    while m and not fc[m]:
-        lead *= gc[n] if n % 2 == 0 else -gc[n]
+    lead = [sign] * len(fc[0])
+    while m and not any(fc[m]):
+        lead = [x * y for x, y in zip(lead, gc[n])] if n % 2 == 0 else \
+            [-x * y for x, y in zip(lead, gc[n])]
         m -= 1
     if not m:
-        return lead * fc[0] ** (n - 1) * det_scalar([[fc[0]]])
+        return [x * y ** n for x, y in zip(lead, fc[0])]
     a = fc[m]
-    f, r, p = fc[:m + 1], list(gc), 1
+    if not all(a):
+        return _regroup(lambda pair: _resultants(*pair), lists, a)
+    f, r, p = fc[:m + 1], list(gc), [1] * len(a)
     # step k only changes the window r[k-m:k]; the entries below it are
     # scaled lazily: r[k-m] joins the window at step k, having missed the
     # n - k scalings by a of the earlier steps, and takes p = a^(n-k) then
     for k in range(n, m - 1, -1):
         s = k - m
-        r[s] *= p
+        r[s] = [x * y for x, y in zip(r[s], p)]
         c = r[k]
-        r[s:k] = [a * x - c * y for x, y in zip(r[s:k], f)]
-        p *= a
-    det = det_scalar(_hybrid_bezout(f, r[:m]))
-    divisor = p ** (m - 1)
-    quotient = det // divisor
-    if quotient * divisor != det:
+        r[s:k] = [[u * x - v * y for u, x, v, y in zip(a, rx, c, fy)]
+                  for rx, fy in zip(r[s:k], f)]
+        p = [x * y for x, y in zip(p, a)]
+    dets = _bareiss(_hybrid_bezout(f, r[:m]))
+    divisors = [x ** (m - 1) for x in p]
+    quotients = [d // x for d, x in zip(dets, divisors)]
+    if any(q * x != d for q, x, d in zip(quotients, divisors, dets)):
         raise InternalError("pseudo-remainder sample not divisible")
-    return lead * quotient
-
-
+    return [x * q for x, q in zip(lead, quotients)]
 
 
 # -- the Sylvester determinant ---------------------------------------------------
@@ -370,11 +412,14 @@ def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int]
     each re + im i is packed into Z as re + im N, N = _base of the Sylvester
     row norms, and each interpolated coefficient is unpacked by _unpack
     (Kronecker substitution; von zur Gathen and Gerhard, Modern Computer
-    Algebra, ch. 8); Q input is never packed.  Each sample is one det_scalar
-    call on the m + n + 2 values: the m-square hybrid Bezout matrix for
-    m = n, else _sample_det, at most min(m, n)-square.  The residual at a
-    point off the grid comes from the full Sylvester matrix, so it also
-    checks the reduction; if nonzero, ``error`` is raised.
+    Algebra, ch. 8); Q input is never packed.  The m + n + 2 values on one
+    grid line, the last variable running, are one batch of _resultants; a
+    sample with a zero pivot or top value where others have none runs
+    again as a batch of one (_regroup), and is the same integer either
+    way, as each determinant and exact quotient is unique.  The residual
+    at a point off the grid comes from det_scalar of the full Sylvester
+    matrix, so it also checks the reduction; if nonzero, ``error`` is
+    raised.
 
     Why the packing is exact.  Let P in Z[N][vars] be the Sylvester
     determinant of the scaled lists with i replaced by a variable N.
@@ -411,23 +456,19 @@ def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int]
         norms += [sum(abs(re) + abs(im) for p in scaled for re, im in p.values())] * count
     N = _base(norms) if gaussian else 0
     parts = [{k: re + im * N for k, (re, im) in p.items()} for p in pairs]
-    if m == n:
-        def sample(v):
-            return det_scalar(_hybrid_bezout(v[:m + 1], v[m + 1:]))
-    else:
-        def sample(v):
-            return _sample_det(v[:m + 1], v[m + 1:])
     values = {}
     for prefix in _simplex(D, caps[:-1]):
         ts = range(min(D - sum(prefix), caps[-1]) + 1)
-        values.update(zip([prefix + (t,) for t in ts], _dets_on_line(parts, prefix, ts, sample)))
+        columns = _on_line(parts, prefix, ts)
+        samples = _resultants(columns[:m + 1], columns[m + 1:])
+        values.update(zip([prefix + (t,) for t in ts], samples))
     terms = _interp_simplex(values, D, caps)
 
     # Residual check at a point outside the grid.
     off = (D + 1,) * len(index)
-    expected = _dets_on_line(parts, off[:-1], off[-1:],
-                             lambda v: det_scalar(sylvester_rows(v[:m + 1], v[m + 1:], 0)))[0]
-    if _horner(_at_prefix(terms, off[:-1]), D + 1) != expected:
+    v = [c for c, in _on_line(parts, off[:-1], off[-1:])]
+    expected = det_scalar(sylvester_rows(v[:m + 1], v[m + 1:], 0))
+    if _on_line([terms], off[:-1], off[-1:]) != [[expected]]:
         raise error(f"interpolation residual nonzero at degree {D}")
     if gaussian:
         return {e: _make(*_unpack(c, N), scale) for e, c in terms.items()}

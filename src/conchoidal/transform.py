@@ -137,33 +137,33 @@ def extract_known_components(R: PlaneCurve, scene: Scene,
     irreducible-over-the-field factor block of the base's top form (the
     lines joining A to the points of B at infinity, conjugates kept as one
     block), and optionally by the input curve C.  The residual is the
-    proper conchoid."""
+    proper conchoid.  The line images of h are kept while h is unchanged,
+    and R.equation, monic as every curve equation, is its own residual when
+    nothing divides it."""
     h = R.equation
     comps: List[DivisorComponent] = []
-    base_eq = scene.base_curve.equation
-    k, h = multiplicity_of_factor(h, base_eq)
-    if k:
-        comps.append(DivisorComponent(base_eq, k, "base"))
-    zpoly = MultiPoly.variable("z", CURVE_VARS, h.field)
-    k, h = multiplicity_of_factor(h, zpoly)
-    if k:
-        comps.append(DivisorComponent(zpoly, k, "linf"))
-    top = scene.base_curve.top_form().promote(h.field)
-    _, blocks = factor_binary_form(top)
+    images: dict = {}                 # line images of h
+
+    def strip(factor: MultiPoly, kind: str) -> None:
+        nonlocal h
+        k, h_out = multiplicity_of_factor(h, factor, images)
+        if k:
+            h = h_out
+            images.clear()
+            comps.append(DivisorComponent(factor, k, kind))
+
+    strip(scene.base_curve.equation, "base")
+    strip(MultiPoly.variable("z", CURVE_VARS, h.field), "linf")
+    _, blocks = factor_binary_form(scene.base_curve.top_form().promote(h.field))
     for block, _ in blocks:
-        block3 = block.with_vars(CURVE_VARS)
-        k, h = multiplicity_of_factor(h, block3)
-        if k:
-            comps.append(DivisorComponent(block3, k, "lineblock"))
+        strip(block.with_vars(CURVE_VARS), "lineblock")
     if C is not None:
-        k, h = multiplicity_of_factor(h, C.equation)
-        if k:
-            comps.append(DivisorComponent(C.equation, k, "input"))
+        strip(C.equation, "input")
     if h.is_constant():
         unit = h.constant_value()
     else:
         unit = h.lc()
-        comps.append(DivisorComponent(h.monic(), 1, "residual"))
+        comps.append(DivisorComponent(h if h is R.equation else h.monic(), 1, "residual"))
     return Divisor(comps, unit)
 
 

@@ -94,26 +94,30 @@ def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
 def test_broken_determinant_sample_is_an_internal_error(capsys, monkeypatch):
     # the conchoid's coefficient lists are forms, so its degree is certain and
     # a nonzero residual can only be a bug: exit 4, not a "degree bound" no.
-    # Each scalar determinant of four transforms, every grid sample and the
-    # residual, is corrupted in turn by +1, -1, +2, +6 and the prime
-    # 10**9 + 7, and every one of the 780 runs is an InternalError: the
-    # checked forward differences catch what their divisions would round
-    # away, the exact division by a^2 of the circle x cubic samples (2x2
-    # after a pseudo-remainder step) what it leaves inexact, and the
-    # off-grid residual the rest.  The Q(i) pair's samples are packed
-    # Gaussian integers.  About 1 s.
+    # Each determinant of four transforms, every grid sample of each batched
+    # Bareiss output and the residual, is corrupted in turn by +1, -1, +2, +6
+    # and the prime 10**9 + 7, before any pseudo-remainder division, and
+    # every one of the 780 runs is an InternalError: the checked forward
+    # differences catch what their divisions would round away, the exact
+    # division by a^2 of the circle x cubic samples (2x2 after a
+    # pseudo-remainder step) what it leaves inexact, and the off-grid
+    # residual the rest.  The Q(i) pair's samples are packed Gaussian
+    # integers.  About 1 s.
     from conchoidal import resultant
     from conchoidal.transform import conchoidal_transform
 
-    exact = resultant.det_scalar
-    calls, corrupt = [], [0, 0]          # the call to corrupt, and by how much
+    exact = resultant._bareiss
+    calls, corrupt = [], [0, 0]          # the sample to corrupt, and by how much
 
-    def corrupted(rows):
-        calls.append(len(rows))
-        value = exact(rows)
-        return value + corrupt[1] if len(calls) == corrupt[0] else value
+    def corrupted(mat):
+        values = exact(mat)
+        j = corrupt[0] - len(calls) - 1      # its place in this batch
+        calls.extend([len(mat)] * len(values))
+        if 0 <= j < len(values):
+            values = values[:j] + [values[j] + corrupt[1]] + values[j + 1:]
+        return values
 
-    monkeypatch.setattr(resultant, "det_scalar", corrupted)
+    monkeypatch.setattr(resultant, "_bareiss", corrupted)
 
     def messages(B, C, offset, count):
         out = set()

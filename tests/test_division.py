@@ -119,8 +119,8 @@ def test_generic_decompose_misses_are_settled_by_the_line_image(monkeypatch):
     verdicts, steps, counting = [], [], [True]
     pop = multipoly.heappop
 
-    def counted_line(f, g):
-        bound = line_multiplicity(f, g)
+    def counted_line(f, g, images=None):
+        bound = line_multiplicity(f, g, images)
         if counting[0]:
             verdicts.append(bound == 0)
         return bound
@@ -145,6 +145,83 @@ def test_generic_decompose_misses_are_settled_by_the_line_image(monkeypatch):
     assert [c.label for c in div.components] == ["residual"]
     assert verdicts == [True] * 4
     assert not steps
+
+
+def _decompose_cases():
+    """(B, C) over Q and Q(i): a generic 3x3 pair and two conic pairs that
+    nothing divides, and three pairs with known components beside a
+    residual (a circle and a concentric circle, a Q(i) conic and a conic
+    tangent to z) or none (a circle and a line through its center)."""
+    rng = random.Random(5)
+    B = random_compliant_base(rng, 3)
+    pairs = [(B, avoiding_special_points(rng, 3, B))]
+    for b, c, field in (("x^2+i*y^2-z^2", "x*y-(1+i)*z^2", FIELD_QI),
+                        ("x^2+y^2-z^2", "x^2+i*y^2-9*z^2", FIELD_QI),
+                        ("x^2+y^2-z^2", "x^2+y^2-4*z^2", FIELD_Q),
+                        ("x^2+i*y^2-z^2", "z*(x+y)-i*z^2", FIELD_QI),
+                        ("x^2+y^2-z^2", "x", FIELD_Q)):
+        pairs.append((PlaneCurve.from_text(b, field), PlaneCurve.from_text(c, field)))
+    return pairs
+
+
+def test_decompose_images_each_polynomial_once_per_line(monkeypatch):
+    # extract_known_components keeps the line images of h while h is
+    # unchanged, so no (polynomial, kept variable) pair is imaged twice in
+    # one call (the univariate images that factor the base's top form are
+    # not counted); the divisor is the one that imaging h afresh for every
+    # factor gives
+    imaged, counting = [], [True]
+    image = modular._line_image
+
+    def recorded(h, keep, p, s):
+        if counting[0]:
+            imaged.append((h.vars, frozenset(h.terms.items()), keep))
+        return image(h, keep, p, s)
+
+    def uncounted_factor(form):
+        counting[0] = False
+        try:
+            return factor_binary_form(form)
+        finally:
+            counting[0] = True
+
+    def afresh(f, g, images=None):
+        return line_multiplicity(f, g)
+
+    monkeypatch.setattr(transform, "factor_binary_form", uncounted_factor)
+    for B, C in _decompose_cases():
+        T = conchoidal_transform(B, C)
+        with monkeypatch.context() as patch:
+            patch.setattr(modular, "line_multiplicity", afresh)
+            patch.setattr(gcd, "line_multiplicity", afresh)
+            expected = extract_known_components(T, Scene(B), C)
+        imaged.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(modular, "_line_image", recorded)
+            div = extract_known_components(T, Scene(B), C)
+        assert len(imaged) == len(set(imaged)) > 0
+        assert div.unit == expected.unit
+        assert [(c.poly, c.mult, c.label) for c in div.components] == \
+            [(c.poly, c.mult, c.label) for c in expected.components]
+
+
+def test_residual_of_an_undivided_conchoid_is_its_equation():
+    # when nothing divides, the residual is R.equation itself: every curve
+    # equation is monic already, and its terms and coefficient types are
+    # those of R.equation.monic(), the residual of the division by nothing,
+    # over Q and Q(i)
+    undivided = 0
+    for B, C in _decompose_cases():
+        T = conchoidal_transform(B, C)
+        div = extract_known_components(T, Scene(B), C)
+        if [c.label for c in div.components] != ["residual"]:
+            continue
+        undivided += 1
+        monic = T.equation.monic()
+        assert div.residual() is T.equation and div.unit == 1
+        assert [(e, c, type(c)) for e, c in T.equation.terms.items()] == \
+            [(e, c, type(c)) for e, c in monic.terms.items()]
+    assert undivided == 3
 
 
 # -- multiplicities ----------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Source checks: no handler in the package may swallow arbitrary errors,
 so a bug surfaces as a traceback instead of turning into a verdict; the
 package has one Sylvester determinant, one integer determinant kernel for
-Q and Q(i), one gcd, one exact division, one substitution, one Q(i)
-scalar, one root finder, one quartic splitter, one double-component
-search, one splitting finisher for both parities, one recognition
-verifier and one polynomial type; no module imports a name
+Q and Q(i) that takes each grid line as one batch, one gcd, one exact
+division, one substitution, one Q(i) scalar, one root finder, one quartic
+splitter, one double-component search, one splitting finisher for both
+parities, one recognition verifier and one polynomial type; no module imports a name
 it never uses; every private module-level function is used; and every
 function the benchmark's tracer wraps by name still exists."""
 
@@ -25,6 +25,7 @@ SUBSTITUTE_ORACLE = re.compile(r"\bsubstitute_oracle\b|\bsubstitute_per_term\b")
 GAUSSIAN_ORACLE = re.compile(r"\bgaussian_oracle\b")
 GAUSS_KERNEL_ORACLE = re.compile(r"gauss_kernel_oracle|\b_det_gauss\b|_hybrid_bezout_gauss"
                                  r"|_sample_det_gauss")
+SAMPLE_KERNEL_ORACLE = re.compile(r"sample_kernel_oracle|\b_det_int\b|\b_sample_det\b|\b_dets_on_line\b")
 ROOTS_ORACLE = re.compile(r"roots_oracle|_re_im_split|_rational_zeros_uv")
 SOLVER_ORACLES = re.compile(r"quartic_oracle|quartic_split_oracle|double_component_oracle"
                             r"|odd_split_oracle|_odd_solve|_coefficient_system")
@@ -88,6 +89,13 @@ def test_no_library_use_of_the_gaussian_kernel_oracle():
     # integer kernel; the Z[i] pair kernel lives in tests/gauss_kernel_oracle.py
     hits = _source_hits(GAUSS_KERNEL_ORACLE)
     assert not hits, "uses of the Z[i] pair kernel oracle:\n" + "\n".join(hits)
+
+
+def test_no_library_use_of_the_per_sample_kernel():
+    # the grid samples of a line run through the integer kernel as one
+    # batch; the per-sample kernel lives in tests/sample_kernel_oracle.py
+    hits = _source_hits(SAMPLE_KERNEL_ORACLE)
+    assert not hits, "uses of the per-sample kernel oracle:\n" + "\n".join(hits)
 
 
 def test_no_library_use_of_the_roots_oracle():
@@ -211,7 +219,7 @@ def test_membership_oracle_stays_on_bareiss(monkeypatch):
         raise InternalError("the membership oracle used the transform's sample kernel")
 
     monkeypatch.setattr(resultant, "_hybrid_bezout", banned)
-    monkeypatch.setattr(resultant, "_sample_det", banned)
+    monkeypatch.setattr(resultant, "_resultants", banned)
     B = PlaneCurve.from_text("x^2+y^2-z^2")
     C = PlaneCurve.from_text("x-2*z")
     assert membership_value(B, C, ProjPoint.affine(3, 0)).value == 0

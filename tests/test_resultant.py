@@ -21,12 +21,14 @@ from conchoidal import (
 from conchoidal import resultant
 from conchoidal.errors import DegreeBoundError
 from conchoidal.resultant import (
+    _bareiss,
     _base,
     _falling_coefficients,
     _falling_to_monomial,
     _hybrid_bezout,
     _interp_simplex,
-    _sample_det,
+    _on_line,
+    _resultants,
     _simplex,
     _unpack,
     det_scalar,
@@ -36,6 +38,7 @@ from conchoidal.resultant import (
 
 from bareiss_oracle import det_bareiss_poly
 from gauss_kernel_oracle import _det_gauss, _hybrid_bezout_gauss, _sample_det_gauss
+from sample_kernel_oracle import _det_int, _dets_on_line, _sample
 from helpers import random_form, random_poly
 
 VARS = ("x", "y", "z")
@@ -58,6 +61,11 @@ def _oracle(fc, gc):
 def _pack(pairs, N):
     """Z[i] (re, im) pairs packed into Z at i -> N."""
     return [re + im * N for re, im in pairs]
+
+
+def _one(values):
+    """A list of values as a batch of one sample: one list per entry."""
+    return [[v] for v in values]
 
 
 def _sylvester_base(fc, gc):
@@ -358,11 +366,10 @@ def test_packed_kernel_matches_the_gaussian_oracle(data, m, n):
     fc = data.draw(st.lists(pair, min_size=m + 1, max_size=m + 1))
     gc = data.draw(st.lists(pair, min_size=n + 1, max_size=n + 1))
     N = _sylvester_base(fc, gc)
+    got = _resultants(_one(_pack(fc, N)), _one(_pack(gc, N)))[0]
     if m == n:
-        got = det_scalar(_hybrid_bezout(_pack(fc, N), _pack(gc, N)))
         expected = _det_gauss(_hybrid_bezout_gauss(fc, gc))
     else:
-        got = _sample_det(_pack(fc, N), _pack(gc, N))
         expected = _sample_det_gauss(fc, gc)
     assert _unpack(got, N) == expected
 
@@ -501,66 +508,99 @@ def test_hybrid_bezout_is_the_nominal_resultant():
     for m, n in product(range(1, 9), range(0, 9)):
         sign = (-1) ** (m * n) if m < n else 1
         fc, gc = _coefficient_lists(rng, m, n, lambda: rng.randint(-6, 6), 0)
-        rows = _hybrid_bezout(fc, gc) if m >= n else _hybrid_bezout(gc, fc)
+        rows = _hybrid_bezout(_one(fc), _one(gc)) if m >= n else _hybrid_bezout(_one(gc), _one(fc))
         assert len(rows) == max(m, n)
-        assert sign * det_scalar(rows) == resultant_nominal(fc, gc)
+        assert sign * _bareiss(rows)[0] == resultant_nominal(fc, gc)
         fc, gc = _coefficient_lists(rng, m, n, lambda: (rng.randint(-4, 4), rng.randint(-4, 4)),
                                    (0, 0))
         N = _sylvester_base(fc, gc)
-        packed = _pack(fc, N), _pack(gc, N)
+        packed = _one(_pack(fc, N)), _one(_pack(gc, N))
         rows = _hybrid_bezout(*packed) if m >= n else _hybrid_bezout(*packed[::-1])
-        re, im = _unpack(sign * det_scalar(rows), N)
+        re, im = _unpack(sign * _bareiss(rows)[0], N)
         gauss = [[GaussianRational(a, b) for a, b in c] for c in (fc, gc)]
         assert GaussianRational(re, im) == resultant_nominal(*gauss)
 
 
 def _sizes_of_samples(monkeypatch):
-    """Patch det_scalar to record the size of every matrix it is given."""
+    """Patch _bareiss to record (matrix size, batch length) of every batch
+    of matrices it is given; det_scalar's matrix is a batch of one."""
     sizes = []
+    exact = resultant._bareiss
 
-    def counted(rows):
-        sizes.append(len(rows))
-        return det_scalar(rows)
+    def counted(mat):
+        sizes.append((len(mat), len(mat[0][0])))
+        return exact(mat)
 
-    monkeypatch.setattr(resultant, "det_scalar", counted)
+    monkeypatch.setattr(resultant, "_bareiss", counted)
     return sizes
 
 
 def test_generic_conchoid_samples_are_half_size_on_the_capped_set(monkeypatch):
     # the conchoid of two quartics has degree 32 and z-degree <= 16: at x = 1
     # it is sampled on y + z <= 32, z <= 16, one point per possible monomial
-    # (425, not the triangle's 561), each a 4x4 hybrid Bezout determinant;
-    # the residual sample is the full 8x8 Sylvester matrix
+    # (425, not the triangle's 561), each a 4x4 hybrid Bezout determinant,
+    # in one batch per grid line y = 0..32 of min(32 - y, 16) + 1 values of
+    # z; the residual sample is the full 8x8 Sylvester matrix.  B has no
+    # x^4 term, so at (y, z) = (0, 0) every Phi_i = (-1)^i C(4, i) F_4(1, 0)
+    # is 0, the first pivot of that sample is 0, and line y = 0 runs again
+    # as its other 16 samples and that one
     rng = random.Random(103)
-    fc, gc = conchoid_coefficients(random_form(rng, 4), random_form(rng, 4))
+    B, C = random_form(rng, 4), random_form(rng, 4)
+    assert B.terms.get((4, 0, 0), 0) == 0
+    fc, gc = conchoid_coefficients(B, C)
     sizes = _sizes_of_samples(monkeypatch)
     poly_matrix_det(fc, gc, 32)
-    assert sum(1 for y in range(33) for z in range(17) if y + z <= 32) == 425
-    assert sizes == [4] * 425 + [8]
+    lines = [min(32 - y, 16) + 1 for y in range(33)]
+    assert sum(1 for y in range(33) for z in range(17) if y + z <= 32) == sum(lines) == 425
+    assert sizes == [(4, 17), (4, 16), (4, 1)] + [(4, length) for length in lines[1:]] + [(8, 1)]
 
 
 def test_circle_quartic_conchoid_samples_are_two_by_two(monkeypatch):
     # the conchoid of a circle and a quartic has degree 16 and z-degree <= 8:
     # at x = 1 it is sampled on y + z <= 16, z <= 8, each sample a 2x2 hybrid
     # Bezout determinant after one pseudo-remainder step of the quartic's
-    # values by the circle's; the residual sample is the full 6x6 Sylvester
-    # matrix
+    # values by the circle's, in one batch per grid line y = 0..16; the
+    # residual sample is the full 6x6 Sylvester matrix
     rng = random.Random(109)
     fc, gc = conchoid_coefficients(parse_poly("x^2+y^2-4*z^2"), random_form(rng, 4))
     sizes = _sizes_of_samples(monkeypatch)
     poly_matrix_det(fc, gc, 16)
-    assert sum(1 for y in range(17) for z in range(9) if y + z <= 16) == 117
-    assert sizes == [2] * 117 + [6]
+    lines = [min(16 - y, 8) + 1 for y in range(17)]
+    assert sum(1 for y in range(17) for z in range(9) if y + z <= 16) == sum(lines) == 117
+    assert sizes == [(2, length) for length in lines] + [(6, 1)]
+
+
+def _shaped_lists(draw, zero, m, n, shape):
+    """Value lists at nominal degrees m, n: generic (shape 0), zero leading
+    values on either list or both (1-3), a shorter list with its two top
+    values zero (4), zero but for its constant (5) or all zero (6), and
+    both constants zero (7), which zeroes the first pivot of the hybrid
+    Bezout matrix, after a pseudo-remainder step too."""
+    fc = [draw() for _ in range(m + 1)]
+    gc = [draw() for _ in range(n + 1)]
+    short = fc if m < n else gc
+    if shape in (1, 3):
+        fc[-1] = zero
+    if shape in (2, 3):
+        gc[-1] = zero
+    if shape == 4:
+        short[-2:] = [zero] * 2
+    if shape == 5:
+        short[1:] = [zero] * (len(short) - 1)
+    if shape == 6:
+        short[:] = [zero] * len(short)
+    if shape == 7:
+        fc[0] = gc[0] = zero
+    return fc, gc
 
 
 def test_pseudo_remainder_sample_is_the_nominal_resultant(monkeypatch):
     # every m != n in 1..6 x 1..9 over Z and Z[i], the Z[i] lists packed
-    # into Z at the base of their Sylvester row norms: generic lists, zero
-    # leading values on either list or both, and a shorter list with its two
-    # top values zero (the first-column rule runs twice), zero but for its
-    # constant, or all zero; the reduced sample is resultant_nominal, the
-    # full Sylvester matrix by Bareiss, from one det_scalar call of size at
-    # most min(m, n).  About 0.3 s.
+    # into Z at the base of their Sylvester row norms, each of shapes 0-6
+    # of _shaped_lists; the reduced sample, a batch of one, is
+    # resultant_nominal, the full Sylvester matrix by Bareiss, from one
+    # _bareiss call of size top <= min(m, n), top the degree of the shorter
+    # list's values, or none when top = 0.  About 0.3 s.
     rng = random.Random(107)
     sizes = _sizes_of_samples(monkeypatch)
     draws = ((lambda: rng.randint(-6, 6), 0),
@@ -569,31 +609,59 @@ def test_pseudo_remainder_sample_is_the_nominal_resultant(monkeypatch):
         if m == n:
             continue
         for (draw, zero), shape in product(draws, range(7)):
-            fc = [draw() for _ in range(m + 1)]
-            gc = [draw() for _ in range(n + 1)]
+            fc, gc = _shaped_lists(draw, zero, m, n, shape)
             short = fc if m < n else gc
-            if shape in (1, 3):
-                fc[-1] = zero
-            if shape in (2, 3):
-                gc[-1] = zero
-            if shape == 4:
-                short[-2:] = [zero] * 2
-            if shape == 5:
-                short[1:] = [zero] * (len(short) - 1)
-            if shape == 6:
-                short[:] = [zero] * len(short)
+            top = max((i for i, c in enumerate(short) if c != zero), default=0)
             sizes.clear()
             if zero == 0:
-                got = _sample_det(fc, gc)
+                got = _resultants(_one(fc), _one(gc))[0]
             else:
                 N = _sylvester_base(fc, gc)
-                got = _unpack(_sample_det(_pack(fc, N), _pack(gc, N)), N)
-            assert len(sizes) == 1 and sizes[0] <= min(m, n)
+                got = _unpack(_resultants(_one(_pack(fc, N)), _one(_pack(gc, N)))[0], N)
+            assert top <= min(m, n) and sizes == ([(top, 1)] if top else [])
             if zero == 0:
                 assert got == resultant_nominal(fc, gc)
             else:
                 gauss = [[GaussianRational(a, b) for a, b in c] for c in (fc, gc)]
                 assert GaussianRational(*got) == resultant_nominal(*gauss)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.integers(1, 9), st.integers(1, 40),
+       st.booleans())
+def test_batched_kernel_matches_the_per_sample_oracle(seed, m, n, length, gaussian):
+    # one grid line of 1-40 samples through the batched kernel against the
+    # per-sample kernel it replaced (sample_kernel_oracle), m = n included.
+    # Each sample takes its own shape of _shaped_lists, so zero top values
+    # and zero pivots hit part of the line; values are small (many zero
+    # pivots later in the elimination too) or up to 10^6.  Z[i] samples are
+    # packed into Z at one base for the line, as _interpolated_det packs
+    # them.  A batch of square matrices with entries in -2..2 goes through
+    # _bareiss against _det_int, one matrix at a time, and the line of
+    # random polynomial lists in (x, t) at x = 0..3, t = 0..length - 1
+    # against _dets_on_line.
+    rng = random.Random(seed)
+    bound = rng.choice((2, 10 ** 6))
+    if gaussian:
+        draw, zero = (lambda: (rng.randint(-bound, bound), rng.randint(-bound, bound))), (0, 0)
+    else:
+        draw, zero = (lambda: rng.randint(-bound, bound)), 0
+    shapes = rng.sample(range(8), rng.randint(1, 8))
+    line = [_shaped_lists(draw, zero, m, n, rng.choice(shapes)) for _ in range(length)]
+    if gaussian:
+        N = max(_sylvester_base(fc, gc) for fc, gc in line)
+        line = [(_pack(fc, N), _pack(gc, N)) for fc, gc in line]
+    columns = [list(values) for values in zip(*(fc + gc for fc, gc in line))]
+    assert _resultants(columns[:m + 1], columns[m + 1:]) == [_sample(fc, gc) for fc, gc in line]
+    matrices = [[[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)] for _ in range(length)]
+    batch = [[[mat[i][j] for mat in matrices] for j in range(m)] for i in range(m)]
+    assert _bareiss(batch) == [_det_int(mat) for mat in matrices]
+    parts = [{(a, b): rng.randint(-3, 3) for a in range(3) for b in range(3) if rng.random() < 0.5}
+             for _ in range(m + n + 2)]
+    prefix, ts = (rng.randint(0, 3),), range(length)
+    columns = _on_line(parts, prefix, ts)
+    assert _resultants(columns[:m + 1], columns[m + 1:]) == \
+        _dets_on_line(parts, prefix, ts, lambda v: _sample(v[:m + 1], v[m + 1:]))
 
 
 def _capped(f, var, cap):
