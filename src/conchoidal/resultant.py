@@ -14,25 +14,16 @@ the determinant (_isobaric_bound, at most D); for the conchoid the cap in
 z is d delta, half of D.  In the homogeneous case a variable of largest
 cap is set to 1 and put back at the end.  The determinant is sampled on
 the lower set {p : |p| <= D, p_i <= cap_i} in the k remaining variables,
-which holds every monomial it can have; only the m + n + 2 coefficients
-are evaluated, and each sample is an integer determinant of their values,
-at most min(m, n)-square, by fraction-free Bareiss: for m != n one
-pseudo-remainder step of the longer list by the shorter, then the hybrid
-Bezout matrix, divided exactly by a power of the shorter list's top value;
-for m = n the hybrid Bezout matrix (_resultants).  The samples of one grid
-line go through these steps as one batch: each value is a list, one entry
-per sample, and each step one list comprehension over the line.  A sample
-whose pivot or top value is zero where others on its line are not runs
-again as a batch of one, which takes the branch a single matrix takes
-(_regroup); det_scalar is such a batch of one.  A determinant and an exact
-quotient are unique, so each sample is the integer that one matrix at a
-time gives.  Checked integer forward differences along the first
-variable, then the same interpolation on smaller lower sets in the rest,
-give its Newton form, and Horner steps in the falling-factorial basis turn
-it into monomials; the list scales are divided out once at the end.  An
-off-grid residual, taken on the full Sylvester matrix, guards the degree
-and the sample reduction.  One row builder lays out every Sylvester
-matrix, and only this module calls it.
+which holds every monomial it can have, in grid lines along a remaining
+variable of largest cap.  A sample is an integer determinant of the values
+of the m + n + 2 coefficients, at most min(m, n)-square (_resultants), and
+the samples of one line run through it as one batch (_regroup).  Checked
+Newton differences on whole rows of the table of samples, one variable at
+a time, and Horner steps in the falling-factorial basis give the
+monomials (_interpolate); the list scales are divided out once at the end.
+An off-grid residual on the full Sylvester matrix guards the degree and
+the sample reduction.  One row builder lays out every Sylvester matrix,
+and only this module calls it.
 """
 
 from __future__ import annotations
@@ -40,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import comb, lcm, prod
-from operator import sub
+from operator import getitem, mul, sub
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import DegreeBoundError, InternalError
@@ -239,70 +230,79 @@ def _falling_to_monomial(coeffs: Sequence[int]) -> List[int]:
     return out
 
 
-def _simplex(D: int, caps: Sequence[int]):
-    """Every point p of N^k, k = len(caps), with p_1 + ... + p_k <= D and
-    each p_i <= caps[i], in lexicographic order: a lower set, and the whole
-    simplex of degree D when no cap is below D."""
-    if not caps:
-        yield ()
-        return
-    for t in range(min(D, caps[0]) + 1):
-        for rest in _simplex(D - t, caps[1:]):
-            yield (t,) + rest
+def _table(D: int, caps: Sequence[int], line, prefix: tuple = ()) -> list:
+    """A table on the lower set {p in N^k : |p| <= D, p_i <= caps[i]},
+    k = len(caps) >= 1: entry i is the table of the points whose first
+    coordinate is i, and at the last axis the row line(prefix, length) of
+    the points prefix + (t,), t < length."""
+    n = min(D, caps[0]) + 1
+    if len(caps) == 1:
+        return line(prefix, n)
+    return [_table(D - i, caps[1:], line, prefix + (i,)) for i in range(n)]
 
 
-def _interp_simplex(values: dict, D: int, caps: Sequence[int]) -> dict:
-    """{exponent: c} of the integer polynomial P in k = len(caps) variables
-    whose monomials all lie in the lower set _simplex(D, caps), through
-    values[p] = P(p) for every p of that set.
-
-    Differences along the first variable at each point q of the rest give
-    the Newton coefficients c_i(q), i <= min(D - |q|, caps[0]); c_i depends
-    only on the values at t = 0..i.  Each c_i has its monomials in the
-    lower set of degree D - i under the remaining caps, and is known on
-    exactly that set of points, so it is interpolated the same way; a
-    lower set of integer nodes is unisolvent for its own monomials.  The
-    Newton form in the first variable is then converted to monomials."""
-    if not caps:
-        return {(): values[()]} if values[()] else {}
-    cap, rest = caps[0], caps[1:]
-    newton = {q: _falling_coefficients([values[(t,) + q]
-                                        for t in range(min(D - sum(q), cap) + 1)])
-              for q in _simplex(D, rest)}
-    in_rest = {}           # monomial m of the rest -> Newton coefficients in the first variable
-    for i in range(min(D, cap) + 1):
-        order_i = {q: c[i] for q, c in newton.items() if len(c) > i}
-        for m, c in _interp_simplex(order_i, D - i, rest).items():
-            in_rest.setdefault(m, [0] * (min(D - sum(m), cap) + 1))[i] = c
-    terms = {}
-    for m, coeffs in in_rest.items():
-        for a, c in enumerate(_falling_to_monomial(coeffs)):
-            if c:
-                terms[(a,) + m] = c
-    return terms
+def _combine(x: list, y: list, c: int, s: int, k: int) -> list:
+    """(x + c y) / s entrywise on two tables of depth k >= 1, in the shape
+    of x, its entries beyond y unchanged; where x lies inside y a zip keeps
+    that shape, as rows never grow longer along an axis of a lower set.
+    For s > 1 each row of quotients is checked (_interpolate)."""
+    if k > 1:
+        return [_combine(a, b, c, s, k - 1) for a, b in zip(x, y)] + x[len(y):]
+    q = [(a + c * b) // s for a, b in zip(x, y)]
+    if s > 1 and s * sum(q) != sum(x[:len(q)]) + c * sum(y[:len(q)]):
+        raise InternalError("interpolation difference not divisible")
+    return q + x[len(y):]
 
 
-def _at_prefix(part: dict, prefix: tuple) -> List[int]:
-    """Ascending coefficients in the last variable of p(prefix, t), p given
-    as {exponent: c}."""
-    out = [0] * (max((e[-1] for e in part), default=-1) + 1)
-    for e, c in part.items():
-        for x, a in zip(prefix, e):
-            c *= x ** a
-        out[e[-1]] += c
+def _interpolate(table, k: int):
+    """The integer polynomial P in k variables whose monomials lie in the
+    lower set of a _table of its values, as a table of that shape holding
+    at p the coefficient of the monomial p (at k = 0, one value).  Newton
+    differences along the first axis give c_i(q) = (Delta^i P)(0, q) / i!
+    on row i, the lower set of degree D - i in the rest, which holds every
+    monomial of c_i and is unisolvent for them; so c_i is interpolated the
+    same way, and Horner steps out <- out (t - j) + c_j in the first
+    variable t give the table of each t^a.  At k = 1 these steps are
+    _falling_coefficients and _falling_to_monomial.  Step s divides by s,
+    exact for true samples as there; a row of quotients q of differences
+    x - y is checked by s sum(q) = sum(x - y): each floor remainder
+    x - y - s q lies in [0, s), so the sums agree only if all are 0, as a
+    check of each division would find; otherwise InternalError."""
+    if not k or not table:
+        return table
+    if k == 1:
+        return _falling_to_monomial(_falling_coefficients(table))
+    d = list(table)
+    for s in range(1, len(d)):
+        d[s:] = [_combine(x, y, -1, s, k - 1) for x, y in zip(d[s:], d[s - 1:])]
+    c = [_interpolate(x, k - 1) for x in d]
+    out = c[-1:]
+    for j in range(len(c) - 2, -1, -1):
+        out = [_combine(x, y, -j, 1, k - 1) for x, y in zip(c[j:j + 1] + out, out)] + out[-1:]
     return out
 
 
-def _on_line(parts: List[dict], prefix: tuple, ts: Sequence[int]) -> List[List[int]]:
-    """The values of the integer polynomials ``parts``, each {exponent: c},
-    at prefix + (t,) for t in ts, one list per polynomial: each is reduced
-    once at the prefix and evaluated by Horner in the last variable, one
-    step for all of ts."""
+def _layout(parts: List[dict]) -> tuple:
+    """Integer polynomials, each {(prefix exponent, line exponent): c},
+    laid out once for _on_line: the prefix exponents E of them all, and for
+    each its ascending coefficients in the line variable as columns over E."""
+    E = sorted({e for p in parts for e, _ in p})
+    return E, [[[p.get((e, a), 0) for e in E] for a in range(max((a for _, a in p), default=-1) + 1)]
+               for p in parts]
+
+
+def _on_line(layout: tuple, prefix: tuple, ts: Sequence[int]) -> List[List[int]]:
+    """The values of the polynomials of a _layout at prefix + (t,) for t in
+    ts, one list per polynomial: one table of the prefix's monomials at E,
+    shared by all, reduces each to its coefficients in the line variable,
+    and each Horner step in it runs for all of ts."""
+    E, columns = layout
+    powers = [prod(map(pow, prefix, e)) for e in E]
     out = []
-    for p in parts:
-        coeffs = _at_prefix(p, prefix)
-        values = [0] * len(ts)
-        for c in reversed(coeffs):
+    for cols in columns:
+        coeffs = [sum(map(mul, col, powers)) for col in cols] or [0]
+        values = [coeffs[-1]] * len(ts)
+        for c in reversed(coeffs[:-1]):
             values = [v * t + c for v, t in zip(values, ts)]
         out.append(values)
     return out
@@ -403,23 +403,20 @@ def _resultants(fc: List[List[int]], gc: List[List[int]]) -> List[int]:
 # -- the Sylvester determinant ---------------------------------------------------
 
 
-def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int], D: int,
+def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int], hom, D: int,
                       caps: List[int], error) -> dict:
-    """{exponent: c} of the determinant of sylvester_rows(fc, gc) in the
-    variables at ``index``, the others dropped, sampled on the lower set
-    _simplex(D, caps) in them.  Each list is scaled to integer (re, im)
+    """{exponent: c} of the determinant of sylvester_rows(fc, gc), exponents
+    in the variables of the lists, sampled on the lower set |p| <= D,
+    p_i <= caps[i] in the variables at ``index``, in grid lines along the
+    last of them; the variable at ``hom``, if any, is 1 there and takes back
+    the exponent D - |p|.  Each list is scaled to integer (re, im)
     coefficients, and the scales are divided out at the end.  Over Q(i)
     each re + im i is packed into Z as re + im N, N = _base of the Sylvester
     row norms, and each interpolated coefficient is unpacked by _unpack
     (Kronecker substitution; von zur Gathen and Gerhard, Modern Computer
-    Algebra, ch. 8); Q input is never packed.  The m + n + 2 values on one
-    grid line, the last variable running, are one batch of _resultants; a
-    sample with a zero pivot or top value where others have none runs
-    again as a batch of one (_regroup), and is the same integer either
-    way, as each determinant and exact quotient is unique.  The residual
-    at a point off the grid comes from det_scalar of the full Sylvester
-    matrix, so it also checks the reduction; if nonzero, ``error`` is
-    raised.
+    Algebra, ch. 8); Q input is never packed.  The residual at a point off
+    the grid comes from det_scalar of the full Sylvester matrix, so it also
+    checks the sample reduction; if nonzero, ``error`` is raised.
 
     Why the packing is exact.  Let P in Z[N][vars] be the Sylvester
     determinant of the scaled lists with i replaced by a variable N.
@@ -442,7 +439,7 @@ def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int]
     gaussian = any(im_part(c) for e in fc + gc for c in e.terms.values())
 
     def key(exp):
-        return tuple(exp[i] for i in index)
+        return tuple(exp[i] for i in index[:-1]), exp[index[-1]]
 
     m, n = len(fc) - 1, len(gc) - 1
     scale = 1
@@ -455,24 +452,28 @@ def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int]
         pairs += scaled
         norms += [sum(abs(re) + abs(im) for p in scaled for re, im in p.values())] * count
     N = _base(norms) if gaussian else 0
-    parts = [{k: re + im * N for k, (re, im) in p.items()} for p in pairs]
-    values = {}
-    for prefix in _simplex(D, caps[:-1]):
-        ts = range(min(D - sum(prefix), caps[-1]) + 1)
-        columns = _on_line(parts, prefix, ts)
-        samples = _resultants(columns[:m + 1], columns[m + 1:])
-        values.update(zip([prefix + (t,) for t in ts], samples))
-    terms = _interp_simplex(values, D, caps)
+    layout = _layout([{e: re + im * N for e, (re, im) in p.items()} for p in pairs])
+    prefixes = []
+
+    def line(prefix, length):
+        prefixes.append(prefix)
+        columns = _on_line(layout, prefix, range(length))
+        return _resultants(columns[:m + 1], columns[m + 1:])
+
+    table = _interpolate(_table(D, caps, line), len(caps))
+    terms = {(p, a): c for p in prefixes for a, c in enumerate(reduce(getitem, p, table)) if c}
 
     # Residual check at a point outside the grid.
-    off = (D + 1,) * len(index)
-    v = [c for c, in _on_line(parts, off[:-1], off[-1:])]
+    off = (D + 1,) * (len(caps) - 1)
+    v = [c for c, in _on_line(layout, off, [D + 1])]
     expected = det_scalar(sylvester_rows(v[:m + 1], v[m + 1:], 0))
-    if _on_line([terms], off[:-1], off[-1:]) != [[expected]]:
+    if _on_line(_layout([terms]), off, [D + 1]) != [[expected]]:
         raise error(f"interpolation residual nonzero at degree {D}")
-    if gaussian:
-        return {e: _make(*_unpack(c, N), scale) for e, c in terms.items()}
-    return {e: Fraction(c, scale) for e, c in terms.items()}
+    slots = index + [hom]         # p and a at index, D - |p| - a at hom, 0 elsewhere
+    pick = [slots.index(i) if i in slots else len(slots) for i in range(len(fc[0].vars))]
+    return {tuple(map((p + (a, D - sum(p) - a, 0)).__getitem__, pick)):
+            _make(*_unpack(c, N), scale) if gaussian else Fraction(c, scale)
+            for (p, a), c in terms.items()}
 
 
 def _isobaric_bound(fc: List[MultiPoly], gc: List[MultiPoly], degree) -> int:
@@ -517,23 +518,21 @@ def poly_matrix_det(fc: List[MultiPoly], gc: List[MultiPoly], degree_bound: int)
             f"coefficient lists force determinant degree {D} > bound {degree_bound}")
     # a negative bound means the determinant is 0; the residual confirms it
     caps = {v: max(0, min(D, _isobaric_bound(fc, gc, lambda e: e.degree_in(v)))) for v in used}
-    # set a variable of largest cap to 1, so that the capped ones stay sampled
+    # set a variable of largest cap to 1, so that the capped ones stay
+    # sampled, and the grid lines run along a remaining one of largest cap
     hom = max(used, key=caps.get) if forms and used else None
-    axes = [v for v in used if v != hom]
+    axes = sorted((v for v in used if v != hom), key=caps.get)
     field = FIELD_QI if any(e.field == FIELD_QI for e in entries) else FIELD_Q
-
+    at = vars.index(hom) if hom else None
     if axes:
         error = InternalError if hom else DegreeBoundError    # D is certain when homogeneous
-        coeffs = _interpolated_det(fc, gc, [vars.index(v) for v in axes], D,
-                                   [caps[v] for v in axes], error)
-        det_aff = MultiPoly.make(axes, field, coeffs)
+        terms = _interpolated_det(fc, gc, [vars.index(v) for v in axes], at, D,
+                                  [caps[v] for v in axes], error)
     else:                    # nothing left to sample: a scalar resultant
         point = {hom: Fraction(1)} if hom else {}
         value = resultant_nominal([e.evaluate(point) for e in fc], [e.evaluate(point) for e in gc])
-        det_aff = MultiPoly.constant(value, (), field)
-    if hom:                  # re-homogenize to the known total degree
-        det_aff = det_aff.homogenize(hom, D)
-    return det_aff.with_vars(vars)
+        terms = {tuple(D if i == at else 0 for i in range(len(vars))): value}
+    return MultiPoly.make(vars, field, terms)
 
 
 # -- Sylvester resultants ----------------------------------------------------

@@ -6,14 +6,25 @@ Bezout matrix of two integer value lists, ``_sample_det`` the
 pseudo-remainder reduced sample at nominal degrees m != n (the identity is
 proved in ``resultant._resultants``), ``_sample`` the sample at any
 nominal degrees m, n >= 1, and ``_dets_on_line`` the samples of one grid
-line, one Horner evaluation (``_horner``) and one ``det`` call each."""
+line, reduced at its prefix (``_at_prefix``), one Horner evaluation
+(``_horner``) and one ``det`` call each."""
 
 from __future__ import annotations
 
 from typing import List
 
 from conchoidal.errors import InternalError
-from conchoidal.resultant import _at_prefix
+
+
+def _at_prefix(part: dict, prefix: tuple) -> List[int]:
+    """Ascending coefficients in the last variable of p(prefix, t), p given
+    as {exponent: c}."""
+    out = [0] * (max((e[-1] for e in part), default=-1) + 1)
+    for e, c in part.items():
+        for x, a in zip(prefix, e):
+            c *= x ** a
+        out[e[-1]] += c
+    return out
 
 
 def _horner(coeffs, t: int) -> int:

@@ -1,12 +1,13 @@
 """Source checks: no handler in the package may swallow arbitrary errors,
 so a bug surfaces as a traceback instead of turning into a verdict; the
 package has one Sylvester determinant, one integer determinant kernel for
-Q and Q(i) that takes each grid line as one batch, one gcd, one exact
-division, one substitution, one Q(i) scalar, one root finder, one quartic
-splitter, one double-component search, one splitting finisher for both
-parities, one recognition verifier and one polynomial type; no module imports a name
-it never uses; every private module-level function is used; and every
-function the benchmark's tracer wraps by name still exists."""
+Q and Q(i) that takes each grid line as one batch, one interpolation of
+the table of lines, one gcd, one exact division, one substitution, one
+Q(i) scalar, one root finder, one quartic splitter, one double-component
+search, one splitting finisher for both parities, one recognition
+verifier and one polynomial type; no module imports a name it never
+uses; every private module-level function is used; and every function
+the benchmark's tracer wraps by name still exists."""
 
 import ast
 import importlib
@@ -25,7 +26,9 @@ SUBSTITUTE_ORACLE = re.compile(r"\bsubstitute_oracle\b|\bsubstitute_per_term\b")
 GAUSSIAN_ORACLE = re.compile(r"\bgaussian_oracle\b")
 GAUSS_KERNEL_ORACLE = re.compile(r"gauss_kernel_oracle|\b_det_gauss\b|_hybrid_bezout_gauss"
                                  r"|_sample_det_gauss")
-SAMPLE_KERNEL_ORACLE = re.compile(r"sample_kernel_oracle|\b_det_int\b|\b_sample_det\b|\b_dets_on_line\b")
+SAMPLE_KERNEL_ORACLE = re.compile(r"sample_kernel_oracle|\b_det_int\b|\b_sample_det\b|\b_dets_on_line\b"
+                                  r"|\b_at_prefix\b")
+INTERP_ORACLE = re.compile(r"interp_oracle|\b_interp_simplex\b|\b_simplex\b")
 ROOTS_ORACLE = re.compile(r"roots_oracle|_re_im_split|_rational_zeros_uv")
 SOLVER_ORACLES = re.compile(r"quartic_oracle|quartic_split_oracle|double_component_oracle"
                             r"|odd_split_oracle|_odd_solve|_coefficient_system")
@@ -96,6 +99,13 @@ def test_no_library_use_of_the_per_sample_kernel():
     # batch; the per-sample kernel lives in tests/sample_kernel_oracle.py
     hits = _source_hits(SAMPLE_KERNEL_ORACLE)
     assert not hits, "uses of the per-sample kernel oracle:\n" + "\n".join(hits)
+
+
+def test_no_library_use_of_the_interpolation_oracle():
+    # the grid samples are interpolated as a nested table of rows; the
+    # dict-keyed lower-set interpolation lives in tests/interp_oracle.py
+    hits = _source_hits(INTERP_ORACLE)
+    assert not hits, "uses of the dict-keyed interpolation oracle:\n" + "\n".join(hits)
 
 
 def test_no_library_use_of_the_roots_oracle():

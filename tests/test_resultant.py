@@ -19,17 +19,18 @@ from conchoidal import (
     sylvester_resultant,
 )
 from conchoidal import resultant
-from conchoidal.errors import DegreeBoundError
+from conchoidal.errors import DegreeBoundError, InternalError
 from conchoidal.resultant import (
     _bareiss,
     _base,
     _falling_coefficients,
     _falling_to_monomial,
     _hybrid_bezout,
-    _interp_simplex,
+    _interpolate,
+    _layout,
     _on_line,
     _resultants,
-    _simplex,
+    _table,
     _unpack,
     det_scalar,
     resultant_nominal,
@@ -38,6 +39,7 @@ from conchoidal.resultant import (
 
 from bareiss_oracle import det_bareiss_poly
 from gauss_kernel_oracle import _det_gauss, _hybrid_bezout_gauss, _sample_det_gauss
+from interp_oracle import _interp_simplex, _simplex
 from sample_kernel_oracle import _det_int, _dets_on_line, _sample
 from helpers import random_form, random_poly
 
@@ -453,10 +455,31 @@ def test_degree_80_homogeneous_determinant_is_exact():
         assert det.evaluate(pt) == f1 * g0 - f0 * g1
 
 
+def _cells(table, k, prefix=()):
+    """{point: entry} of a nested table of depth k; at k = 0 the table is
+    its one entry."""
+    if not k:
+        return {prefix: table}
+    out = {}
+    for i, sub in enumerate(table):
+        out.update(_cells(sub, k - 1, prefix + (i,)))
+    return out
+
+
+def _value_table(values, D, caps):
+    """The _table of a {point: value} dict on the lower set; at k = 0 the
+    one value."""
+    if not caps:
+        return values[()]
+    return _table(D, caps, lambda prefix, n: [values[prefix + (t,)] for t in range(n)])
+
+
 def test_integer_triangle_interpolation_recovers_polynomials():
     # the simplex interpolation in k = 2 variables (the triangle), and in
     # k = 0, 1 and 3; then on lower sets |p| <= D, p_i <= caps[i] with
-    # random caps, some below D and some at or above it, in k = 1, 2 and 3
+    # random caps, some below D and some at or above it, in k = 1, 2 and 3;
+    # the dict oracle and the table interpolation, which returns a table of
+    # the same shape, zeros included
     rng = random.Random(73)
     cases = [(D, (D,) * k) for k, degrees in ((2, (0, 1, 2, 5, 9, 14)), (0, (0, 4)),
                                               (1, (0, 1, 7, 20)), (3, (0, 1, 4, 8)))
@@ -471,6 +494,44 @@ def test_integer_triangle_interpolation_recovers_polynomials():
             values = {q: sum(c * prod(t ** a for t, a in zip(q, p)) for p, c in poly.items())
                       for q in lower}
             assert _interp_simplex(values, D, caps) == {p: c for p, c in poly.items() if c}
+            table = _interpolate(_value_table(values, D, caps), len(caps))
+            assert _cells(table, len(caps)) == {p: poly.get(p, 0) for p in lower}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 3), st.integers(-1, 9))
+def test_table_interpolation_matches_the_dict_oracle(seed, k, D):
+    # k = 0..3 variables, each cap below, at or above D, D = -1 (the empty
+    # table; k = 0 has its one point at every D) and D = 0 included.  The
+    # table of the values of a random integer polynomial on the lower set is
+    # laid out in lexicographic order, as the oracle's _simplex, and
+    # interpolates to the oracle's coefficients in a table of its own
+    # shape.  A prime added to the value at the origin is a division error
+    # when some axis has three points, and otherwise changes the result.
+    # About 0.3 s.
+    rng = random.Random(seed)
+    D = max(D, 0) if not k else D
+    caps = tuple(rng.choice((rng.randint(0, max(D - 1, 0)), max(D, 0), D + rng.randint(1, 2)))
+                 for _ in range(k))
+    lower = list(_simplex(D, caps))
+    bound = rng.choice((1, 10 ** 6))
+    poly = {p: rng.randint(-bound, bound) for p in lower if rng.random() < 0.7}
+    values = {q: sum(c * prod(t ** a for t, a in zip(q, p)) for p, c in poly.items())
+              for q in lower}
+    table = _value_table(values, D, caps)
+    assert list(_cells(table, k)) == lower
+    got = _cells(_interpolate(table, k), k)
+    assert list(got) == lower
+    assert {p: c for p, c in got.items() if c} == _interp_simplex(values, D, caps)
+    assert got == {p: poly.get(p, 0) for p in lower}
+    if lower:
+        values[lower[0]] += 10 ** 9 + 7
+        corrupted = _value_table(values, D, caps)
+        if any(min(D, cap) >= 2 for cap in caps):
+            with pytest.raises(InternalError, match="interpolation difference not divisible"):
+                _interpolate(corrupted, k)
+        else:
+            assert _cells(_interpolate(corrupted, k), k) != got
 
 
 def test_integer_falling_factorial_round_trip():
@@ -539,35 +600,35 @@ def test_generic_conchoid_samples_are_half_size_on_the_capped_set(monkeypatch):
     # the conchoid of two quartics has degree 32 and z-degree <= 16: at x = 1
     # it is sampled on y + z <= 32, z <= 16, one point per possible monomial
     # (425, not the triangle's 561), each a 4x4 hybrid Bezout determinant,
-    # in one batch per grid line y = 0..32 of min(32 - y, 16) + 1 values of
-    # z; the residual sample is the full 8x8 Sylvester matrix.  B has no
-    # x^4 term, so at (y, z) = (0, 0) every Phi_i = (-1)^i C(4, i) F_4(1, 0)
-    # is 0, the first pivot of that sample is 0, and line y = 0 runs again
-    # as its other 16 samples and that one
+    # in one batch per grid line z = 0..16 of 33 - z values of y, the axis
+    # of largest cap; the residual sample is the full 8x8 Sylvester matrix.
+    # B has no x^4 term, so at (y, z) = (0, 0) every Phi_i = (-1)^i C(4, i)
+    # F_4(1, 0) is 0, the first pivot of that sample is 0, and line z = 0
+    # runs again as its other 32 samples and that one
     rng = random.Random(103)
     B, C = random_form(rng, 4), random_form(rng, 4)
     assert B.terms.get((4, 0, 0), 0) == 0
     fc, gc = conchoid_coefficients(B, C)
     sizes = _sizes_of_samples(monkeypatch)
     poly_matrix_det(fc, gc, 32)
-    lines = [min(32 - y, 16) + 1 for y in range(33)]
-    assert sum(1 for y in range(33) for z in range(17) if y + z <= 32) == sum(lines) == 425
-    assert sizes == [(4, 17), (4, 16), (4, 1)] + [(4, length) for length in lines[1:]] + [(8, 1)]
+    assert sum(1 for y in range(33) for z in range(17) if y + z <= 32) == \
+        sum(33 - z for z in range(17)) == 425
+    assert sizes == [(4, 33), (4, 32), (4, 1)] + [(4, 33 - z) for z in range(1, 17)] + [(8, 1)]
 
 
 def test_circle_quartic_conchoid_samples_are_two_by_two(monkeypatch):
     # the conchoid of a circle and a quartic has degree 16 and z-degree <= 8:
     # at x = 1 it is sampled on y + z <= 16, z <= 8, each sample a 2x2 hybrid
     # Bezout determinant after one pseudo-remainder step of the quartic's
-    # values by the circle's, in one batch per grid line y = 0..16; the
-    # residual sample is the full 6x6 Sylvester matrix
+    # values by the circle's, in one batch per grid line z = 0..8 of 17 - z
+    # values of y; the residual sample is the full 6x6 Sylvester matrix
     rng = random.Random(109)
     fc, gc = conchoid_coefficients(parse_poly("x^2+y^2-4*z^2"), random_form(rng, 4))
     sizes = _sizes_of_samples(monkeypatch)
     poly_matrix_det(fc, gc, 16)
-    lines = [min(16 - y, 8) + 1 for y in range(17)]
-    assert sum(1 for y in range(17) for z in range(9) if y + z <= 16) == sum(lines) == 117
-    assert sizes == [(2, length) for length in lines] + [(6, 1)]
+    assert sum(1 for y in range(17) for z in range(9) if y + z <= 16) == \
+        sum(17 - z for z in range(9)) == 117
+    assert sizes == [(2, 17 - z) for z in range(9)] + [(6, 1)]
 
 
 def _shaped_lists(draw, zero, m, n, shape):
@@ -659,7 +720,7 @@ def test_batched_kernel_matches_the_per_sample_oracle(seed, m, n, length, gaussi
     parts = [{(a, b): rng.randint(-3, 3) for a in range(3) for b in range(3) if rng.random() < 0.5}
              for _ in range(m + n + 2)]
     prefix, ts = (rng.randint(0, 3),), range(length)
-    columns = _on_line(parts, prefix, ts)
+    columns = _on_line(_layout([{(e[:1], e[1]): c for e, c in p.items()} for p in parts]), prefix, ts)
     assert _resultants(columns[:m + 1], columns[m + 1:]) == \
         _dets_on_line(parts, prefix, ts, lambda v: _sample(v[:m + 1], v[m + 1:]))
 
