@@ -13,8 +13,8 @@ on either side; ``re`` and ``im`` are Fraction views for callers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Optional, Tuple, Union
+from math import gcd, isqrt, lcm
+from typing import Iterable, List, Optional, Tuple, Union
 
 FIELD_Q = "Q"
 FIELD_QI = "Qi"
@@ -192,6 +192,18 @@ def _parts(x) -> Optional[Tuple[int, int, int]]:
 
 
 Scalar = Union[Fraction, GaussianRational]
+
+
+def integer_parts(values: Iterable) -> Tuple[List[Tuple[int, int]], int]:
+    """(pairs, L) for L the lcm of the denominators of the values (ints,
+    Fractions or GaussianRationals; 1 for none) and pairs their (re, im)
+    parts times L, as ints.  This is the one place where coefficients go
+    onto a common denominator.  It reads each normal form (a, b, d), whose
+    d is the lcm of the denominators of a/d and b/d since gcd(a, b, d) = 1,
+    so it builds no Fraction."""
+    parts = [_parts(c) for c in values]
+    L = lcm(*(d for _, _, d in parts))
+    return [(a * (L // d), b * (L // d)) for a, b, d in parts], L
 
 
 def to_gaussian(x) -> Optional[GaussianRational]:

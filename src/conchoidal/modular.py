@@ -8,12 +8,13 @@ p = 1 (mod 4).
 
 ``modular_gcd`` is Brown's dense modular algorithm (Brown 1971, "On
 Euclid's algorithm and the computation of polynomial greatest common
-divisors", JACM 18).  The inputs are scaled to Z or Z[i] once; when both
-are homogeneous, the last used variable z is set to 1 and the gcd gets
-back the smaller of the two z-valuations.  Images are taken at a fixed
-sequence of primes p = 1 (mod 4).  Over Q(i) each prime gives two images,
-one for each embedding i -> +s and i -> -s with s^2 = -1 (mod p), whose
-half-sum and half-difference over s are the real and imaginary parts.
+divisors", JACM 18).  The inputs are scaled to Z or Z[i] once, by
+``fields.integer_parts``; when both are homogeneous, the last used
+variable z is set to 1 and the gcd gets back the smaller of the two
+z-valuations.  Images are taken at a fixed sequence of primes
+p = 1 (mod 4).  Over Q(i) each prime gives two images, one for each
+embedding i -> +s and i -> -s with s^2 = -1 (mod p), whose half-sum and
+half-difference over s are the real and imaginary parts.
 Modulo p the gcd is computed recursively: the last variable is evaluated
 at a fixed sequence of points, each image is scaled to gamma(point) with
 gamma the gcd of the two leading coefficients, and the images are
@@ -31,11 +32,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import gcd as int_gcd, isqrt, lcm
+from math import gcd as int_gcd, isqrt
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalError
-from .fields import FIELD_Q, GaussianRational, _parts, join_fields
+from .fields import FIELD_Q, GaussianRational, integer_parts, join_fields
 from .multipoly import MultiPoly, merge_vars, poly_exact_div
 
 Exp = Tuple[int, ...]
@@ -54,18 +55,8 @@ def int_poly_mod(coeffs: List[int], p: int) -> List[int]:
 def poly_gcd_mod_p(a: List[int], b: List[int], p: int) -> List[int]:
     """The monic gcd of two dense coefficient lists modulo p; [] when both
     are zero."""
-    a, b = list(a), list(b)
     while b:
-        inv = pow(b[-1], p - 2, p)
-        db = len(b) - 1
-        while len(a) - 1 >= db and a:
-            c = (a[-1] * inv) % p
-            k = len(a) - 1 - db
-            for i in range(db + 1):
-                a[k + i] = (a[k + i] - c * b[i]) % p
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
+        a, b = b, _uquo_rem(a, b, p)[1]
     if not a:
         return a
     inv = pow(a[-1], p - 2, p)
@@ -152,21 +143,20 @@ def _umul(a: List[int], b: List[int], p: int) -> List[int]:
     return out
 
 
-def _uquo(a: List[int], b: List[int], p: int) -> List[int]:
-    """Quotient of a by b (the remainder is known to be zero)."""
-    if len(b) == 1 and b[0] == 1:
-        return a
-    a = list(a)
+def _uquo_rem(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
+    """Quotient and remainder of a by b modulo p, b[-1] a unit; the
+    remainder is trimmed, [] when b divides a."""
+    r = list(a)
     inv = pow(b[-1], p - 2, p)
     db = len(b) - 1
-    q = [0] * (len(a) - db)
+    q = [0] * max(len(r) - db, 0)
     for k in range(len(q) - 1, -1, -1):
-        c = a[k + db] * inv % p
+        c = r[k + db] * inv % p
         q[k] = c
         if c:
             for i in range(db):
-                a[k + i] = (a[k + i] - c * b[i]) % p
-    return q
+                r[k + i] = (r[k + i] - c * b[i]) % p
+    return q, int_poly_mod(r[:db], p)
 
 
 def _ucontent(coeffs: Dict[Exp, List[int]], p: int) -> List[int]:
@@ -224,8 +214,8 @@ def _pgcd(a: Dict[Exp, int], b: Dict[Exp, int], n: int, p: int) -> Dict[Exp, int
     lead_a, lead_b = max(A), max(B)
     if lead_a == zero or lead_b == zero:
         return _join_last(cont, c, p)
-    A = {k: _uquo(v, ca, p) for k, v in A.items()}
-    B = {k: _uquo(v, cb, p) for k, v in B.items()}
+    A = {k: _uquo_rem(v, ca, p)[0] for k, v in A.items()}
+    B = {k: _uquo_rem(v, cb, p)[0] for k, v in B.items()}
     gamma = poly_gcd_mod_p(A[lead_a], B[lead_b], p)
     # gamma * G / lc(G) has degree at most this in x_n
     bound = len(gamma) - 2 + min(max(map(len, A.values())), max(map(len, B.values())))
@@ -259,19 +249,17 @@ def _pgcd(a: Dict[Exp, int], b: Dict[Exp, int], n: int, p: int) -> Dict[Exp, int
         if points > bound:
             break
     ch = _ucontent(H, p)
-    return _join_last({key: _uquo(v, ch, p) for key, v in H.items()}, c, p)
+    return _join_last({key: _uquo_rem(v, ch, p)[0] for key, v in H.items()}, c, p)
 
 
 # -- the gcd over Q and Q(i) --------------------------------------------------------
 
 
 def _scaled(f: MultiPoly, keep: List[int]) -> Dict[Exp, Tuple[int, int]]:
-    """The coefficients of f times the lcm of their denominators, as
-    (real, imaginary) integer pairs, on the exponents projected to keep."""
-    parts = [_parts(c) for c in f.terms.values()]
-    den = lcm(*(d for _, _, d in parts))
-    return {tuple(e[i] for i in keep): (a * (den // d), b * (den // d))
-            for e, (a, b, d) in zip(f.terms, parts)}
+    """The integer parts of f (``fields.integer_parts``) on the exponents
+    projected to keep."""
+    pairs, _ = integer_parts(f.terms.values())
+    return {tuple(e[i] for i in keep): pair for e, pair in zip(f.terms, pairs)}
 
 
 def _embed(a: Dict[Exp, Tuple[int, int]], p: int, s: int) -> Dict[Exp, int]:
@@ -415,27 +403,27 @@ def line_multiplicity(f: MultiPoly, g: MultiPoly, images: Optional[dict] = None
     if not a:
         return None
     k = 0
-    # g_L divides a iff their gcd has the degree of g_L
-    while len(poly_gcd_mod_p(a, b, p)) == len(b):
-        a = _uquo(a, b, p)
+    q, r = _uquo_rem(a, b, p)
+    while not r:
         k += 1
+        q, r = _uquo_rem(q, b, p)
     return k
 
 
 def _line_image(h: MultiPoly, keep: int, p: int, s: int) -> Optional[List[int]]:
-    """h modulo p (i -> s) where each variable number k but the kept one is
-    (k+1)*step, dense in the kept one; None if p divides a denominator."""
+    """L h modulo p (i -> s) where each variable number k but the kept one
+    is (k+1)*step, dense in the kept one, L the lcm of the denominators
+    (``fields.integer_parts``); None if p divides L, that is, a
+    denominator.  L is a unit modulo p, and scaling by a unit changes no
+    multiplicity, so the image of L h certifies what that of h would."""
+    pairs, L = integer_parts(h.terms.values())
+    if L % p == 0:
+        return None
     powers = [[1 if k == keep else pow(_POINT_STEP * (k + 1), j, p)
                for j in range(max(e[k] for e in h.terms) + 1)] for k in range(len(h.vars))]
     out = [0] * len(powers[keep])
-    inverses: Dict[int, int] = {}
-    for e, c in h.terms.items():
-        a, b, d = _parts(c)
-        if d not in inverses:
-            if d % p == 0:
-                return None
-            inverses[d] = pow(d, -1, p)
-        r = (a + b * s) * inverses[d]
+    for e, (a, b) in zip(h.terms, pairs):
+        r = a + b * s
         for row, x in zip(powers, e):
             r = r * row[x] % p
         out[e[keep]] += r

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -21,6 +21,7 @@ from .fields import (
     FIELD_QI,
     GaussianRational,
     Scalar,
+    integer_parts,
     join_fields,
     conj as scalar_conj,
     to_scalar,
@@ -507,14 +508,15 @@ def divide_out(f: MultiPoly, g: MultiPoly, bound: Optional[int]) -> Tuple[int, M
     for None; f and g aligned, f nonzero, g nonconstant when unbounded.
 
     Integers over Q.  f is scaled once to F = L_f*f and g to G = L_g*g/c,
-    with L the lcm of the denominators and c the integer content of L_g*g,
-    so F and G lie in Z[x] and G is primitive.  Then g**k divides f iff G
-    divides F k times, each quotient in Z[x]: if an integer F' = H*G with
-    H in Q[x], write H = c(H)*H0 with H0 primitive; G*H0 is primitive by
-    Gauss's lemma, so c(H) is the content of F', an integer.  Graded-lex
-    reduction by one divisor finds the terms of an exact quotient in
-    descending order, so each step of an exact division is an integer
-    division, and a nonzero r % lc(G) proves that G does not divide F'.
+    with L the lcm of the denominators (``fields.integer_parts``) and c the
+    integer content of L_g*g, so F and G lie in Z[x] and G is primitive.
+    Then g**k divides f iff G divides F k times, each quotient in Z[x]: if
+    an integer F' = H*G with H in Q[x], write H = c(H)*H0 with H0
+    primitive; G*H0 is primitive by Gauss's lemma, so c(H) is the content
+    of F', an integer.  Graded-lex reduction by one divisor finds the terms
+    of an exact quotient in descending order, so each step of an exact
+    division is an integer division, and a nonzero r % lc(G) proves that G
+    does not divide F'.
     The k-th quotient is rebuilt once: f / g**k = F_k * (L_g/c)**k / L_f,
     one ``Fraction`` per term.  Over Q(i) the coefficients stay
     ``GaussianRational``, integers over one denominator, and each step is
@@ -525,10 +527,10 @@ def divide_out(f: MultiPoly, g: MultiPoly, bound: Optional[int]) -> Tuple[int, M
     """
     integral = f.field == FIELD_Q
     if integral:
-        F, f_den = _integer_form(f)
-        G, g_den = _integer_form(g)
-        content = gcd(*G.values())
-        G = {e: c // content for e, c in G.items()}
+        (fp, f_den), (gp, g_den) = integer_parts(f.terms.values()), integer_parts(g.terms.values())
+        content = gcd(*(a for a, _ in gp))
+        F = {e: a for e, (a, _) in zip(f.terms, fp)}
+        G = {e: a // content for e, (a, _) in zip(g.terms, gp)}
     else:
         F, G = f.terms, g.terms
     k = 0
@@ -546,12 +548,6 @@ def divide_out(f: MultiPoly, g: MultiPoly, bound: Optional[int]) -> Tuple[int, M
     else:
         F = {e: to_scalar(c, f.field) for e, c in F.items()}
     return k, MultiPoly(f.vars, f.field, F)
-
-
-def _integer_form(h: MultiPoly) -> Tuple[Dict[Tuple[int, ...], int], int]:
-    """(L*h as int coefficients, L) with L the lcm of h's denominators over Q."""
-    den = lcm(*(c.denominator for c in h.terms.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in h.terms.items()}, den
 
 
 def _heap_quotient(f: Dict[Tuple[int, ...], Scalar], g: Dict[Tuple[int, ...], Scalar],

@@ -15,7 +15,7 @@ from operator import mul
 from typing import List, Tuple
 
 from .curves import PlaneCurve
-from .fields import as_fraction
+from .fields import integer_parts
 
 # cell-edge pairs per sign index; edges are (corner, corner) with corners
 # 0=(x0,y0) 1=(x1,y0) 2=(x1,y1) 3=(x0,y1)
@@ -60,10 +60,11 @@ def marching_segments(curve: PlaneCurve, spec: PlotSpec) -> List[Tuple[float, fl
 
     Every grid point and cell center is (X/N, Y/N) for integers X, Y and one
     common denominator N, and is sampled as L*F(X, Y, N) = L*N^d*f(x, y),
-    with L > 0 clearing the coefficient denominators: a positive multiple of
-    the affine value, so every sign and every ratio va/(va - vb) is kept."""
-    coeffs = {exp: as_fraction(c) for exp, c in curve.equation.terms.items()}
-    if None in coeffs.values():
+    with L > 0 clearing the coefficient denominators (integer_parts): a
+    positive multiple of the affine value, so every sign and every ratio
+    va/(va - vb) is kept.  The equation is real when every im part is 0."""
+    pairs, _ = integer_parts(curve.equation.terms.values())
+    if any(im for _, im in pairs):
         raise ValueError("plotting requires real coefficients")
     xmin, xmax, ymin, ymax = spec.window
     n = spec.grid
@@ -74,12 +75,11 @@ def marching_segments(curve: PlaneCurve, spec: PlotSpec) -> List[Tuple[float, fl
     N = 2 * lcm(*(v.denominator for v in xs + ys))   # also clears the half-steps
     X = [int(v * N) for v in xs]
     Y = [int(v * N) for v in ys]
-    L = lcm(*(c.denominator for c in coeffs.values()))
     d = curve.degree
     # table[b][a]: integer coefficient of X^a Y^b in L*F(X, Y, N)
     table = [[0] * (d + 1) for _ in range(d + 1)]
-    for (a, b, k), c in coeffs.items():
-        table[b][a] = c.numerator * (L // c.denominator) * N ** k
+    for (a, b, k), (c, _) in zip(curve.equation.terms, pairs):
+        table[b][a] = c * N ** k
 
     def powers(t):
         return [t ** e for e in range(d + 1)]

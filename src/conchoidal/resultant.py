@@ -4,11 +4,11 @@ poly_matrix_det is the one polynomial determinant, and every resultant
 goes through it: the determinant of the Sylvester matrix of two ascending
 lists of polynomial coefficients at nominal degrees m, n >= 1, by the
 classical evaluation-interpolation scheme on one exact integer kernel.  Each
-list is scaled to integer coefficients; over Q(i) each Gaussian integer
-re + im i is packed into Z as re + im N, N a power of two, and unpacked at
-the end (_base, _unpack), so no step in between knows about i.  When every
-nonzero entry of each list is a form of one degree, a and b, the
-determinant is homogeneous of degree D = n a + m b.  Otherwise D is the
+list goes onto one denominator (fields.integer_parts); over Q(i) each
+Gaussian integer re + im i is packed into Z as re + im N, N a power of two,
+and unpacked at the end (_packed, _scalar): no step in between knows about
+i.  When every nonzero entry of each list is a form of one degree, a and b,
+the determinant is homogeneous of degree D = n a + m b.  Otherwise D is the
 caller's degree bound.  Each variable v gets an isobaric cap on deg_v of
 the determinant (_isobaric_bound, at most D); for the conchoid the cap in
 z is d delta, half of D.  In the homogeneous case a variable of largest
@@ -30,12 +30,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import comb, lcm, prod
+from math import comb, prod
 from operator import getitem, mul, sub
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import DegreeBoundError, InternalError
-from .fields import FIELD_Q, FIELD_QI, GaussianRational, Scalar, _make, im_part, re_part
+from .fields import FIELD_Q, FIELD_QI, GaussianRational, Scalar, _make, integer_parts
 from .multipoly import MultiPoly, homogeneous_decompose, merge_vars
 
 
@@ -88,11 +88,11 @@ def conchoid_coefficients(f: MultiPoly, g: MultiPoly) -> Tuple[List[MultiPoly], 
 def det_scalar(rows: List[List]) -> Scalar:
     """Exact determinant of a square matrix of ints, Fractions or
     GaussianRationals, by fraction-free Bareiss over Z (_bareiss, a batch of
-    one).  An int matrix gives an int.  Otherwise the rows are scaled to
-    integer (re, im) parts and the result is a Fraction, or a
+    one).  An int matrix gives an int.  Otherwise each row goes onto one
+    denominator by integer_parts and the result is a Fraction, or a
     GaussianRational when any entry is one; such a matrix is packed into Z
     at i -> N = _base(row norms) and its determinant unpacked, exact as
-    _interpolated_det proves."""
+    _interpolated_det proves (_packed, _scalar)."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
@@ -100,29 +100,9 @@ def det_scalar(rows: List[List]) -> Scalar:
     if all(type(c) is int for c in entries):
         return _bareiss([[[c] for c in row] for row in rows])[0]
     gaussian = any(isinstance(c, GaussianRational) for c in entries)
-    scale = 1
-    scaled = []
-    for row in rows:
-        row_lcm = _denominator_lcm(row)
-        scale *= row_lcm
-        scaled.append([(_times(re_part(c), row_lcm), _times(im_part(c), row_lcm)) for c in row])
-    N = _base([sum(abs(re) + abs(im) for re, im in row) for row in scaled]) if gaussian else 0
-    det = _bareiss([[[re + im * N] for re, im in row] for row in scaled])[0]
-    return _make(*_unpack(det, N), scale) if gaussian else Fraction(det, scale)   # scale > 0
-
-
-def _denominator_lcm(scalars: Iterable) -> int:
-    """Least common multiple of the denominators of the real and imaginary
-    parts."""
-    out = 1
-    for c in scalars:
-        out = lcm(out, re_part(c).denominator, im_part(c).denominator)
-    return out
-
-
-def _times(q: Fraction, multiple: int) -> int:
-    """q * multiple, an integer because the denominator of q divides multiple."""
-    return q.numerator * (multiple // q.denominator)
+    ints, scale, N = _packed(rows, [1] * n, gaussian)
+    det = _bareiss([[[v] for v in ints[i:i + n]] for i in range(0, n * n, n)])[0]
+    return _scalar(det, scale, N)
 
 
 # -- batches: each value is a list, one entry per sample -------------------------
@@ -175,6 +155,28 @@ def _bareiss(mat: List[List[List[int]]]) -> List[int]:
 
 
 # -- Gaussian integers packed into Z --------------------------------------------
+
+
+def _packed(groups: Sequence[Sequence], counts: Sequence[int], gaussian: bool
+            ) -> Tuple[List[int], int, int]:
+    """(ints, scale, N): the values of the groups, in order, each group
+    times the lcm L of its denominators (integer_parts) and each (re, im)
+    packed as re + im N.  A group stands for counts[k] matrix rows, so the
+    scale is the product of the L^count, and N = _base of the row norms when
+    ``gaussian`` or some im part is nonzero, else 0 (no packing)."""
+    scale, pairs, norms = 1, [], []
+    for group, count in zip(groups, counts):
+        scaled, L = integer_parts(group)
+        scale *= L ** count
+        pairs += scaled
+        norms += [sum(abs(re) + abs(im) for re, im in scaled)] * count
+    N = _base(norms) if gaussian or any(im for _, im in pairs) else 0
+    return [re + im * N for re, im in pairs], scale, N
+
+
+def _scalar(v: int, scale: int, N: int) -> Scalar:
+    """v / scale, unpacked from Z at N when N is nonzero."""
+    return _make(*_unpack(v, N), scale) if N else Fraction(v, scale)   # scale > 0
 
 
 def _base(norms: Sequence[int]) -> int:
@@ -409,14 +411,15 @@ def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int]
     in the variables of the lists, sampled on the lower set |p| <= D,
     p_i <= caps[i] in the variables at ``index``, in grid lines along the
     last of them; the variable at ``hom``, if any, is 1 there and takes back
-    the exponent D - |p|.  Each list is scaled to integer (re, im)
-    coefficients, and the scales are divided out at the end.  Over Q(i)
-    each re + im i is packed into Z as re + im N, N = _base of the Sylvester
-    row norms, and each interpolated coefficient is unpacked by _unpack
-    (Kronecker substitution; von zur Gathen and Gerhard, Modern Computer
-    Algebra, ch. 8); Q input is never packed.  The residual at a point off
-    the grid comes from det_scalar of the full Sylvester matrix, so it also
-    checks the sample reduction; if nonzero, ``error`` is raised.
+    the exponent D - |p|.  Each list goes onto one denominator by
+    integer_parts, and the scales are divided out at the end.  When some
+    coefficient has a nonzero im part, each re + im i is packed into Z as
+    re + im N, N = _base of the Sylvester row norms (_packed), and each
+    interpolated coefficient is unpacked by _unpack (Kronecker substitution;
+    von zur Gathen and Gerhard, Modern Computer Algebra, ch. 8); real input
+    is never packed.  The residual at a point off the grid comes from
+    det_scalar of the full Sylvester matrix, so it also checks the sample
+    reduction; if nonzero, ``error`` is raised.
 
     Why the packing is exact.  Let P in Z[N][vars] be the Sylvester
     determinant of the scaled lists with i replaced by a variable N.
@@ -436,23 +439,14 @@ def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int]
     keeps: for B > 0 each |re| + |im| <= B < N/2, so re + im N = 0 only for
     re = im = 0, and for B = 0 a list and the determinant are 0.  A nonzero
     c may vanish at i, as 1 + N^2 does; MultiPoly.make drops that 0."""
-    gaussian = any(im_part(c) for e in fc + gc for c in e.terms.values())
-
     def key(exp):
         return tuple(exp[i] for i in index[:-1]), exp[index[-1]]
 
-    m, n = len(fc) - 1, len(gc) - 1
-    scale = 1
-    pairs, norms = [], []
-    for entries, count in ((fc, n), (gc, m)):       # n rows of f, m rows of g
-        row_lcm = _denominator_lcm(c for e in entries for c in e.terms.values())
-        scale *= row_lcm ** count
-        scaled = [{key(exp): (_times(re_part(c), row_lcm), _times(im_part(c), row_lcm))
-                   for exp, c in e.terms.items()} for e in entries]
-        pairs += scaled
-        norms += [sum(abs(re) + abs(im) for p in scaled for re, im in p.values())] * count
-    N = _base(norms) if gaussian else 0
-    layout = _layout([{e: re + im * N for e, (re, im) in p.items()} for p in pairs])
+    m, n = len(fc) - 1, len(gc) - 1                  # n rows of f, m rows of g
+    ints, scale, N = _packed([[c for e in side for c in e.terms.values()] for side in (fc, gc)],
+                             [n, m], False)
+    values = iter(ints)
+    layout = _layout([{key(exp): next(values) for exp in e.terms} for e in fc + gc])
     prefixes = []
 
     def line(prefix, length):
@@ -472,8 +466,7 @@ def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int]
     slots = index + [hom]         # p and a at index, D - |p| - a at hom, 0 elsewhere
     pick = [slots.index(i) if i in slots else len(slots) for i in range(len(fc[0].vars))]
     return {tuple(map((p + (a, D - sum(p) - a, 0)).__getitem__, pick)):
-            _make(*_unpack(c, N), scale) if gaussian else Fraction(c, scale)
-            for (p, a), c in terms.items()}
+            _scalar(c, scale, N) for (p, a), c in terms.items()}
 
 
 def _isobaric_bound(fc: List[MultiPoly], gc: List[MultiPoly], degree) -> int:

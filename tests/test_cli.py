@@ -319,6 +319,20 @@ def test_plot_deterministic(capsys, tmp_path):
     assert target.read_text() == out1
 
 
+def test_plot_refuses_complex_coefficients(capsys):
+    code, out, err = run(capsys, "plot", "--field", "Qi", "--C", "x^2+i*y^2-z^2",
+                         "--window=-2,2,-2,2", "--grid", "16")
+    assert code == 2 and out == ""
+    assert "plotting requires real coefficients" in err
+
+
+def test_plot_of_a_real_curve_ignores_the_field(capsys):
+    # a real equation parsed over Q(i) draws the SVG it draws over Q
+    q, qi = (run(capsys, "plot", "--field", field, "--C", "x^2+y^2-z^2", "--grid", "32")
+             for field in ("Q", "Qi"))
+    assert q[0] == 0 and q == qi
+
+
 def test_verify(capsys):
     code, out, _ = run(capsys, "verify", "--B", "x^2+y^2-z^2", "--C", "x-2*z")
     assert code == 0

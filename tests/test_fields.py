@@ -1,9 +1,9 @@
 import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conchoidal.fields import (
     FIELD_Q,
@@ -11,7 +11,10 @@ from conchoidal.fields import (
     GaussianRational,
     fraction_sqrt,
     gaussian_sqrt,
+    im_part,
+    integer_parts,
     positively_oriented,
+    re_part,
     sqrt_in_field,
     to_scalar,
 )
@@ -164,3 +167,33 @@ def test_normal_form_fields():
     assert z != z * 2 and z * 2 == GaussianRational(1, 1)
     with pytest.raises(AttributeError):   # re and im are read-only views
         z.re = Fraction(1)
+
+
+def _integer_parts_oracle(values):
+    # the common denominator from the re and im Fraction views: the lcm of
+    # their denominators, and each view times it
+    L = 1
+    for c in values:
+        L = lcm(L, re_part(c).denominator, im_part(c).denominator)
+    return [tuple(part(c).numerator * (L // part(c).denominator) for part in (re_part, im_part))
+            for c in values], L
+
+
+@given(st.lists(st.one_of(st.integers(-30, 30), rationals, gaussians,
+                          st.builds(GaussianRational, st.fractions(max_denominator=10 ** 6),
+                                    st.fractions(max_denominator=10 ** 6))),
+                max_size=8))
+@example([])
+def test_integer_parts_match_the_fraction_views(values):
+    pairs, L = integer_parts(values)
+    assert (pairs, L) == _integer_parts_oracle(values)
+    assert type(L) is int and L >= 1
+    assert all(type(x) is int for pair in pairs for x in pair)
+    for (re, im), c in zip(pairs, values):
+        assert GaussianRational(Fraction(re, L), Fraction(im, L)) == c
+
+
+def test_integer_parts_examples():
+    assert integer_parts([]) == ([], 1)
+    assert integer_parts([Fraction(1, 6), GaussianRational(Fraction(1, 4), Fraction(1, 9)), 3]) == (
+        [(6, 0), (9, 4), (108, 0)], 36)

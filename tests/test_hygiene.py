@@ -5,9 +5,10 @@ Q and Q(i) that takes each grid line as one batch, one interpolation of
 the table of lines, one gcd, one exact division, one substitution, one
 Q(i) scalar, one root finder, one quartic splitter, one double-component
 search, one splitting finisher for both parities, one recognition
-verifier and one polynomial type; no module imports a name it never
-uses; every private module-level function is used; and every function
-the benchmark's tracer wraps by name still exists."""
+verifier, one polynomial type and one common-denominator conversion; no
+module imports a name it never uses; every private module-level function
+is used; and every function the benchmark's tracer wraps by name still
+exists."""
 
 import ast
 import importlib
@@ -35,6 +36,8 @@ SOLVER_ORACLES = re.compile(r"quartic_oracle|quartic_split_oracle|double_compone
 RECOGNIZE_ORACLE = re.compile(r"recognize_oracle|_verified_complete_candidate|_verified_proper_candidate")
 SYLVESTER_LAYOUT = re.compile(r"\bsylvester_rows\(")
 SECOND_POLY_TYPE = re.compile(r"\bUniPoly\b|\bas_unipoly\b|\bdivmod\b|\bdeflate_root\b")
+LCM_CALL = re.compile(r"\blcm\(")
+GRID_DENOMINATOR = "N = 2 * lcm("
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
@@ -207,6 +210,14 @@ def test_one_polynomial_type():
     # tests/gcd_oracle.py as the univariate base case of the oracle
     hits = _source_hits(SECOND_POLY_TYPE)
     assert not hits, "a second polynomial type or its division:\n" + "\n".join(hits)
+
+
+def test_one_integer_form():
+    # fields.integer_parts is the one place where coefficients go onto a
+    # common denominator; the plot grid's denominator is the one other lcm
+    hits = [h for h in _source_hits(LCM_CALL) if not h.startswith("fields.py:")
+            and not (h.startswith("plotting.py:") and GRID_DENOMINATOR in h)]
+    assert not hits, "a common denominator taken outside fields.integer_parts:\n" + "\n".join(hits)
 
 
 def test_traced_layers_resolve():
