@@ -8,6 +8,13 @@ one such triple, so equal values have equal fields: equality and hashing
 never reduce anything, and each operation is a few int products followed by
 one three-argument gcd.  Its arithmetic mixes freely with Fraction and int
 on either side; ``re`` and ``im`` are Fraction views for callers.
+
+A polynomial (``multipoly.MultiPoly``) stores numerators over one
+denominator: ints over Q, and over Q(i) the GaussianRational coefficients
+over 1.  Its field enters only through the helpers here (``numerators``,
+``common_denominator``, ``lowest_terms``, ``numerator_scalar`` and
+``numerator_inverse``), and ``integer_parts`` is the one conversion of a
+list of scalars onto a common denominator.
 """
 
 from __future__ import annotations
@@ -204,6 +211,45 @@ def integer_parts(values: Iterable) -> Tuple[List[Tuple[int, int]], int]:
     parts = [_parts(c) for c in values]
     L = lcm(*(d for _, _, d in parts))
     return [(a * (L // d), b * (L // d)) for a, b, d in parts], L
+
+
+def numerators(values: Iterable, field: str) -> Tuple[list, int]:
+    """(nums, L): the values as numerators over one L > 0.  Over Q, ints over
+    the lcm of the denominators (integer_parts), so gcd(L, nums) = 1; over
+    Q(i), the values as GaussianRationals over 1."""
+    if field != FIELD_Q:
+        return [to_scalar(c, field) for c in values], 1
+    pairs, L = integer_parts(values)
+    if any(b for _, b in pairs):
+        raise ValueError("a value with a nonzero imaginary part does not lie in Q")
+    return [a for a, _ in pairs], L
+
+
+def common_denominator(d1: int, d2: int) -> Tuple[int, int, int]:
+    """(L, L // d1, L // d2) for L = lcm(d1, d2)."""
+    L = lcm(d1, d2)
+    return L, L // d1, L // d2
+
+
+def lowest_terms(nums: dict, den: int) -> Tuple[dict, int]:
+    """The numerators and denominator divided by their gcd, so that the gcd
+    is 1; a Q(i) form, over 1, is already in lowest terms."""
+    g = gcd(den, *nums.values()) if den != 1 else 1
+    if g == 1:
+        return nums, den
+    return {e: n // g for e, n in nums.items()}, den // g
+
+
+def numerator_scalar(n, den: int) -> Scalar:
+    """The value n / den of a numerator over its denominator."""
+    return Fraction(n, den) if type(n) is int else n
+
+
+def numerator_inverse(n) -> Tuple[object, int]:
+    """(m, L) with m / L = 1 / n, L > 0, m a numerator of n's field."""
+    if type(n) is not int:
+        return 1 / n, 1
+    return (1, n) if n > 0 else (-1, -n)
 
 
 def to_gaussian(x) -> Optional[GaussianRational]:

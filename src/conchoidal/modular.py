@@ -8,8 +8,8 @@ p = 1 (mod 4).
 
 ``modular_gcd`` is Brown's dense modular algorithm (Brown 1971, "On
 Euclid's algorithm and the computation of polynomial greatest common
-divisors", JACM 18).  The inputs are scaled to Z or Z[i] once, by
-``fields.integer_parts``; when both are homogeneous, the last used
+divisors", JACM 18).  The inputs are read once as integer parts
+(``MultiPoly.integer_parts``); when both are homogeneous, the last used
 variable z is set to 1 and the gcd gets back the smaller of the two
 z-valuations.  Images are taken at a fixed sequence of primes
 p = 1 (mod 4).  Over Q(i) each prime gives two images, one for each
@@ -36,7 +36,7 @@ from math import gcd as int_gcd, isqrt
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalError
-from .fields import FIELD_Q, GaussianRational, integer_parts, join_fields
+from .fields import FIELD_Q, GaussianRational, join_fields
 from .multipoly import MultiPoly, merge_vars, poly_exact_div
 
 Exp = Tuple[int, ...]
@@ -256,10 +256,10 @@ def _pgcd(a: Dict[Exp, int], b: Dict[Exp, int], n: int, p: int) -> Dict[Exp, int
 
 
 def _scaled(f: MultiPoly, keep: List[int]) -> Dict[Exp, Tuple[int, int]]:
-    """The integer parts of f (``fields.integer_parts``) on the exponents
+    """The integer parts of f (``MultiPoly.integer_parts``) on the exponents
     projected to keep."""
-    pairs, _ = integer_parts(f.terms.values())
-    return {tuple(e[i] for i in keep): pair for e, pair in zip(f.terms, pairs)}
+    parts, _ = f.integer_parts()
+    return {tuple(e[i] for i in keep): pair for e, pair in parts.items()}
 
 
 def _embed(a: Dict[Exp, Tuple[int, int]], p: int, s: int) -> Dict[Exp, int]:
@@ -412,19 +412,21 @@ def line_multiplicity(f: MultiPoly, g: MultiPoly, images: Optional[dict] = None
 
 def _line_image(h: MultiPoly, keep: int, p: int, s: int) -> Optional[List[int]]:
     """L h modulo p (i -> s) where each variable number k but the kept one
-    is (k+1)*step, dense in the kept one, L the lcm of the denominators
-    (``fields.integer_parts``); None if p divides L, that is, a
-    denominator.  L is a unit modulo p, and scaling by a unit changes no
-    multiplicity, so the image of L h certifies what that of h would."""
-    pairs, L = integer_parts(h.terms.values())
+    is (k+1)*step, dense in the kept one, with h's integer parts over L
+    read from its stored form (``MultiPoly.integer_parts``); None if p
+    divides L, that is, a denominator.  L is a unit modulo p, and scaling
+    by a unit changes no multiplicity, so the image of L h certifies what
+    that of h would.  Each numerator is reduced mod p once, then multiplied
+    by one power row per variable other than the kept one."""
+    parts, L = h.integer_parts()
     if L % p == 0:
         return None
-    powers = [[1 if k == keep else pow(_POINT_STEP * (k + 1), j, p)
-               for j in range(max(e[k] for e in h.terms) + 1)] for k in range(len(h.vars))]
-    out = [0] * len(powers[keep])
-    for e, (a, b) in zip(h.terms, pairs):
-        r = a + b * s
-        for row, x in zip(powers, e):
-            r = r * row[x] % p
+    rows = [(k, [pow(_POINT_STEP * (k + 1), j, p) for j in range(max(e[k] for e in parts) + 1)])
+            for k in range(len(h.vars)) if k != keep]
+    out = [0] * (max(e[keep] for e in parts) + 1)
+    for e, (a, b) in parts.items():
+        r = (a + b * s) % p
+        for k, row in rows:
+            r = r * row[e[k]] % p
         out[e[keep]] += r
     return int_poly_mod(out, p)

@@ -1,10 +1,21 @@
 """Sparse multivariate polynomials over Q and Q(i).
 
 MultiPoly is the universal carrier of curve equations: a map from exponent
-vectors to nonzero scalars, tagged with an ordered variable tuple and a
+vectors to nonzero coefficients, tagged with an ordered variable tuple and a
 coefficient field.  The monomial order everywhere is graded lexicographic
 (total degree first, earlier variables heavier), which fixes leading
 coefficients, canonical "monic" forms and the serialization order.
+
+The stored form is one set of numerators {exponent: n} over one
+denominator L > 0, in lowest terms.  Over Q each n is an int and
+gcd(L, every n) = 1; over Q(i) each n is the coefficient itself, a
+GaussianRational (already one Gaussian integer over one denominator), and
+L = 1.  So each value has exactly one form, and ``==`` compares one dict and
+one int.  Every operation reads and writes that form with one body for both
+fields; the field enters only through the numerator helpers of ``fields``.
+``terms`` is a read-only {exponent: Fraction or GaussianRational} view,
+built on first read and cached, and ``integer_parts()`` gives integer
+(re, im) parts over one denominator for either field.
 """
 
 from __future__ import annotations
@@ -21,8 +32,13 @@ from .fields import (
     FIELD_QI,
     GaussianRational,
     Scalar,
+    common_denominator,
     integer_parts,
     join_fields,
+    lowest_terms,
+    numerator_inverse,
+    numerator_scalar,
+    numerators,
     conj as scalar_conj,
     to_scalar,
 )
@@ -48,15 +64,18 @@ def _grlex_key(exp: Tuple[int, ...]):
 
 
 class MultiPoly:
-    """Immutable sparse polynomial.  Do not mutate ``terms`` after creation."""
+    """Immutable sparse polynomial: numerators ``_num`` over the denominator
+    ``_den`` in lowest terms (see the module docstring).  ``terms`` is a
+    read-only view of the coefficients; do not mutate it."""
 
-    __slots__ = ("vars", "field", "terms", "_hash")
+    __slots__ = ("vars", "field", "_num", "_den", "_terms", "_hash")
 
     def __init__(self, vars: Tuple[str, ...], field: str, terms: Dict[Tuple[int, ...], Scalar]):
-        self.vars = tuple(vars)
-        self.field = field
-        self.terms = terms
-        self._hash = None
+        """From {exponent: coefficient}, exponents of the length of vars;
+        zero coefficients are dropped."""
+        nums, den = numerators(terms.values(), field)
+        self.vars, self.field, self._terms, self._hash = tuple(vars), field, None, None
+        self._num, self._den = {e: n for e, n in zip(terms, nums) if n}, den
 
     # -- construction -------------------------------------------------
 
@@ -74,57 +93,71 @@ class MultiPoly:
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
             c = to_scalar(coeff, field)
-            if not c:
-                continue
-            if exp in terms:
-                c = terms[exp] + c
-                if c:
-                    terms[exp] = c
-                else:
-                    del terms[exp]
-            else:
-                terms[exp] = c
-        return cls(tuple(vars), field, terms)
+            terms[exp] = terms[exp] + c if exp in terms else c
+        return cls(tuple(vars), field, terms)       # drops the zeros
+
+    @classmethod
+    def from_numerators(cls, vars: Sequence[str], field: str, num: dict, den: int) -> "MultiPoly":
+        """The nonzero numerators num (ints over Q) over den > 0."""
+        return _reduced(tuple(vars), field, num, den)
 
     @classmethod
     def zero(cls, vars: Sequence[str], field: str = FIELD_Q) -> "MultiPoly":
-        return cls(tuple(vars), field, {})
+        return _form(tuple(vars), field, {})
 
     @classmethod
     def constant(cls, value, vars: Sequence[str], field: str = FIELD_Q) -> "MultiPoly":
-        return cls.make(vars, field, {(0,) * len(vars): value})
+        return cls(tuple(vars), field, {(0,) * len(vars): value})
 
     @classmethod
     def variable(cls, name: str, vars: Sequence[str], field: str = FIELD_Q) -> "MultiPoly":
         exp = [0] * len(vars)
         exp[list(vars).index(name)] = 1
-        return cls.make(vars, field, {tuple(exp): 1})
+        return cls(tuple(vars), field, {tuple(exp): 1})
+
+    # -- the stored form -----------------------------------------------
+
+    @property
+    def terms(self) -> Dict[Tuple[int, ...], Scalar]:
+        """{exponent: coefficient}, a read-only view built on first read."""
+        if self._terms is None:
+            den = self._den
+            self._terms = {e: numerator_scalar(n, den) for e, n in self._num.items()}
+        return self._terms
+
+    def integer_parts(self) -> Tuple[Dict[Tuple[int, ...], Tuple[int, int]], int]:
+        """({exponent: (re, im)}, L): the coefficients as integer real and
+        imaginary parts over one denominator L > 0, for either field."""
+        if self.field == FIELD_Q:                 # the numerators themselves
+            return {e: (n, 0) for e, n in self._num.items()}, self._den
+        pairs, L = integer_parts(self._num.values())
+        return dict(zip(self._num, pairs)), L
 
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._num:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self._num)
 
     def degree_in(self, var: str) -> int:
-        if not self.terms:
+        if not self._num:
             return -1
         i = self.vars.index(var)
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self._num)
 
     def uses_var(self, var: str) -> bool:
         if var not in self.vars:
             return False
         i = self.vars.index(var)
-        return any(e[i] for e in self.terms)
+        return any(e[i] for e in self._num)
 
     def sole_var(self) -> Optional[str]:
         """The one variable a univariate polynomial uses: None for a
@@ -135,11 +168,11 @@ class MultiPoly:
         return used[0] if used else None
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
+        degrees = {sum(e) for e in self._num}
         return len(degrees) <= 1
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self._num)
 
     def constant_value(self) -> Scalar:
         if not self.is_constant():
@@ -149,10 +182,10 @@ class MultiPoly:
 
     def leading(self) -> Tuple[Tuple[int, ...], Scalar]:
         """Graded-lex leading (exponent, coefficient)."""
-        if not self.terms:
+        if not self._num:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+        exp = max(self._num, key=_grlex_key)
+        return exp, numerator_scalar(self._num[exp], self._den)
 
     def lc(self) -> Scalar:
         return self.leading()[1]
@@ -167,7 +200,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         a, b = _aligned(self, other)
-        return a.terms == b.terms
+        return a._den == b._den and a._num == b._num
 
     def __hash__(self):
         if self._hash is None:
@@ -181,7 +214,7 @@ class MultiPoly:
 
     def _used_vars(self):
         used = set()
-        for exp in self.terms:
+        for exp in self._num:
             for v, e in zip(self.vars, exp):
                 if e:
                     used.add(v)
@@ -200,14 +233,15 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         a, b = _aligned(self, other)
-        terms = dict(a.terms)
-        _add_into(terms, b.terms)
-        return MultiPoly(a.vars, a.field, terms)
+        den, sa, sb = common_denominator(a._den, b._den)
+        num = _times(a._num, sa)
+        _add_into(num, _times(b._num, sb))
+        return _reduced(a.vars, a.field, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, self.field, {e: -c for e, c in self.terms.items()})
+        return _form(self.vars, self.field, {e: -n for e, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -223,13 +257,13 @@ class MultiPoly:
         if isinstance(other, (int, Fraction, GaussianRational)):
             if not other:
                 return MultiPoly.zero(self.vars, self.field)
-            field = join_fields(self.field, FIELD_QI if isinstance(other, GaussianRational) else FIELD_Q)
-            c0 = to_scalar(other, field)
-            return MultiPoly(self.vars, field, {e: to_scalar(c, field) * c0 for e, c in self.terms.items()})
+            a = self.promote(join_fields(self.field, scalar_field_of(other)))
+            (c,), den = numerators((other,), a.field)
+            return _reduced(a.vars, a.field, {e: n * c for e, n in a._num.items()}, a._den * den)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         a, b = _aligned(self, other)
-        return MultiPoly(a.vars, a.field, _mul_terms(a.terms, b.terms))
+        return _reduced(a.vars, a.field, _mul_terms(a._num, b._num), a._den * b._den)
 
     __rmul__ = __mul__
 
@@ -237,9 +271,7 @@ class MultiPoly:
         if isinstance(other, (int, Fraction, GaussianRational)):
             if not other:
                 raise ZeroDivisionError("division of polynomial by zero scalar")
-            field = join_fields(self.field, FIELD_QI if isinstance(other, GaussianRational) else FIELD_Q)
-            c0 = to_scalar(other, field)
-            return MultiPoly(self.vars, field, {e: to_scalar(c, field) / c0 for e, c in self.terms.items()})
+            return self * (Fraction(1) / other)
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -257,10 +289,14 @@ class MultiPoly:
     # -- normalization ----------------------------------------------------
 
     def monic(self) -> "MultiPoly":
-        """Canonical form: divide by the graded-lex leading coefficient."""
-        if not self.terms:
+        """Canonical form: the numerators over the graded-lex leading one."""
+        if not self._num:
             return self
-        return self / self.lc()
+        lead = self._num[max(self._num, key=_grlex_key)]
+        if lead == self._den:
+            return self
+        inv, d = numerator_inverse(lead)
+        return _reduced(self.vars, self.field, {e: n * inv for e, n in self._num.items()}, d)
 
     def proportional_to(self, other: "MultiPoly") -> bool:
         """Equality up to a nonzero scalar."""
@@ -271,49 +307,53 @@ class MultiPoly:
     # -- structure ---------------------------------------------------------
 
     def homogeneous_part(self, k: int) -> "MultiPoly":
-        return MultiPoly(self.vars, self.field, {e: c for e, c in self.terms.items() if sum(e) == k})
+        return _reduced(self.vars, self.field,
+                        {e: n for e, n in self._num.items() if sum(e) == k}, self._den)
 
     def min_degree(self) -> int:
-        if not self.terms:
+        if not self._num:
             return -1
-        return min(sum(e) for e in self.terms)
+        return min(sum(e) for e in self._num)
 
     def derivative(self, var: str) -> "MultiPoly":
         i = self.vars.index(var)
-        terms: Dict[Tuple[int, ...], Scalar] = {}
-        for exp, c in self.terms.items():
+        num = {}
+        for exp, n in self._num.items():
             if exp[i] == 0:
                 continue
             new = list(exp)
             new[i] -= 1
-            terms[tuple(new)] = c * exp[i]
-        return MultiPoly(self.vars, self.field, terms)
+            num[tuple(new)] = n * exp[i]
+        return _reduced(self.vars, self.field, num, self._den)
 
     def conj(self) -> "MultiPoly":
-        return MultiPoly(self.vars, self.field, {e: scalar_conj(c) for e, c in self.terms.items()})
+        return _form(self.vars, self.field, {e: scalar_conj(n) for e, n in self._num.items()},
+                     self._den)
 
     # -- variables ----------------------------------------------------------
 
     def with_vars(self, newvars: Sequence[str]) -> "MultiPoly":
         """Re-embed into another variable tuple; all used variables must survive."""
         newvars = tuple(newvars)
+        if newvars == self.vars:
+            return self
         pos = {v: i for i, v in enumerate(newvars)}
         n = len(newvars)
-        terms: Dict[Tuple[int, ...], Scalar] = {}
-        for exp, c in self.terms.items():
+        num = {}
+        for exp, c in self._num.items():
             new = [0] * n
             for v, e in zip(self.vars, exp):
                 if e:
                     if v not in pos:
                         raise ValueError(f"variable {v} in use cannot be dropped")
                     new[pos[v]] = e
-            terms[tuple(new)] = c
-        return MultiPoly(newvars, self.field, terms)
+            num[tuple(new)] = c
+        return _form(newvars, self.field, num, self._den)
 
     def promote(self, field: str) -> "MultiPoly":
         if field == self.field:
             return self
-        return MultiPoly(self.vars, field, {e: to_scalar(c, field) for e, c in self.terms.items()})
+        return MultiPoly(self.vars, field, self.terms)
 
     # -- substitution and evaluation -----------------------------------------
 
@@ -321,7 +361,9 @@ class MultiPoly:
         """Simultaneously replace variables by polynomials or scalars.
 
         Unreplaced variables map to themselves; the result lives over the
-        union of the surviving variables and those of the images.
+        union of the surviving variables and those of the images.  With
+        each image v as N_v / L_v and M_v the largest exponent of v, term
+        n_e / L becomes n_e prod L_v**(M_v - e_v) N_v**e_v over L prod L_v**M_v.
         """
         field = self.field
         images: Dict[str, MultiPoly] = {}
@@ -331,26 +373,35 @@ class MultiPoly:
             if img is None:
                 img = MultiPoly.variable(v, (v,), self.field)
             elif not isinstance(img, MultiPoly):
-                img = MultiPoly.constant(img, (), FIELD_QI if isinstance(img, GaussianRational) else FIELD_Q)
+                img = MultiPoly.constant(img, (), scalar_field_of(img))
             images[v] = img
             field = join_fields(field, img.field)
             vars_out = merge_vars(vars_out, img.vars)
+        f = self.promote(field)
         unit = (0,) * len(vars_out)
-        # Cache powers of each image, as term dicts, to keep repeated
-        # substitution cheap; every term is added into the one result dict.
-        powers: List[List[Dict[Tuple[int, ...], Scalar]]] = [
-            [{unit: to_scalar(1, field)}, images[v].with_vars(vars_out).promote(field).terms]
-            for v in self.vars]
-        terms: Dict[Tuple[int, ...], Scalar] = {}
-        for exp, c in self.terms.items():
-            term = {unit: to_scalar(c, field)}
+        images = [images[v].with_vars(vars_out).promote(field) for v in self.vars]
+        top = [max((e[k] for e in f._num), default=0) for k in range(len(self.vars))]
+        den = f._den
+        scales = []                    # (k, [L_k**(M_k - e) for e in 0..M_k]) for L_k > 1
+        for k, (img, m) in enumerate(zip(images, top)):
+            if img._den != 1:
+                den *= img._den ** m
+                scales.append((k, [img._den ** (m - e) for e in range(m + 1)]))
+        # Cache the powers of each image numerator, as dicts, to keep
+        # repeated substitution cheap; every term is added into one dict.
+        powers = [[None, img._num] for img in images]
+        num: Dict[Tuple[int, ...], object] = {}
+        for exp, c in f._num.items():
+            for k, row in scales:
+                c = c * row[exp[k]]
+            term = {unit: c}
             for cache, e in zip(powers, exp):
                 if e:
                     while len(cache) <= e:
                         cache.append(_mul_terms(cache[-1], cache[1]))
                     term = _mul_terms(term, cache[e])
-            _add_into(terms, term)
-        return MultiPoly(vars_out, field, terms)
+            _add_into(num, term)
+        return _reduced(vars_out, field, num, den)
 
     def evaluate(self, point: Dict[str, Scalar]) -> Scalar:
         """Full evaluation; every used variable must be assigned."""
@@ -404,14 +455,14 @@ class MultiPoly:
         vars_out = merge_vars(self.vars, (var,))
         i = vars_out.index(var)
         pos = {v: vars_out.index(v) for v in self.vars}
-        terms: Dict[Tuple[int, ...], Scalar] = {}
-        for exp, c in self.terms.items():
+        num = {}
+        for exp, c in self._num.items():
             new = [0] * len(vars_out)
             for v, e in zip(self.vars, exp):
                 new[pos[v]] = e
             new[i] = degree - sum(exp)
-            terms[tuple(new)] = c
-        return MultiPoly(vars_out, self.field, terms)
+            num[tuple(new)] = c
+        return _form(vars_out, self.field, num, self._den)
 
     # -- univariate views -----------------------------------------------------
 
@@ -422,13 +473,33 @@ class MultiPoly:
         rest = tuple(v for v in self.vars if v != var)
         d = self.degree_in(var)
         coeffs = [dict() for _ in range(d + 1)] if d >= 0 else [dict()]
-        for exp, c in self.terms.items():
+        for exp, c in self._num.items():
             rexp = tuple(e for j, e in enumerate(exp) if j != i)
             coeffs[exp[i]][rexp] = c
-        return [MultiPoly(rest, self.field, t) for t in coeffs]
+        return [_reduced(rest, self.field, t, self._den) for t in coeffs]
 
 
-def _add_into(terms: Dict[Tuple[int, ...], Scalar], other: Dict[Tuple[int, ...], Scalar]) -> None:
+_new = object.__new__
+
+
+def _form(vars: Tuple[str, ...], field: str, num: dict, den: int = 1) -> MultiPoly:
+    """The polynomial with the numerators num over den, in lowest terms."""
+    p = _new(MultiPoly)
+    p.vars, p.field, p._num, p._den, p._terms, p._hash = vars, field, num, den, None, None
+    return p
+
+
+def _reduced(vars: Tuple[str, ...], field: str, num: dict, den: int) -> MultiPoly:
+    """As _form, for numerators and denominator not yet in lowest terms."""
+    return _form(vars, field, *lowest_terms(num, den))
+
+
+def _times(num: dict, s: int) -> dict:
+    """A new dict of the numerators times s."""
+    return {e: n * s for e, n in num.items()} if s != 1 else dict(num)
+
+
+def _add_into(terms: dict, other: dict) -> None:
     """terms += other, in place, dropping the sums that cancel."""
     for exp, c in other.items():
         s = terms.get(exp)
@@ -442,10 +513,9 @@ def _add_into(terms: Dict[Tuple[int, ...], Scalar], other: Dict[Tuple[int, ...],
                 del terms[exp]
 
 
-def _mul_terms(a: Dict[Tuple[int, ...], Scalar], b: Dict[Tuple[int, ...], Scalar]
-               ) -> Dict[Tuple[int, ...], Scalar]:
-    """The product of two term dicts over the same variables and field."""
-    terms: Dict[Tuple[int, ...], Scalar] = {}
+def _mul_terms(a: dict, b: dict) -> dict:
+    """The product of two numerator dicts over the same variables and field."""
+    terms = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             exp = tuple(map(add, e1, e2))
@@ -507,32 +577,28 @@ def divide_out(f: MultiPoly, g: MultiPoly, bound: Optional[int]) -> Tuple[int, M
     """(k, f / g**k) for the largest k <= bound with g**k | f, with no bound
     for None; f and g aligned, f nonzero, g nonconstant when unbounded.
 
-    Integers over Q.  f is scaled once to F = L_f*f and g to G = L_g*g/c,
-    with L the lcm of the denominators (``fields.integer_parts``) and c the
-    integer content of L_g*g, so F and G lie in Z[x] and G is primitive.
-    Then g**k divides f iff G divides F k times, each quotient in Z[x]: if
+    Integers over Q.  The stored forms give f = F/L_f and g = c*G/L_g,
+    with F and G the numerators and c the integer content of g's, so F and
+    G lie in Z[x] and G is primitive; no coefficient is converted.  Then
+    g**k divides f iff G divides F k times, each quotient in Z[x]: if
     an integer F' = H*G with H in Q[x], write H = c(H)*H0 with H0
     primitive; G*H0 is primitive by Gauss's lemma, so c(H) is the content
     of F', an integer.  Graded-lex reduction by one divisor finds the terms
     of an exact quotient in descending order, so each step of an exact
     division is an integer division, and a nonzero r % lc(G) proves that G
-    does not divide F'.
-    The k-th quotient is rebuilt once: f / g**k = F_k * (L_g/c)**k / L_f,
-    one ``Fraction`` per term.  Over Q(i) the coefficients stay
-    ``GaussianRational``, integers over one denominator, and each step is
-    the field division.
+    does not divide F'.  The k-th quotient is f / g**k =
+    F_k * L_g**k / (L_f * c**k), brought to lowest terms.  Over Q(i) the
+    numerators are the ``GaussianRational`` coefficients over 1, and each
+    step is the field division.
 
     Division.  Graded-lex reduction, the remainder kept in one dict with a
     lazy max-heap of its exponents (Johnson 1974): q costs |q|*|g|.
     """
     integral = f.field == FIELD_Q
-    if integral:
-        (fp, f_den), (gp, g_den) = integer_parts(f.terms.values()), integer_parts(g.terms.values())
-        content = gcd(*(a for a, _ in gp))
-        F = {e: a for e, (a, _) in zip(f.terms, fp)}
-        G = {e: a // content for e, (a, _) in zip(g.terms, gp)}
-    else:
-        F, G = f.terms, g.terms
+    F, G = f._num, g._num
+    content = gcd(*G.values()) if integral else 1
+    if content != 1:
+        G = {e: n // content for e, n in G.items()}
     k = 0
     while bound is None or k < bound:
         q = _heap_quotient(F, G, integral)
@@ -541,25 +607,18 @@ def divide_out(f: MultiPoly, g: MultiPoly, bound: Optional[int]) -> Tuple[int, M
         F, k = q, k + 1
     if not k:
         return 0, f
-    if integral:
-        scale = Fraction(g_den, content) ** k / f_den
-        num, den = scale.numerator, scale.denominator
-        F = {e: Fraction(c * num, den) for e, c in F.items()}
-    else:
-        F = {e: to_scalar(c, f.field) for e, c in F.items()}
-    return k, MultiPoly(f.vars, f.field, F)
+    return k, _reduced(f.vars, f.field, _times(F, g._den ** k), f._den * content ** k)
 
 
-def _heap_quotient(f: Dict[Tuple[int, ...], Scalar], g: Dict[Tuple[int, ...], Scalar],
-                   integral: bool) -> Optional[Dict[Tuple[int, ...], Scalar]]:
-    """The exact quotient of two term dicts, or None; with ``integral`` every
+def _heap_quotient(f: dict, g: dict, integral: bool) -> Optional[dict]:
+    """The exact quotient of two numerator dicts, or None; with ``integral`` every
     quotient step must be an exact integer division."""
     g_exp = max(g, key=_grlex_key)
     g_c = g[g_exp]
     g_rest = [(e, c) for e, c in g.items() if e != g_exp]
     rem = dict(f)
     heap = sorted(map(_heap_entry, rem))   # a sorted list is a heap
-    q_terms: Dict[Tuple[int, ...], Scalar] = {}
+    q_terms = {}
     while heap:
         r_exp = heappop(heap)[1]
         r_c = rem.pop(r_exp, None)
@@ -604,8 +663,8 @@ def homogeneous_decompose(f: MultiPoly, var: str = "z") -> List[MultiPoly]:
     i = f.vars.index(var)
     rest = tuple(v for v in f.vars if v != var)
     parts = [dict() for _ in range(d + 1)]
-    for exp, c in f.terms.items():
+    for exp, c in f._num.items():
         h = d - exp[i]
         rexp = tuple(e for j, e in enumerate(exp) if j != i)
         parts[h][rexp] = c
-    return [MultiPoly(rest, f.field, parts[d - k]) for k in range(d + 1)]
+    return [_reduced(rest, f.field, parts[d - k], f._den) for k in range(d + 1)]

@@ -15,7 +15,6 @@ from operator import mul
 from typing import List, Tuple
 
 from .curves import PlaneCurve
-from .fields import integer_parts
 
 # cell-edge pairs per sign index; edges are (corner, corner) with corners
 # 0=(x0,y0) 1=(x1,y0) 2=(x1,y1) 3=(x0,y1)
@@ -60,11 +59,11 @@ def marching_segments(curve: PlaneCurve, spec: PlotSpec) -> List[Tuple[float, fl
 
     Every grid point and cell center is (X/N, Y/N) for integers X, Y and one
     common denominator N, and is sampled as L*F(X, Y, N) = L*N^d*f(x, y),
-    with L > 0 clearing the coefficient denominators (integer_parts): a
+    with L > 0 clearing the coefficient denominators (its integer_parts): a
     positive multiple of the affine value, so every sign and every ratio
     va/(va - vb) is kept.  The equation is real when every im part is 0."""
-    pairs, _ = integer_parts(curve.equation.terms.values())
-    if any(im for _, im in pairs):
+    parts, _ = curve.equation.integer_parts()
+    if any(im for _, im in parts.values()):
         raise ValueError("plotting requires real coefficients")
     xmin, xmax, ymin, ymax = spec.window
     n = spec.grid
@@ -78,7 +77,7 @@ def marching_segments(curve: PlaneCurve, spec: PlotSpec) -> List[Tuple[float, fl
     d = curve.degree
     # table[b][a]: integer coefficient of X^a Y^b in L*F(X, Y, N)
     table = [[0] * (d + 1) for _ in range(d + 1)]
-    for (a, b, k), (c, _) in zip(curve.equation.terms, pairs):
+    for (a, b, k), (c, _) in parts.items():
         table[b][a] = c * N ** k
 
     def powers(t):

@@ -406,9 +406,10 @@ def _resultants(fc: List[List[int]], gc: List[List[int]]) -> List[int]:
 
 
 def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int], hom, D: int,
-                      caps: List[int], error) -> dict:
-    """{exponent: c} of the determinant of sylvester_rows(fc, gc), exponents
-    in the variables of the lists, sampled on the lower set |p| <= D,
+                      caps: List[int], error) -> Tuple[dict, int, int]:
+    """({exponent: v}, scale, N): the determinant of sylvester_rows(fc, gc)
+    has the coefficient _scalar(v, scale, N) at each exponent, in the
+    variables of the lists; it is sampled on the lower set |p| <= D,
     p_i <= caps[i] in the variables at ``index``, in grid lines along the
     last of them; the variable at ``hom``, if any, is 1 there and takes back
     the exponent D - |p|.  Each list goes onto one denominator by
@@ -438,7 +439,7 @@ def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int]
     the caps bound P as they come from the entry degrees, which packing
     keeps: for B > 0 each |re| + |im| <= B < N/2, so re + im N = 0 only for
     re = im = 0, and for B = 0 a list and the determinant are 0.  A nonzero
-    c may vanish at i, as 1 + N^2 does; MultiPoly.make drops that 0."""
+    c may vanish at i, as 1 + N^2 does; MultiPoly drops that 0."""
     def key(exp):
         return tuple(exp[i] for i in index[:-1]), exp[index[-1]]
 
@@ -465,8 +466,8 @@ def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int]
         raise error(f"interpolation residual nonzero at degree {D}")
     slots = index + [hom]         # p and a at index, D - |p| - a at hom, 0 elsewhere
     pick = [slots.index(i) if i in slots else len(slots) for i in range(len(fc[0].vars))]
-    return {tuple(map((p + (a, D - sum(p) - a, 0)).__getitem__, pick)):
-            _scalar(c, scale, N) for (p, a), c in terms.items()}
+    return {tuple(map((p + (a, D - sum(p) - a, 0)).__getitem__, pick)): c
+            for (p, a), c in terms.items()}, scale, N
 
 
 def _isobaric_bound(fc: List[MultiPoly], gc: List[MultiPoly], degree) -> int:
@@ -519,13 +520,16 @@ def poly_matrix_det(fc: List[MultiPoly], gc: List[MultiPoly], degree_bound: int)
     at = vars.index(hom) if hom else None
     if axes:
         error = InternalError if hom else DegreeBoundError    # D is certain when homogeneous
-        terms = _interpolated_det(fc, gc, [vars.index(v) for v in axes], at, D,
-                                  [caps[v] for v in axes], error)
+        num, scale, N = _interpolated_det(fc, gc, [vars.index(v) for v in axes], at, D,
+                                          [caps[v] for v in axes], error)
+        if field == FIELD_Q:              # the interpolated ints are the numerators
+            return MultiPoly.from_numerators(vars, field, num, scale)
+        terms = {e: _scalar(c, scale, N) for e, c in num.items()}
     else:                    # nothing left to sample: a scalar resultant
         point = {hom: Fraction(1)} if hom else {}
         value = resultant_nominal([e.evaluate(point) for e in fc], [e.evaluate(point) for e in gc])
         terms = {tuple(D if i == at else 0 for i in range(len(vars))): value}
-    return MultiPoly.make(vars, field, terms)
+    return MultiPoly(vars, field, terms)
 
 
 # -- Sylvester resultants ----------------------------------------------------

@@ -136,10 +136,10 @@ def extract_known_components(R: PlaneCurve, scene: Scene,
     """Repeatedly exact-divide R by the base curve, by z, by each
     irreducible-over-the-field factor block of the base's top form (the
     lines joining A to the points of B at infinity, conjugates kept as one
-    block), and optionally by the input curve C.  The residual is the
-    proper conchoid.  The line images of h are kept while h is unchanged,
-    and R.equation, monic as every curve equation, is its own residual when
-    nothing divides it."""
+    block, factored once per scene and field), and optionally by the input
+    curve C.  The residual is the proper conchoid.  The line images of h
+    are kept while h is unchanged, and R.equation, monic as every curve
+    equation, is its own residual when nothing divides it."""
     h = R.equation
     comps: List[DivisorComponent] = []
     images: dict = {}                 # line images of h
@@ -154,8 +154,10 @@ def extract_known_components(R: PlaneCurve, scene: Scene,
 
     strip(scene.base_curve.equation, "base")
     strip(MultiPoly.variable("z", CURVE_VARS, h.field), "linf")
-    _, blocks = factor_binary_form(scene.base_curve.top_form().promote(h.field))
-    for block, _ in blocks:
+    if h.field not in scene.top_blocks:
+        top = scene.base_curve.top_form().promote(h.field)
+        scene.top_blocks[h.field] = factor_binary_form(top)[1]
+    for block, _ in scene.top_blocks[h.field]:
         strip(block.with_vars(CURVE_VARS), "lineblock")
     if C is not None:
         strip(C.equation, "input")

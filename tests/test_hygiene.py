@@ -5,10 +5,10 @@ Q and Q(i) that takes each grid line as one batch, one interpolation of
 the table of lines, one gcd, one exact division, one substitution, one
 Q(i) scalar, one root finder, one quartic splitter, one double-component
 search, one splitting finisher for both parities, one recognition
-verifier, one polynomial type and one common-denominator conversion; no
-module imports a name it never uses; every private module-level function
-is used; and every function the benchmark's tracer wraps by name still
-exists."""
+verifier, one polynomial type with one stored form and one
+common-denominator conversion; no module imports a name it never uses;
+every private module-level function is used; and every function the
+benchmark's tracer wraps by name still exists."""
 
 import ast
 import importlib
@@ -34,6 +34,7 @@ ROOTS_ORACLE = re.compile(r"roots_oracle|_re_im_split|_rational_zeros_uv")
 SOLVER_ORACLES = re.compile(r"quartic_oracle|quartic_split_oracle|double_component_oracle"
                             r"|odd_split_oracle|_odd_solve|_coefficient_system")
 RECOGNIZE_ORACLE = re.compile(r"recognize_oracle|_verified_complete_candidate|_verified_proper_candidate")
+FRACTION_POLY_ORACLE = re.compile(r"fraction_poly_oracle|\bFractionPoly\b")
 SYLVESTER_LAYOUT = re.compile(r"\bsylvester_rows\(")
 SECOND_POLY_TYPE = re.compile(r"\bUniPoly\b|\bas_unipoly\b|\bdivmod\b|\bdeflate_root\b")
 LCM_CALL = re.compile(r"\blcm\(")
@@ -133,6 +134,13 @@ def test_no_library_use_of_the_recognition_oracle():
     assert not hits, "uses of the per-mode recognition verifiers:\n" + "\n".join(hits)
 
 
+def test_no_library_use_of_the_fraction_poly_oracle():
+    # MultiPoly stores integer numerators over one denominator; the
+    # scalar-coefficient dict bodies live in tests/fraction_poly_oracle.py
+    hits = _source_hits(FRACTION_POLY_ORACLE)
+    assert not hits, "uses of the scalar-coefficient polynomial oracle:\n" + "\n".join(hits)
+
+
 def _annotation_names(node):
     """Names in an annotation, including those inside string annotations."""
     for sub in ast.walk(node):
@@ -213,8 +221,8 @@ def test_one_polynomial_type():
 
 
 def test_one_integer_form():
-    # fields.integer_parts is the one place where coefficients go onto a
-    # common denominator; the plot grid's denominator is the one other lcm
+    # fields is the one place where coefficients go onto a common
+    # denominator; the plot grid's denominator is the one other lcm
     hits = [h for h in _source_hits(LCM_CALL) if not h.startswith("fields.py:")
             and not (h.startswith("plotting.py:") and GRID_DENOMINATOR in h)]
     assert not hits, "a common denominator taken outside fields.integer_parts:\n" + "\n".join(hits)

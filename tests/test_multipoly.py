@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from conchoidal import MultiPoly, homogeneous_decompose, parse_poly, poly_exact_div, poly_to_text
 from conchoidal.errors import NotHomogeneousError
-from conchoidal.fields import FIELD_Q, FIELD_QI, GaussianRational
+from conchoidal.fields import FIELD_Q, FIELD_QI, GaussianRational, join_fields, to_scalar
 
+from fraction_poly_oracle import FractionPoly
 from helpers import random_poly, random_scalar
 from substitute_oracle import substitute_per_term
 
@@ -154,3 +155,63 @@ def test_field_promotion_equality():
     assert hash(f) == hash(f.promote(FIELD_QI))
     g = f.promote(FIELD_QI) * GaussianRational(0, 1)
     assert g.conj() == -g
+
+
+# -- the stored form against the scalar-coefficient oracle --------------------
+
+
+def _oracle_coeff(rng, field):
+    # denominators that share factors, signs of both kinds, and zero
+    c = Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 6, 12)))
+    if field == FIELD_QI and rng.random() < 0.5:
+        return GaussianRational(c, Fraction(rng.randint(-6, 6), rng.choice((1, 2, 4, 6))))
+    return c
+
+
+def _oracle_pair(rng, field):
+    """(MultiPoly.make of raw scalar terms, FractionPoly of the same terms):
+    the zero polynomial, a constant, or up to five terms of degree <= 2."""
+    kind = rng.choice(("zero", "constant", "poly", "poly", "poly"))
+    monos = [e for e in ((a, b, c) for a in range(3) for b in range(3) for c in range(3))
+             if sum(e) <= 2]
+    if kind == "zero":
+        raw = {}
+    elif kind == "constant":
+        raw = {(0, 0, 0): _oracle_coeff(rng, field)}
+    else:
+        raw = {e: _oracle_coeff(rng, field) for e in rng.sample(monos, rng.randint(1, 5))}
+    want = FractionPoly(VARS, field, {e: to_scalar(c, field) for e, c in raw.items() if c})
+    return MultiPoly.make(VARS, field, raw), want
+
+
+def _matches(got, want):
+    assert (got.vars, got.field, got.terms) == (want.vars, want.field, want.terms)
+    assert [type(c) for c in got.terms.values()] == [type(want.terms[e]) for e in got.terms]
+    # the same value built by make from scalars has the same form and hash
+    rebuilt = MultiPoly.make(want.vars, want.field, want.terms)
+    assert got == rebuilt and hash(got) == hash(rebuilt)
+    assert (got._num, got._den) == (rebuilt._num, rebuilt._den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from((FIELD_Q, FIELD_QI)), st.sampled_from((FIELD_Q, FIELD_QI)))
+def test_operations_match_the_fraction_poly_oracle(seed, field_f, field_g):
+    rng = random.Random(seed)
+    (f, F), (g, G) = _oracle_pair(rng, field_f), _oracle_pair(rng, field_g)
+    c = _oracle_coeff(rng, rng.choice((field_f, field_g))) or Fraction(-3, 4)
+    _matches(f, F)
+    for got, want in ((f + g, F + G), (f - g, F - G), (f * g, F * G), (-f, -F),
+                      (f - f, F - F), (f + (-f), F + (-F)), (f * c, F * c), (f / c, F / c),
+                      (f * 0, F * 0), (f + 2, F + 2), (f.monic(), F.monic()),
+                      (f.promote(FIELD_QI), F.promote(FIELD_QI)),
+                      (f.with_vars(("z", "t", "x", "y")), F.with_vars(("z", "t", "x", "y")))):
+        _matches(got, want)
+    for v in VARS:
+        _matches(f.derivative(v), F.derivative(v))
+        for got, want in zip(f.coefficients_in(v), F.coefficients_in(v), strict=True):
+            _matches(got, want)
+    # a Q polynomial equals its Q(i) promotion, with the same hash
+    assert f == f.promote(FIELD_QI) and hash(f) == hash(f.promote(FIELD_QI))
+    joint = join_fields(f.field, g.field)
+    assert (f == g) == (F.promote(joint).terms == G.promote(joint).terms)
