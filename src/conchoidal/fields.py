@@ -12,7 +12,7 @@ on either side; ``re`` and ``im`` are Fraction views for callers.
 A polynomial (``multipoly.MultiPoly``) stores numerators over one
 denominator: ints over Q, and over Q(i) the GaussianRational coefficients
 over 1.  Its field enters only through the helpers here (``numerators``,
-``common_denominator``, ``lowest_terms``, ``numerator_scalar`` and
+``numerator``, ``common_denominator``, ``lowest_terms``, ``numerator_scalar`` and
 ``numerator_inverse``), and ``integer_parts`` is the one conversion of a
 list of scalars onto a common denominator.
 """
@@ -213,6 +213,13 @@ def integer_parts(values: Iterable) -> Tuple[List[Tuple[int, int]], int]:
     return [(a * (L // d), b * (L // d)) for a, b, d in parts], L
 
 
+def onto_lcm(groups: List[tuple]) -> Tuple[List[Tuple[int, int]], int]:
+    """(pairs, L): integer (re, im) pairs, each group over its own d > 0,
+    brought onto the lcm L of the d and joined (integer_parts of lists)."""
+    L = lcm(*(d for _, d in groups))
+    return [(a * (L // d), b * (L // d)) for pairs, d in groups for a, b in pairs], L
+
+
 def numerators(values: Iterable, field: str) -> Tuple[list, int]:
     """(nums, L): the values as numerators over one L > 0.  Over Q, ints over
     the lcm of the denominators (integer_parts), so gcd(L, nums) = 1; over
@@ -223,6 +230,12 @@ def numerators(values: Iterable, field: str) -> Tuple[list, int]:
     if any(b for _, b in pairs):
         raise ValueError("a value with a nonzero imaginary part does not lie in Q")
     return [a for a, _ in pairs], L
+
+
+def numerator(value, field: str) -> Tuple[object, int]:
+    """numerators of one value, (n, L), with no list."""
+    q = to_scalar(value, field)
+    return (q.numerator, q.denominator) if field == FIELD_Q else (q, 1)
 
 
 def common_denominator(d1: int, d2: int) -> Tuple[int, int, int]:

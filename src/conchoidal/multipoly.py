@@ -36,6 +36,7 @@ from .fields import (
     integer_parts,
     join_fields,
     lowest_terms,
+    numerator,
     numerator_inverse,
     numerator_scalar,
     numerators,
@@ -107,13 +108,14 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, value, vars: Sequence[str], field: str = FIELD_Q) -> "MultiPoly":
-        return cls(tuple(vars), field, {(0,) * len(vars): value})
+        n, den = numerator(value, field)
+        return _form(tuple(vars), field, {(0,) * len(vars): n} if n else {}, den)
 
     @classmethod
     def variable(cls, name: str, vars: Sequence[str], field: str = FIELD_Q) -> "MultiPoly":
-        exp = [0] * len(vars)
-        exp[list(vars).index(name)] = 1
-        return cls(tuple(vars), field, {tuple(exp): 1})
+        i = tuple(vars).index(name)
+        exp = (0,) * i + (1,) + (0,) * (len(vars) - 1 - i)
+        return _form(tuple(vars), field, {exp: numerator(1, field)[0]})
 
     # -- the stored form -----------------------------------------------
 

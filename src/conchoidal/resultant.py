@@ -4,38 +4,36 @@ poly_matrix_det is the one polynomial determinant, and every resultant
 goes through it: the determinant of the Sylvester matrix of two ascending
 lists of polynomial coefficients at nominal degrees m, n >= 1, by the
 classical evaluation-interpolation scheme on one exact integer kernel.  Each
-list goes onto one denominator (fields.integer_parts); over Q(i) each
-Gaussian integer re + im i is packed into Z as re + im N, N a power of two,
-and unpacked at the end (_packed, _scalar): no step in between knows about
-i.  When every nonzero entry of each list is a form of one degree, a and b,
-the determinant is homogeneous of degree D = n a + m b.  Otherwise D is the
-caller's degree bound.  Each variable v gets an isobaric cap on deg_v of
-the determinant (_isobaric_bound, at most D); for the conchoid the cap in
-z is d delta, half of D.  In the homogeneous case a variable of largest
-cap is set to 1 and put back at the end.  The determinant is sampled on
-the lower set {p : |p| <= D, p_i <= cap_i} in the k remaining variables,
-which holds every monomial it can have, in grid lines along a remaining
-variable of largest cap.  A sample is an integer determinant of the values
-of the m + n + 2 coefficients, at most min(m, n)-square (_resultants), and
-the samples of one line run through it as one batch (_regroup).  Checked
-Newton differences on whole rows of the table of samples, one variable at
-a time, and Horner steps in the falling-factorial basis give the
-monomials (_interpolate); the list scales are divided out once at the end.
-An off-grid residual on the full Sylvester matrix guards the degree and
-the sample reduction.  One row builder lays out every Sylvester matrix,
-and only this module calls it.
+list goes onto one denominator (fields.integer_parts).  When every nonzero
+entry of each list is a form of one degree, a and b, the determinant is
+homogeneous of degree D = n a + m b, and a variable of largest cap is set
+to 1 and put back at the end; otherwise D is the caller's degree bound.
+Each variable v gets an isobaric cap on deg_v of the determinant
+(_isobaric_bound, at most D); for the conchoid the cap in z is d delta,
+half of D.  A sample is an at most min(m, n)-square integer determinant of
+the values of the m + n + 2 coefficients (_resultants), and the samples of
+one grid line, along a sampled variable of largest cap, are one batch
+(_regroup).  Kronecker substitution packs into Z at powers of N = 2^K,
+above a proven coefficient bound (_packed), either i over Q(i), where the
+lower set {p : |p| <= D, p_i <= cap_i} is sampled in grid lines and
+interpolated by checked Newton differences (_interpolate), or all sampled
+variables but the last, whose one line gives each coefficient as base-N
+digits (_packed_line).  An off-grid residual on the full Sylvester matrix
+guards the degree and the sample reduction.  One row builder lays out
+every Sylvester matrix, and only this module calls it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from math import comb, prod
 from operator import getitem, mul, sub
 from typing import List, Sequence, Tuple
 
 from .errors import DegreeBoundError, InternalError
-from .fields import FIELD_Q, FIELD_QI, GaussianRational, Scalar, _make, integer_parts
+from .fields import FIELD_Q, FIELD_QI, GaussianRational, Scalar, _make, integer_parts, onto_lcm
 from .multipoly import MultiPoly, homogeneous_decompose, merge_vars
 
 
@@ -92,7 +90,7 @@ def det_scalar(rows: List[List]) -> Scalar:
     denominator by integer_parts and the result is a Fraction, or a
     GaussianRational when any entry is one; such a matrix is packed into Z
     at i -> N = _base(row norms) and its determinant unpacked, exact as
-    _interpolated_det proves (_packed, _scalar)."""
+    _interpolated_det proves (_packed, _unpack)."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
@@ -100,9 +98,9 @@ def det_scalar(rows: List[List]) -> Scalar:
     if all(type(c) is int for c in entries):
         return _bareiss([[[c] for c in row] for row in rows])[0]
     gaussian = any(isinstance(c, GaussianRational) for c in entries)
-    ints, scale, N = _packed(rows, [1] * n, gaussian)
+    ints, scale, N = _packed([integer_parts(row) for row in rows], [1] * n)
     det = _bareiss([[[v] for v in ints[i:i + n]] for i in range(0, n * n, n)])[0]
-    return _scalar(det, scale, N)
+    return _make(*_unpack(det, N), scale) if gaussian else Fraction(det, scale)
 
 
 # -- batches: each value is a list, one entry per sample -------------------------
@@ -157,26 +155,18 @@ def _bareiss(mat: List[List[List[int]]]) -> List[int]:
 # -- Gaussian integers packed into Z --------------------------------------------
 
 
-def _packed(groups: Sequence[Sequence], counts: Sequence[int], gaussian: bool
-            ) -> Tuple[List[int], int, int]:
-    """(ints, scale, N): the values of the groups, in order, each group
-    times the lcm L of its denominators (integer_parts) and each (re, im)
-    packed as re + im N.  A group stands for counts[k] matrix rows, so the
-    scale is the product of the L^count, and N = _base of the row norms when
-    ``gaussian`` or some im part is nonzero, else 0 (no packing)."""
+def _packed(groups: Sequence[tuple], counts: Sequence[int]) -> Tuple[List[int], int, int]:
+    """(ints, scale, N): the integer (re, im) parts of the groups, each a
+    (pairs, L) over one denominator L (fields.integer_parts), in order, and
+    packed as re + im N, N = _base of the row norms.  A group stands for
+    counts[k] matrix rows, so the scale is the product of the L^count."""
     scale, pairs, norms = 1, [], []
-    for group, count in zip(groups, counts):
-        scaled, L = integer_parts(group)
+    for (scaled, L), count in zip(groups, counts):
         scale *= L ** count
         pairs += scaled
         norms += [sum(abs(re) + abs(im) for re, im in scaled)] * count
-    N = _base(norms) if gaussian or any(im for _, im in pairs) else 0
+    N = _base(norms)
     return [re + im * N for re, im in pairs], scale, N
-
-
-def _scalar(v: int, scale: int, N: int) -> Scalar:
-    """v / scale, unpacked from Z at N when N is nonzero."""
-    return _make(*_unpack(v, N), scale) if N else Fraction(v, scale)   # scale > 0
 
 
 def _base(norms: Sequence[int]) -> int:
@@ -185,16 +175,21 @@ def _base(norms: Sequence[int]) -> int:
     return 1 << (prod(norms).bit_length() + 1)
 
 
+def _digits(v: int, K: int) -> List[int]:
+    """The balanced base-2^K digits of v, K >= 2 or v = 0, in [-2^(K-1),
+    2^(K-1)) and ascending, with no division loop: 2^(K-1) added to each of
+    enough digits makes them nonnegative with no carry, and each is a K-bit
+    field of the sum, one shift and one mask."""
+    count, half, mask = abs(v).bit_length() // K + 2, 1 << (K - 1), (1 << K) - 1
+    x = v + ((1 << K * count) - 1) // mask * half
+    return [(x >> s & mask) - half for s in range(0, K * count, K)]
+
+
 def _unpack(v: int, N: int) -> Tuple[int, int]:
     """(re, im) of c(i) from v = c(N), c an integer polynomial whose
-    coefficients c_j all have |c_j| < N/2: v read as balanced base-N
-    digits, and N^j folded to i^j."""
-    digits, half = [], N // 2
-    while v:
-        digit = (v + half) % N - half           # in [-N/2, N/2)
-        digits.append(digit)
-        v = (v - digit) // N
-    return sum(digits[0::4]) - sum(digits[2::4]), sum(digits[1::4]) - sum(digits[3::4])
+    coefficients have |c_j| < N/2: its digits (_digits), N^j folded to i^j."""
+    d = _digits(v, N.bit_length() - 1)
+    return sum(d[0::4]) - sum(d[2::4]), sum(d[1::4]) - sum(d[3::4])
 
 
 # -- integer interpolation ------------------------------------------------------
@@ -310,14 +305,17 @@ def _on_line(layout: tuple, prefix: tuple, ts: Sequence[int]) -> List[List[int]]
     return out
 
 
-def _hybrid_bezout(fc: List[List[int]], gc: List[List[int]]) -> List[List[List[int]]]:
+def _hybrid_bezout(fc: List[List[int]], gc: List[List[int]], descending: bool = False
+                   ) -> List[List[List[int]]]:
     """The m-square hybrid Bezout matrices of a batch of ascending integer
     coefficient lists fc, gc at nominal degrees m >= 1 and n <= m
-    (Diaz-Toca and Gonzalez-Vega 2004), columns ascending; their
-    determinants are resultant_nominal(fc, gc).  The rows are g, u g, ...,
-    u^(m-n-1) g, then H_1, ..., H_n with H_k = u H_(k-1) + a_(m-k+1) g~ -
-    b~_(m-k+1) f, g~ = u^(m-n) g; the top coefficient of each H_k cancels,
-    so it is not computed."""
+    (Diaz-Toca and Gonzalez-Vega 2004); their determinants are
+    resultant_nominal(fc, gc).  The rows are g, u g, ..., u^(m-n-1) g, then
+    H_1, ..., H_n with H_k = u H_(k-1) + a_(m-k+1) g~ - b~_(m-k+1) f,
+    g~ = u^(m-n) g; the top coefficient of each H_k cancels, so it is not
+    computed.  The columns ascend, or descend, row 0 negated when that has
+    the sign (-1)^(m(m-1)/2) = -1, so that Bareiss pivots first on the top
+    coefficients, which have the fewest digits on a packed line."""
     m, n = len(fc) - 1, len(gc) - 1
     zero = [0] * len(fc[0])
     gt = [zero] * (m - n) + gc
@@ -329,14 +327,18 @@ def _hybrid_bezout(fc: List[List[int]], gc: List[List[int]]) -> List[List[List[i
              for hx, gy, fz in zip(h, gt, fc)]
         rows.append(h)
         h = [zero] + h[:-1]
+    rows = [row[::-1] for row in rows] if descending else rows
+    if descending and m // 2 % 2:
+        rows[0] = [[-v for v in e] for e in rows[0]]
     return rows
 
 
-def _resultants(fc: List[List[int]], gc: List[List[int]]) -> List[int]:
+def _resultants(fc: List[List[int]], gc: List[List[int]], descending: bool = False) -> List[int]:
     """resultant_nominal(fc, gc) of a batch of ascending integer value lists
     at nominal degrees m, n >= 1, from one _bareiss call per batch on
     matrices of size at most min(m, n): for m = n the hybrid Bezout
-    matrices, else one pseudo-remainder step first.
+    matrices, their columns in the order ``descending`` picks, else one
+    pseudo-remainder step first.
 
     Let f be the shorter list, at degree m < n, since
     Res_(m,n)(f, g) = (-1)^(mn) Res_(n,m)(g, f):
@@ -368,7 +370,7 @@ def _resultants(fc: List[List[int]], gc: List[List[int]]) -> List[int]:
     a^((n-m+1)(m-1)) must be exact, and a remainder is an InternalError."""
     m, n = len(fc) - 1, len(gc) - 1
     if m == n:
-        return _bareiss(_hybrid_bezout(fc, gc))
+        return _bareiss(_hybrid_bezout(fc, gc, descending))
     lists = [fc, gc]
     sign = -1 if m > n and m * n % 2 else 1
     if m > n:
@@ -382,7 +384,7 @@ def _resultants(fc: List[List[int]], gc: List[List[int]]) -> List[int]:
         return [x * y ** n for x, y in zip(lead, fc[0])]
     a = fc[m]
     if not all(a):
-        return _regroup(lambda pair: _resultants(*pair), lists, a)
+        return _regroup(lambda pair: _resultants(*pair, descending), lists, a)
     f, r, p = fc[:m + 1], list(gc), [1] * len(a)
     # step k only changes the window r[k-m:k]; the entries below it are
     # scaled lazily: r[k-m] joins the window at step k, having missed the
@@ -394,7 +396,7 @@ def _resultants(fc: List[List[int]], gc: List[List[int]]) -> List[int]:
         r[s:k] = [[u * x - v * y for u, x, v, y in zip(a, rx, c, fy)]
                   for rx, fy in zip(r[s:k], f)]
         p = [x * y for x, y in zip(p, a)]
-    dets = _bareiss(_hybrid_bezout(f, r[:m]))
+    dets = _bareiss(_hybrid_bezout(f, r[:m], descending))
     divisors = [x ** (m - 1) for x in p]
     quotients = [d // x for d, x in zip(dets, divisors)]
     if any(q * x != d for q, x, d in zip(quotients, divisors, dets)):
@@ -405,58 +407,91 @@ def _resultants(fc: List[List[int]], gc: List[List[int]]) -> List[int]:
 # -- the Sylvester determinant ---------------------------------------------------
 
 
+def _packed_line(layout: tuple, m: int, D: int, caps: List[int], K: int, error) -> dict:
+    """{(p, a): c}, the monomials p + (a,) of the det of real _layout lists
+    and their coefficients, from one batch on t = 0..caps[-1], each other
+    axis j at 2^(K w_j), w_j = prod_(i<j) (caps[i] + 1); a nonzero digit
+    past the places of the p <= caps or at |p| + a > D raises ``error``."""
+    radices = [cap + 1 for cap in caps[:-1]]
+    slots = [p[::-1] for p in product(*map(range, reversed(radices)))]
+    point = tuple(1 << K * prod(radices[:j]) for j in range(len(radices)))
+    columns = _on_line(layout, point, range(caps[-1] + 1))
+    dets = _resultants(columns[:m + 1], columns[m + 1:], descending=True)
+    terms = {}
+    for a, c in enumerate(_interpolate(dets, 1)):
+        for j, digit in enumerate(_digits(c, K)):
+            if digit:
+                if j >= len(slots) or sum(slots[j]) + a > D:
+                    raise error(f"packed term beyond the degree caps at degree {D}")
+                terms[slots[j], a] = digit
+    return terms
+
+
 def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int], hom, D: int,
                       caps: List[int], error) -> Tuple[dict, int, int]:
     """({exponent: v}, scale, N): the determinant of sylvester_rows(fc, gc)
-    has the coefficient _scalar(v, scale, N) at each exponent, in the
-    variables of the lists; it is sampled on the lower set |p| <= D,
-    p_i <= caps[i] in the variables at ``index``, in grid lines along the
-    last of them; the variable at ``hom``, if any, is 1 there and takes back
-    the exponent D - |p|.  Each list goes onto one denominator by
-    integer_parts, and the scales are divided out at the end.  When some
-    coefficient has a nonzero im part, each re + im i is packed into Z as
-    re + im N, N = _base of the Sylvester row norms (_packed), and each
-    interpolated coefficient is unpacked by _unpack (Kronecker substitution;
-    von zur Gathen and Gerhard, Modern Computer Algebra, ch. 8); real input
-    is never packed.  The residual at a point off the grid comes from
+    has the coefficient v / scale at each exponent, unpacked at N if N > 0,
+    in the variables of the lists; its monomials lie in the lower set
+    |p| <= D, p_i <= caps[i] in the variables at ``index``, and the
+    variable at ``hom``, if any, is 1 there and takes back the exponent
+    D - |p|.  Each list goes onto one denominator, and the scales are
+    divided out at the end.  Kronecker substitution (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 8) packs one thing into Z at
+    powers of N = 2^K = _base of the Sylvester row norms (_packed): i, when
+    some coefficient has a nonzero im part, and then the lower set is
+    sampled in grid lines and each coefficient unpacked by _unpack; else,
+    for two or more sampled variables, all but the last (_packed_line), and
+    N = 0 is returned.  The residual at a point off the grid comes from
     det_scalar of the full Sylvester matrix, so it also checks the sample
     reduction; if nonzero, ``error`` is raised.
 
-    Why the packing is exact.  Let P in Z[N][vars] be the Sylvester
-    determinant of the scaled lists with i replaced by a variable N.
-    Bareiss, the first-column rule, the pseudo-remainder identity and the
-    hybrid Bezout determinant hold over any commutative ring, so they hold
-    for the integer matrices at N = 2^K, the image of the ring map
-    Z[N] -> Z, and every exact division stays exact; each zero test (a zero
-    top value, a zero pivot) tests the integer matrix, which is all those
-    identities need.  So each sample is P(point; 2^K), and interpolation,
-    linear over Z, yields c(2^K) for the coefficient c in Z[N] of each
-    monomial.  The l1 norm (the sum of |re| + |im|, or of |c_j|, over the
-    terms) is subadditive and submultiplicative, so ||P||_1 <= B =
-    (sum_i ||fc_i||_1)^n (sum_j ||gc_j||_1)^m, the product over the rows of
-    the entry norms, and every digit c_j of every c has |c_j| <= B < N/2:
-    _unpack reads c exactly, and P at N = i is the Z[i] determinant.  D and
-    the caps bound P as they come from the entry degrees, which packing
-    keeps: for B > 0 each |re| + |im| <= B < N/2, so re + im N = 0 only for
-    re = im = 0, and for B = 0 a list and the determinant are 0.  A nonzero
-    c may vanish at i, as 1 + N^2 does; MultiPoly drops that 0."""
+    Why the packing is exact.  Let P be the Sylvester determinant of the
+    scaled lists in the sampled variables, hom at 1 and i a variable N.
+    A sample is an integer determinant at a point, the image of a ring map
+    to Z.  Bareiss, the first-column rule, the pseudo-remainder identity
+    and the hybrid Bezout determinant hold over any commutative ring, so
+    every exact division stays exact, and each zero test (a zero top
+    value, a zero pivot) tests the integer matrix, which is all they need.
+    So each sample is P at its point, and interpolation, linear over Z,
+    yields each coefficient there.  The l1 norm (the sum of |re| + |im|, or
+    of |c|, over the terms) is subadditive and submultiplicative and does
+    not grow when a variable is set to 1, so ||P||_1 <= B = (sum_i
+    ||fc_i||_1)^n (sum_j ||gc_j||_1)^m, the product of the row norms, and B
+    < N/2 = 2^(K-1) bounds every coefficient of P in all its variables and
+    N.  So _unpack reads the c_j of N^j in one monomial, and each
+    coefficient of t^a on the packed line, the sum of the c_(p,a) at the
+    places of their p, all in the box when the caps hold, reads back as its
+    balanced digits (_digits).  A nonzero digit past the box or outside the
+    lower set means that a cap or D was too small: ``error``, as for a
+    nonzero residual, never a wrap into another exponent; a term beyond the
+    cap of an inner packed axis lands on another place and fails the
+    residual, as grid aliasing does.  D and the caps bound P as they come
+    from the entry degrees, which packing i keeps: for B > 0 each
+    |re| + |im| <= B < N/2, so re + im N = 0 only for re = im = 0, and for
+    B = 0 a list and the determinant are 0.  A nonzero c may vanish at i,
+    as 1 + N^2 does; MultiPoly drops that 0."""
     def key(exp):
         return tuple(exp[i] for i in index[:-1]), exp[index[-1]]
 
     m, n = len(fc) - 1, len(gc) - 1                  # n rows of f, m rows of g
-    ints, scale, N = _packed([[c for e in side for c in e.terms.values()] for side in (fc, gc)],
-                             [n, m], False)
+    parts = [e.integer_parts() for e in fc + gc]
+    gaussian = any(im for p, _ in parts for _, im in p.values())
+    ints, scale, N = _packed([onto_lcm([(p.values(), L) for p, L in side])
+                              for side in (parts[:m + 1], parts[m + 1:])], [n, m])
     values = iter(ints)
-    layout = _layout([{key(exp): next(values) for exp in e.terms} for e in fc + gc])
-    prefixes = []
+    layout = _layout([{key(exp): next(values) for exp in p} for p, _ in parts])
+    if gaussian or len(caps) == 1:
+        prefixes = []
 
-    def line(prefix, length):
-        prefixes.append(prefix)
-        columns = _on_line(layout, prefix, range(length))
-        return _resultants(columns[:m + 1], columns[m + 1:])
+        def line(prefix, length):
+            prefixes.append(prefix)
+            columns = _on_line(layout, prefix, range(length))
+            return _resultants(columns[:m + 1], columns[m + 1:])
 
-    table = _interpolate(_table(D, caps, line), len(caps))
-    terms = {(p, a): c for p in prefixes for a, c in enumerate(reduce(getitem, p, table)) if c}
+        table = _interpolate(_table(D, caps, line), len(caps))
+        terms = {(p, a): c for p in prefixes for a, c in enumerate(reduce(getitem, p, table)) if c}
+    else:
+        terms = _packed_line(layout, m, D, caps, N.bit_length() - 1, error)
 
     # Residual check at a point outside the grid.
     off = (D + 1,) * (len(caps) - 1)
@@ -467,7 +502,7 @@ def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int]
     slots = index + [hom]         # p and a at index, D - |p| - a at hom, 0 elsewhere
     pick = [slots.index(i) if i in slots else len(slots) for i in range(len(fc[0].vars))]
     return {tuple(map((p + (a, D - sum(p) - a, 0)).__getitem__, pick)): c
-            for (p, a), c in terms.items()}, scale, N
+            for (p, a), c in terms.items()}, scale, N if gaussian else 0
 
 
 def _isobaric_bound(fc: List[MultiPoly], gc: List[MultiPoly], degree) -> int:
@@ -524,7 +559,7 @@ def poly_matrix_det(fc: List[MultiPoly], gc: List[MultiPoly], degree_bound: int)
                                           [caps[v] for v in axes], error)
         if field == FIELD_Q:              # the interpolated ints are the numerators
             return MultiPoly.from_numerators(vars, field, num, scale)
-        terms = {e: _scalar(c, scale, N) for e, c in num.items()}
+        terms = {e: _make(*(_unpack(c, N) if N else (c, 0)), scale) for e, c in num.items()}
     else:                    # nothing left to sample: a scalar resultant
         point = {hom: Fraction(1)} if hom else {}
         value = resultant_nominal([e.evaluate(point) for e in fc], [e.evaluate(point) for e in gc])

@@ -97,7 +97,7 @@ def test_broken_determinant_sample_is_an_internal_error(capsys, monkeypatch):
     # Each determinant of four transforms, every grid sample of each batched
     # Bareiss output and the residual, is corrupted in turn by +1, -1, +2, +6
     # and the prime 10**9 + 7, before any pseudo-remainder division, and
-    # every one of the 780 runs is an InternalError: the checked forward
+    # every one of the 375 runs is an InternalError: the checked forward
     # differences catch what their divisions would round away, the exact
     # division by a^2 of the circle x cubic samples (2x2 after a
     # pseudo-remainder step) what it leaves inexact, and the off-grid
@@ -144,12 +144,14 @@ def test_broken_determinant_sample_is_an_internal_error(capsys, monkeypatch):
         for offset in (1, -1, 2, 6, 10 ** 9 + 7):
             found = messages(B, C, offset, count)
             assert ("pseudo-remainder sample not divisible" in found) == divided
-    # ((D + 1)!)^2 = 14400, D = 4, leaves every difference of the README
-    # transform exact, so each of its 13 corrupted samples reaches the residual
+    # the README transform is real, so z is packed and its samples are one
+    # line y = 0..4 (D = 4) and the residual; D! = 24 leaves every difference
+    # of that line exact, so each of its 6 corrupted samples reaches the
+    # residual
     B, C = PlaneCurve.from_text("x^2+y^2-z^2"), PlaneCurve.from_text("x-2*z")
-    assert messages(B, C, 14400, 13) == {"interpolation residual nonzero at degree 4"}
+    assert messages(B, C, 24, 6) == {"interpolation residual nonzero at degree 4"}
     for offset, message in ((10 ** 9 + 7, "interpolation difference not divisible"),
-                            (14400, "interpolation residual nonzero")):
+                            (24, "interpolation residual nonzero")):
         calls.clear()
         corrupt[:] = [1, offset]
         code, _, err = run(capsys, "transform", "--B", "x^2+y^2-z^2", "--C", "x-2*z")

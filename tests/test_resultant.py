@@ -23,12 +23,15 @@ from conchoidal.errors import DegreeBoundError, InternalError
 from conchoidal.resultant import (
     _bareiss,
     _base,
+    _digits,
     _falling_coefficients,
     _falling_to_monomial,
     _hybrid_bezout,
     _interpolate,
+    _interpolated_det,
     _layout,
     _on_line,
+    _packed_line,
     _resultants,
     _table,
     _unpack,
@@ -561,22 +564,24 @@ def _coefficient_lists(rng, m, n, draw, zero):
 
 
 def test_hybrid_bezout_is_the_nominal_resultant():
-    # m > n and m = n over Z and Z[i], n = 0 included, against the Sylvester
-    # determinant; m < n is the same matrix of the swapped lists, with the
-    # sign (-1)^(mn).  The Z[i] lists are packed into Z at the base of their
-    # Sylvester row norms and the determinant unpacked
+    # m > n and m = n over Z and Z[i], n = 0 included, columns ascending and
+    # descending, against the Sylvester determinant; m < n is the same
+    # matrix of the swapped lists, with the sign (-1)^(mn).  The Z[i] lists
+    # are packed into Z at the base of their Sylvester row norms and the
+    # determinant unpacked
     rng = random.Random(101)
-    for m, n in product(range(1, 9), range(0, 9)):
+    for m, n, descending in product(range(1, 9), range(0, 9), (False, True)):
         sign = (-1) ** (m * n) if m < n else 1
         fc, gc = _coefficient_lists(rng, m, n, lambda: rng.randint(-6, 6), 0)
-        rows = _hybrid_bezout(_one(fc), _one(gc)) if m >= n else _hybrid_bezout(_one(gc), _one(fc))
+        lists = (_one(fc), _one(gc)) if m >= n else (_one(gc), _one(fc))
+        rows = _hybrid_bezout(*lists, descending)
         assert len(rows) == max(m, n)
         assert sign * _bareiss(rows)[0] == resultant_nominal(fc, gc)
         fc, gc = _coefficient_lists(rng, m, n, lambda: (rng.randint(-4, 4), rng.randint(-4, 4)),
                                    (0, 0))
         N = _sylvester_base(fc, gc)
         packed = _one(_pack(fc, N)), _one(_pack(gc, N))
-        rows = _hybrid_bezout(*packed) if m >= n else _hybrid_bezout(*packed[::-1])
+        rows = _hybrid_bezout(*(packed if m >= n else packed[::-1]), descending)
         re, im = _unpack(sign * _bareiss(rows)[0], N)
         gauss = [[GaussianRational(a, b) for a, b in c] for c in (fc, gc)]
         assert GaussianRational(re, im) == resultant_nominal(*gauss)
@@ -598,37 +603,40 @@ def _sizes_of_samples(monkeypatch):
 
 def test_generic_conchoid_samples_are_half_size_on_the_capped_set(monkeypatch):
     # the conchoid of two quartics has degree 32 and z-degree <= 16: at x = 1
-    # it is sampled on y + z <= 32, z <= 16, one point per possible monomial
-    # (425, not the triangle's 561), each a 4x4 hybrid Bezout determinant,
-    # in one batch per grid line z = 0..16 of 33 - z values of y, the axis
-    # of largest cap; the residual sample is the full 8x8 Sylvester matrix.
-    # B has no x^4 term, so at (y, z) = (0, 0) every Phi_i = (-1)^i C(4, i)
-    # F_4(1, 0) is 0, the first pivot of that sample is 0, and line z = 0
-    # runs again as its other 32 samples and that one
+    # the lists are real, so z is packed into Z at 2^K, one digit per
+    # z-degree 0..16, and the determinant is sampled on the one grid line
+    # y = 0..32, the axis of largest cap: 33 samples, each a 4x4 hybrid
+    # Bezout determinant, in one batch, where the lower set y + z <= 32,
+    # z <= 16 had 425 points in 17 batches; the residual sample is the full
+    # 8x8 Sylvester matrix.  Neither B nor C has an x^4 term, so at y = 0
+    # the first pivot, the top column of H_1, Phi_4 z G_3 - G_4 Phi_3 =
+    # 4 F_4 G_4 + z (F_4 G_3 + G_4 F_3) at x = 1, is 0 for every z, the
+    # packed one included, and the line runs again as its other 32 samples
+    # and that one
     rng = random.Random(103)
     B, C = random_form(rng, 4), random_form(rng, 4)
-    assert B.terms.get((4, 0, 0), 0) == 0
+    C = C - MultiPoly.make(VARS, FIELD_Q, {(4, 0, 0): C.terms.get((4, 0, 0), 0)})
+    assert B.terms.get((4, 0, 0), 0) == C.terms.get((4, 0, 0), 0) == 0
     fc, gc = conchoid_coefficients(B, C)
     sizes = _sizes_of_samples(monkeypatch)
-    poly_matrix_det(fc, gc, 32)
-    assert sum(1 for y in range(33) for z in range(17) if y + z <= 32) == \
-        sum(33 - z for z in range(17)) == 425
-    assert sizes == [(4, 33), (4, 32), (4, 1)] + [(4, 33 - z) for z in range(1, 17)] + [(8, 1)]
+    det = poly_matrix_det(fc, gc, 32)
+    assert sum(1 for y in range(33) for z in range(17) if y + z <= 32) == 425
+    assert sizes == [(4, 33), (4, 32), (4, 1), (8, 1)]
+    assert det.total_degree() == 32 and det.degree_in("z") <= 16
 
 
 def test_circle_quartic_conchoid_samples_are_two_by_two(monkeypatch):
     # the conchoid of a circle and a quartic has degree 16 and z-degree <= 8:
-    # at x = 1 it is sampled on y + z <= 16, z <= 8, each sample a 2x2 hybrid
-    # Bezout determinant after one pseudo-remainder step of the quartic's
-    # values by the circle's, in one batch per grid line z = 0..8 of 17 - z
-    # values of y; the residual sample is the full 6x6 Sylvester matrix
+    # at x = 1, with z packed, it is sampled on the one grid line y = 0..16,
+    # each sample a 2x2 hybrid Bezout determinant after one pseudo-remainder
+    # step of the quartic's values by the circle's, in one batch of 17
+    # values of y, where the lower set y + z <= 16, z <= 8 had 117 points in
+    # 9 batches; the residual sample is the full 6x6 Sylvester matrix
     rng = random.Random(109)
     fc, gc = conchoid_coefficients(parse_poly("x^2+y^2-4*z^2"), random_form(rng, 4))
     sizes = _sizes_of_samples(monkeypatch)
     poly_matrix_det(fc, gc, 16)
-    assert sum(1 for y in range(17) for z in range(9) if y + z <= 16) == \
-        sum(17 - z for z in range(9)) == 117
-    assert sizes == [(2, 17 - z) for z in range(9)] + [(6, 1)]
+    assert sizes == [(2, 17), (6, 1)]
 
 
 def _shaped_lists(draw, zero, m, n, shape):
@@ -692,8 +700,8 @@ def test_pseudo_remainder_sample_is_the_nominal_resultant(monkeypatch):
        st.booleans())
 def test_batched_kernel_matches_the_per_sample_oracle(seed, m, n, length, gaussian):
     # one grid line of 1-40 samples through the batched kernel against the
-    # per-sample kernel it replaced (sample_kernel_oracle), m = n included.
-    # Each sample takes its own shape of _shaped_lists, so zero top values
+    # per-sample kernel it replaced (sample_kernel_oracle), m = n included,
+    # the hybrid Bezout columns in either order.  Each sample takes its own shape of _shaped_lists, so zero top values
     # and zero pivots hit part of the line; values are small (many zero
     # pivots later in the elimination too) or up to 10^6.  Z[i] samples are
     # packed into Z at one base for the line, as _interpolated_det packs
@@ -702,7 +710,7 @@ def test_batched_kernel_matches_the_per_sample_oracle(seed, m, n, length, gaussi
     # random polynomial lists in (x, t) at x = 0..3, t = 0..length - 1
     # against _dets_on_line.
     rng = random.Random(seed)
-    bound = rng.choice((2, 10 ** 6))
+    bound, descending = rng.choice((2, 10 ** 6)), rng.random() < 0.5
     if gaussian:
         draw, zero = (lambda: (rng.randint(-bound, bound), rng.randint(-bound, bound))), (0, 0)
     else:
@@ -713,7 +721,8 @@ def test_batched_kernel_matches_the_per_sample_oracle(seed, m, n, length, gaussi
         N = max(_sylvester_base(fc, gc) for fc, gc in line)
         line = [(_pack(fc, N), _pack(gc, N)) for fc, gc in line]
     columns = [list(values) for values in zip(*(fc + gc for fc, gc in line))]
-    assert _resultants(columns[:m + 1], columns[m + 1:]) == [_sample(fc, gc) for fc, gc in line]
+    assert _resultants(columns[:m + 1], columns[m + 1:], descending) == \
+        [_sample(fc, gc) for fc, gc in line]
     matrices = [[[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)] for _ in range(length)]
     batch = [[[mat[i][j] for mat in matrices] for j in range(m)] for i in range(m)]
     assert _bareiss(batch) == [_det_int(mat) for mat in matrices]
@@ -721,8 +730,113 @@ def test_batched_kernel_matches_the_per_sample_oracle(seed, m, n, length, gaussi
              for _ in range(m + n + 2)]
     prefix, ts = (rng.randint(0, 3),), range(length)
     columns = _on_line(_layout([{(e[:1], e[1]): c for e, c in p.items()} for p in parts]), prefix, ts)
-    assert _resultants(columns[:m + 1], columns[m + 1:]) == \
+    assert _resultants(columns[:m + 1], columns[m + 1:], descending) == \
         _dets_on_line(parts, prefix, ts, lambda v: _sample(v[:m + 1], v[m + 1:]))
+
+
+def _integer_lists(rng, m, n, k, forms):
+    """Random integer lists at nominal degrees m, n in k >= 2 variables, as
+    {(prefix exponent, line exponent): c} parts for _layout, with (D, caps)
+    bounding their Sylvester determinant: the entries of the first list
+    have total degree <= a and degree <= a_v in each variable v, those of
+    the second <= b and b_v, so deg <= n a + m b and deg_v <= n a_v + m b_v.
+    With ``forms`` D and the caps are those bounds, as for dehomogenized
+    forms; otherwise each may exceed its bound by up to 2, as a caller's
+    bound may.  Entries are sparse, small or up to 10^6, so that zero top
+    values and zero pivots occur."""
+    a, b = rng.randint(0, 2), rng.randint(0, 2)
+    av, bv = ([rng.randint(0, d) for _ in range(k)] for d in (a, b))
+    slack = (lambda: 0) if forms else (lambda: rng.randint(0, 2))
+    D = n * a + m * b + slack()
+    caps = [min(D, n * x + m * y + slack()) for x, y in zip(av, bv)]
+    bound = rng.choice((3, 10 ** 6))
+
+    def entry(d, dv):
+        return {(e[:-1], e[-1]): rng.randint(-bound, bound)
+                for e in product(*(range(c + 1) for c in dv)) if sum(e) <= d and rng.random() < 0.6}
+
+    parts = [entry(a, av) for _ in range(m + 1)] + [entry(b, bv) for _ in range(n + 1)]
+    return parts, D, caps
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(1, 3), st.integers(2, 3),
+       st.booleans())
+def test_packed_line_matches_the_lower_set_table(seed, m, n, k, forms):
+    # real lists in k = 2 or 3 sampled variables: every axis but the last
+    # packed into Z at powers of 2^K, K from the row norms as _packed takes
+    # it, and one grid line, against the table of grid lines on the lower
+    # set, interpolated by _interpolate, that Q(i) lists still take; both
+    # equal the Sylvester determinant of the values at a point off the
+    # grid.  About 0.12 s.
+    rng = random.Random(seed)
+    parts, D, caps = _integer_lists(rng, m, n, k, forms)
+    layout = _layout(parts)
+    norms = [sum(map(abs, p.values())) for p in parts]
+    K = _base([sum(norms[:m + 1])] * n + [sum(norms[m + 1:])] * m).bit_length() - 1
+    terms = _packed_line(layout, m, D, caps, K, InternalError)
+
+    def line(prefix, length):
+        columns = _on_line(layout, prefix, range(length))
+        return _resultants(columns[:m + 1], columns[m + 1:])
+
+    table = _cells(_interpolate(_table(D, caps, line), k), k)
+    assert terms == {(p[:-1], p[-1]): c for p, c in table.items() if c}
+    point = tuple(rng.randint(-9, 9) for _ in range(k - 1))
+    t = rng.randint(-9, 9)
+    values = [v for v, in _on_line(layout, point, [t])]
+    expected = det_scalar(sylvester_rows(values[:m + 1], values[m + 1:], 0))
+    assert _on_line(_layout([terms]), point, [t]) == [[expected]]
+
+
+def test_balanced_digits_read_back_exactly():
+    # the digit reader of the packed axes at the extremes +-(2^(K-1) - 1)
+    # and -2^(K-1), with zero digits inside and on top, a negative top
+    # digit, and values whose plain base-2^K digits carry (2^K - 1 is
+    # -1 + 2^K, 2^(K-1) is -2^(K-1) + 2^K); and _unpack, which folds
+    # N^2 = -1, at coefficient sums up to N/2 - 1
+    rng = random.Random(113)
+    for K in (2, 3, 8, 13, 64, 203):
+        half = 1 << (K - 1)
+        cases = [[half - 1] * 5, [-(half - 1)] * 5, [-half, half - 1, -half], [5 % half, 0, 0, -1],
+                 [0, 0, 1], [1, -1, 1, -1], [half - 1, 1 - half, half - 1, 1 - half], [-1], []]
+        cases += [[rng.randint(-half, half - 1) for _ in range(rng.randint(1, 9))]
+                  for _ in range(20)]
+        for digits in cases:
+            got = _digits(sum(c << K * j for j, c in enumerate(digits)), K)
+            assert got[:len(digits)] == digits and not any(got[len(digits):])
+        assert _digits((1 << K) - 1, K)[:2] == [-1, 1]
+        assert _digits(half, K)[:2] == [-half, 1]
+        N = 1 << K
+        for c in ([half - 1], [1 - half], [0, half - 1], [0, 1 - half], [1, 0, 2 - half],
+                  [0, -1, 0, half - 2], [half // 2, half // 2 - 1, 0, 0, 0, 0, 0, 0]):
+            fold = (sum(c[0::4]) - sum(c[2::4]), sum(c[1::4]) - sum(c[3::4]))
+            assert _unpack(sum(x * N ** j for j, x in enumerate(c)), N) == fold
+
+
+def test_a_cap_too_small_on_a_packed_axis_raises():
+    # det [[P, 1], [0, 1]] = P for lists that are not forms, sampled in
+    # (z, y, x): z is the inner packed axis, y the outer one and x the line.
+    # With true caps P comes back; with the cap on y one too small its y^2
+    # terms land past the box of places, which the reader refuses instead of
+    # wrapping them into another exponent; so does a term beyond D; with
+    # the cap on z one too small, 5 z^2 lands on the place of y, inside the
+    # box, and the off-grid residual refuses that
+    x, y, z = (MultiPoly.variable(v, VARS) for v in VARS)
+    one, zero = MultiPoly.constant(1, VARS), MultiPoly.zero(VARS)
+
+    def det(P, D, caps):
+        num, scale, N = _interpolated_det([one, P], [one, zero], [2, 1, 0], None, D, caps,
+                                          DegreeBoundError)
+        return MultiPoly.from_numerators(VARS, FIELD_Q, num, scale)
+
+    P = x + 3 * y ** 2 * z ** 2 - 2 * y * z + 5 * z ** 2
+    assert det(P, 4, [2, 2, 1]) == P
+    for D, caps in ((4, [2, 1, 1]), (3, [2, 2, 1])):
+        with pytest.raises(DegreeBoundError, match="beyond the degree caps"):
+            det(P, D, caps)
+    with pytest.raises(DegreeBoundError, match="interpolation residual nonzero"):
+        det(x + 5 * z ** 2, 4, [1, 2, 1])
 
 
 def _capped(f, var, cap):
