@@ -156,9 +156,6 @@ class Scene:
 
     base_curve: PlaneCurve
     warnings: List[str] = dc_field(default_factory=list)
-    # the factor blocks of the base's top form, by field, as
-    # transform.extract_known_components factors them once per field
-    top_blocks: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = self.base_curve.equation

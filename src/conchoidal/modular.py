@@ -1,10 +1,12 @@
-"""Modular images: the mod-p helpers and Brown's dense modular gcd.
+"""The one layer of arithmetic modulo p or p^k, and Brown's dense modular gcd.
 
-The root finder (``roots``) and the multivariate gcd (``gcd``) share the
-helpers here: reduction of integer coefficient lists modulo p, Horner
-evaluation, the monic univariate Euclidean gcd mod p (the only Euclid in
-the package), the prime search and the square root of -1 modulo a prime
-p = 1 (mod 4).
+Dense integer coefficient lists modulo m: reduction, Horner evaluation,
+product, division, the monic Euclidean gcd mod p (the only Euclid in the
+package), the squarefree test and the Newton lift of a simple root.
+Q(i) goes to Z/m by i -> s and i -> -s, s^2 = -1: ``gaussian_primes``
+yields the primes p = 1 (mod 4) with their s, ``embed`` maps Gaussian
+integers and ``recombine`` gives back their parts from the two images.
+``roots`` and ``gcd`` take every residue here.
 
 ``modular_gcd`` is Brown's dense modular algorithm (Brown 1971, "On
 Euclid's algorithm and the computation of polynomial greatest common
@@ -13,8 +15,7 @@ divisors", JACM 18).  The inputs are read once as integer parts
 variable z is set to 1 and the gcd gets back the smaller of the two
 z-valuations.  Images are taken at a fixed sequence of primes
 p = 1 (mod 4).  Over Q(i) each prime gives two images, one for each
-embedding i -> +s and i -> -s with s^2 = -1 (mod p), whose half-sum and
-half-difference over s are the real and imaginary parts.
+embedding, recombined into the real and imaginary parts.
 Modulo p the gcd is computed recursively: the last variable is evaluated
 at a fixed sequence of points, each image is scaled to gamma(point) with
 gamma the gcd of the two leading coefficients, and the images are
@@ -33,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 from math import gcd as int_gcd, isqrt
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import InternalError
 from .fields import FIELD_Q, GaussianRational, join_fields
@@ -42,7 +43,7 @@ from .multipoly import MultiPoly, merge_vars, poly_exact_div
 Exp = Tuple[int, ...]
 
 
-# -- shared helpers ---------------------------------------------------------------
+# -- dense univariate arithmetic mod m ---------------------------------------------
 
 
 def int_poly_mod(coeffs: List[int], p: int) -> List[int]:
@@ -52,6 +53,38 @@ def int_poly_mod(coeffs: List[int], p: int) -> List[int]:
     return out
 
 
+def horner_mod(coeffs: List[int], x: int, m: int) -> int:
+    total = 0
+    for c in reversed(coeffs):
+        total = (total * x + c) % m
+    return total
+
+
+def _umul(a: List[int], b: List[int], p: int) -> List[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _uquo_rem(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
+    """Quotient and remainder of a by b modulo p, b[-1] a unit; the
+    remainder is trimmed, [] when b divides a."""
+    r = list(a)
+    inv = pow(b[-1], -1, p)
+    db = len(b) - 1
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db] * inv % p
+        q[k] = c
+        if c:
+            for i in range(db):
+                r[k + i] = (r[k + i] - c * b[i]) % p
+    return q, int_poly_mod(r[:db], p)
+
+
 def poly_gcd_mod_p(a: List[int], b: List[int], p: int) -> List[int]:
     """The monic gcd of two dense coefficient lists modulo p; [] when both
     are zero."""
@@ -59,15 +92,37 @@ def poly_gcd_mod_p(a: List[int], b: List[int], p: int) -> List[int]:
         a, b = b, _uquo_rem(a, b, p)[1]
     if not a:
         return a
-    inv = pow(a[-1], p - 2, p)
+    inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 
 
-def horner_mod(coeffs: List[int], x: int, m: int) -> int:
-    total = 0
-    for c in reversed(coeffs):
-        total = (total * x + c) % m
-    return total
+def _deriv(coeffs: List[int]) -> List[int]:
+    return [i * c for i, c in enumerate(coeffs)][1:]
+
+
+def squarefree_mod_p(coeffs: List[int], p: int) -> bool:
+    """True when the integer polynomial is squarefree modulo p."""
+    c = int_poly_mod(coeffs, p)
+    return len(poly_gcd_mod_p(c, int_poly_mod(_deriv(c), p), p)) == 1
+
+
+def lift_root(coeffs: List[int], r: int, p: int, m: int) -> int:
+    """Newton-lift a root r of f mod p with f'(r) a unit mod p to the root
+    mod m = p**(2**j) that it determines."""
+    dcoeffs = _deriv(coeffs)
+    modulus = p
+    while modulus < m:
+        modulus = modulus * modulus
+        fr = horner_mod(coeffs, r, modulus)
+        dr = horner_mod(dcoeffs, r, modulus)
+        r = (r - fr * pow(dr, -1, modulus)) % modulus
+    return r
+
+
+def symmetric_mod(x: int, m: int) -> int:
+    """The residue of x modulo m in (-m/2, m/2]."""
+    x %= m
+    return x - m if 2 * x > m else x
 
 
 def rat_reconstruct(a: int, m: int, num_bound: int, den_bound: int
@@ -88,6 +143,9 @@ def rat_reconstruct(a: int, m: int, num_bound: int, den_bound: int
     return Fraction(r1, s1)
 
 
+# -- primes p = 1 (mod 4), the two images of Q(i), fixed primes and points --------
+
+
 def next_prime(n: int) -> int:
     """The smallest prime greater than n."""
     if n < 2:
@@ -98,18 +156,34 @@ def next_prime(n: int) -> int:
     return candidate
 
 
-def sqrt_minus_one(p: int) -> int:
-    """A square root of -1 modulo a prime p = 1 (mod 4): c^((p-1)/4) for the
-    first quadratic nonresidue c."""
-    c = next(c for c in count(2) if pow(c, (p - 1) // 2, p) == p - 1)
-    return pow(c, (p - 1) // 4, p)
+def gaussian_primes(n: int) -> Iterator[Tuple[int, int]]:
+    """The primes p = 1 (mod 4) above n, ascending, each with the square
+    root s = c^((p-1)/4) of -1 modulo p, c the first quadratic nonresidue."""
+    p = n
+    while True:
+        p = next_prime(p)
+        if p % 4 == 1:
+            c = next(c for c in count(2) if pow(c, (p - 1) // 2, p) == p - 1)
+            yield p, pow(c, (p - 1) // 4, p)
 
 
-# -- fixed primes and points --------------------------------------------------------
+def embed(pairs: Iterable[Tuple[int, int]], s: int, m: int) -> List[int]:
+    """The images re + im*s modulo m of Gaussian integers (re, im): the
+    ring map i -> s, Z[i] -> Z/m, when s^2 = -1 (mod m)."""
+    return [(re + im * s) % m for re, im in pairs]
+
+
+def recombine(u: int, w: int, s: int, m: int) -> Tuple[int, int]:
+    """(re, im) modulo an odd m from u = re + im*s and w = re - im*s, s^2 = -1
+    (mod m): their half-sum, and their difference over 2s, (w - u) s / 2."""
+    half = (m + 1) // 2
+    return (u + w) * half % m, (w - u) * s * half % m
+
 
 _PRIME_START = 10 ** 9
 _POINT_STEP = 123456791   # a prime below every gcd prime, so k -> k*step is injective mod p
-_PRIMES: List[Tuple[int, int]] = []   # (p, s) with p = 1 (mod 4) and s^2 = -1 (mod p)
+_PRIMES = gaussian_primes(_PRIME_START)
+_GCD_PRIMES: List[Tuple[int, int]] = []   # the first (p, s) of _PRIMES, as they are needed
 _MAX_SKIPPED = 32   # bad or unlucky primes, or points in one prime: finitely many
 
 
@@ -121,42 +195,12 @@ def _skip(skipped: int, what: str) -> int:
 
 def _gcd_prime(k: int) -> Tuple[int, int]:
     """The k-th gcd prime (from 0) and its square root of -1; computed once."""
-    while len(_PRIMES) <= k:
-        p = _PRIMES[-1][0] if _PRIMES else _PRIME_START
-        while True:
-            p = next_prime(p)
-            if p % 4 == 1:
-                break
-        _PRIMES.append((p, sqrt_minus_one(p)))
-    return _PRIMES[k]
+    while len(_GCD_PRIMES) <= k:
+        _GCD_PRIMES.append(next(_PRIMES))
+    return _GCD_PRIMES[k]
 
 
-# -- dense univariate arithmetic mod p -------------------------------------------------
-
-
-def _umul(a: List[int], b: List[int], p: int) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _uquo_rem(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
-    """Quotient and remainder of a by b modulo p, b[-1] a unit; the
-    remainder is trimmed, [] when b divides a."""
-    r = list(a)
-    inv = pow(b[-1], p - 2, p)
-    db = len(b) - 1
-    q = [0] * max(len(r) - db, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + db] * inv % p
-        q[k] = c
-        if c:
-            for i in range(db):
-                r[k + i] = (r[k + i] - c * b[i]) % p
-    return q, int_poly_mod(r[:db], p)
+# -- Brown's dense gcd modulo p ----------------------------------------------------
 
 
 def _ucontent(coeffs: Dict[Exp, List[int]], p: int) -> List[int]:
@@ -166,9 +210,6 @@ def _ucontent(coeffs: Dict[Exp, List[int]], p: int) -> List[int]:
         if len(acc) == 1:
             break
     return acc
-
-
-# -- Brown's dense gcd modulo p ----------------------------------------------------
 
 
 def _split_last(a: Dict[Exp, int]) -> Dict[Exp, List[int]]:
@@ -198,7 +239,7 @@ def _join_last(a: Dict[Exp, List[int]], c: List[int], p: int) -> Dict[Exp, int]:
         for j, x in enumerate(_umul(v, c, p)):
             if x:
                 out[k + (j,)] = x
-    inv = pow(out[max(out)], p - 2, p)
+    inv = pow(out[max(out)], -1, p)
     return {e: x * inv % p for e, x in out.items()}
 
 
@@ -237,7 +278,7 @@ def _pgcd(a: Dict[Exp, int], b: Dict[Exp, int], n: int, p: int) -> Dict[Exp, int
         elif m > lead:
             skipped = _skip(skipped, "points")
             continue
-        inv = pow(horner_mod(q, alpha, p), p - 2, p)
+        inv = pow(horner_mod(q, alpha, p), -1, p)
         for key in set(H) | set(image):
             h = H.get(key, [])
             d = (g_alpha * image.get(key, 0) - horner_mod(h, alpha, p)) * inv % p
@@ -262,15 +303,6 @@ def _scaled(f: MultiPoly, keep: List[int]) -> Dict[Exp, Tuple[int, int]]:
     return {tuple(e[i] for i in keep): pair for e, pair in parts.items()}
 
 
-def _embed(a: Dict[Exp, Tuple[int, int]], p: int, s: int) -> Dict[Exp, int]:
-    out = {}
-    for e, (re, im) in a.items():
-        c = (re + im * s) % p
-        if c:
-            out[e] = c
-    return out
-
-
 def _image(a, b, n: int, p: int, s: int, gaussian: bool
            ) -> Optional[Dict[Exp, Tuple[int, int]]]:
     """The lex-monic gcd modulo p as residues of (real, imaginary) parts,
@@ -278,7 +310,7 @@ def _image(a, b, n: int, p: int, s: int, gaussian: bool
     Q(i) disagree on the leading monomial."""
     images = []
     for t in ((s, p - s) if gaussian else (0,)):
-        fa, fb = _embed(a, p, t), _embed(b, p, t)
+        fa, fb = ({e: c for e, c in zip(x, embed(x.values(), t, p)) if c} for x in (a, b))
         if not fa or not fb or max(fa) != max(a) or max(fb) != max(b):
             return None
         images.append(_pgcd(fa, fb, n, p))
@@ -287,10 +319,7 @@ def _image(a, b, n: int, p: int, s: int, gaussian: bool
     u, w = images
     if max(u) != max(w):
         return None
-    half, half_s = pow(2, p - 2, p), pow(2 * s, p - 2, p)
-    return {e: ((u.get(e, 0) + w.get(e, 0)) * half % p,
-                (u.get(e, 0) - w.get(e, 0)) * half_s % p)
-            for e in set(u) | set(w)}
+    return {e: recombine(u.get(e, 0), w.get(e, 0), s, p) for e in set(u) | set(w)}
 
 
 def _reconstruct(residues: Dict[Exp, Tuple[int, int]], m: int
@@ -355,7 +384,7 @@ def modular_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         if lead is None or m < lead:
             residues, modulus, lead = image, p, m
         else:
-            inv = pow(modulus, p - 2, p)
+            inv = pow(modulus, -1, p)
             combined = {}
             for e in set(residues) | set(image):
                 old, new = residues.get(e, (0, 0)), image.get(e, (0, 0))
@@ -424,8 +453,7 @@ def _line_image(h: MultiPoly, keep: int, p: int, s: int) -> Optional[List[int]]:
     rows = [(k, [pow(_POINT_STEP * (k + 1), j, p) for j in range(max(e[k] for e in parts) + 1)])
             for k in range(len(h.vars)) if k != keep]
     out = [0] * (max(e[keep] for e in parts) + 1)
-    for e, (a, b) in parts.items():
-        r = (a + b * s) % p
+    for e, r in zip(parts, embed(parts.values(), s, p)):
         for k, row in rows:
             r = r * row[e[k]] % p
         out[e[keep]] += r

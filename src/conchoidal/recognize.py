@@ -69,7 +69,7 @@ def iterated_conchoid(spec: CircleSpec, C: PlaneCurve, n: int) -> Divisor:
     if tuple(Fraction(c) for c in spec.center) != (Fraction(0), Fraction(0)):
         raise ValueError("iterated conchoids are defined for circles centered at the origin")
     base = spec.curve()
-    scene = Scene(base)
+    scene, blocks = Scene(base), {}
     if n == 1:
         return extract_known_components(conchoidal_transform(base, C), scene, C)
     prevprev = C                                       # C_(k-2)
@@ -77,7 +77,7 @@ def iterated_conchoid(spec: CircleSpec, C: PlaneCurve, n: int) -> Divisor:
     div: Optional[Divisor] = None
     for k in range(2, n + 1):
         T = conchoidal_transform(base, prev)
-        div = extract_known_components(T, scene, C=prevprev)
+        div = extract_known_components(T, scene, C=prevprev, blocks=blocks)
         resid = div.residual()
         bk = CircleSpec((Fraction(0), Fraction(0)), Fraction(spec.r2) * k * k).curve()
         expected = conchoidal_transform(bk, C).equation
@@ -287,19 +287,20 @@ def _line_radius_filter(D: PlaneCurve, A: Tuple[Scalar, Scalar], delta: int
 
 
 def _verified_candidate(D: PlaneCurve, A: Tuple[Fraction, Fraction], r2: Fraction,
-                        proper: bool) -> Optional[MultiPoly]:
+                        proper: bool, blocks: Optional[dict] = None) -> Optional[MultiPoly]:
     """A source curve for D about A with squared radius r2, verified by a
     forward conchoid and moved back to A, or None.  The candidates are the
     double component of the proper part of the conchoid of D (D a whole
     conchoid) and, in proper mode, the sheet components of D's own split
     witness (D a single component).  A candidate is accepted when its
     conchoid is proportional to D (complete mode), or when D divides the
-    proper part of its conchoid (proper mode)."""
+    proper part of its conchoid (proper mode).  ``blocks`` keeps the factor
+    blocks of the circles' one top form (``extract_known_components``)."""
     origin = (Fraction(0), Fraction(0))
     Dc = recenter(D, A)
     B = CircleSpec(origin, r2).curve()
     scene = Scene(B)
-    resid = extract_known_components(conchoidal_transform(B, Dc), scene).residual()
+    resid = extract_known_components(conchoidal_transform(B, Dc), scene, blocks=blocks).residual()
     double = None if resid is None else _double_component(resid)
     candidates: List[MultiPoly] = [] if double is None else [double]
     if proper:
@@ -316,7 +317,7 @@ def _verified_candidate(D: PlaneCurve, A: Tuple[Fraction, Fraction], r2: Fractio
         except (ConchoidError, ValueError):
             continue
         if proper:
-            resid = extract_known_components(T, scene).residual()
+            resid = extract_known_components(T, scene, blocks=blocks).residual()
             ok = resid is not None and poly_exact_div(resid, Dc.equation) is not None
         else:
             ok = T.equation.proportional_to(Dc.equation)
@@ -331,7 +332,7 @@ def _search(report: RecognitionReport, D: PlaneCurve,
     line filter first in complete mode, and finish the report: "yes" with
     the first verified witness, otherwise "inconclusive"."""
     verification = "pattern-verification" if proper else "witness-verification"
-    any_radii = False
+    any_radii, blocks = False, {}
     for A in centers:
         radii, _ = candidate_radii(D, A)
         if not radii:
@@ -339,7 +340,7 @@ def _search(report: RecognitionReport, D: PlaneCurve,
         any_radii = True
         admits = (lambda r2: True) if proper else _line_radius_filter(D, A, D.degree // 4)
         for r2 in radii:
-            witness = _verified_candidate(D, A, r2, proper) if admits(r2) else None
+            witness = _verified_candidate(D, A, r2, proper, blocks) if admits(r2) else None
             if witness is not None:
                 center = f"center ({A[0]}, {A[1]})"
                 if proper:

@@ -34,6 +34,7 @@ from typing import List, Sequence, Tuple
 
 from .errors import DegreeBoundError, InternalError
 from .fields import FIELD_Q, FIELD_QI, GaussianRational, Scalar, _make, integer_parts, onto_lcm
+from .modular import symmetric_mod
 from .multipoly import MultiPoly, homogeneous_decompose, merge_vars
 
 
@@ -187,9 +188,12 @@ def _digits(v: int, K: int) -> List[int]:
 
 def _unpack(v: int, N: int) -> Tuple[int, int]:
     """(re, im) of c(i) from v = c(N), c an integer polynomial whose
-    coefficients have |c_j| < N/2: its digits (_digits), N^j folded to i^j."""
-    d = _digits(v, N.bit_length() - 1)
-    return sum(d[0::4]) - sum(d[2::4]), sum(d[1::4]) - sum(d[3::4])
+    coefficients add up to |c|_1 <= B < N/2, the bound _interpolated_det
+    proves.  N^2 = -1 modulo M = N^2 + 1, so v = re + im N (mod M), and
+    |re| + |im| <= |c|_1 gives |re + im N| <= B N < M/2: the balanced
+    residue of v is re + im N itself, unique, and |re| < N/2 reads it back."""
+    x = symmetric_mod(v, N * N + 1) + N // 2
+    return x % N - N // 2, x // N
 
 
 # -- integer interpolation ------------------------------------------------------
@@ -458,10 +462,10 @@ def _interpolated_det(fc: List[MultiPoly], gc: List[MultiPoly], index: List[int]
     not grow when a variable is set to 1, so ||P||_1 <= B = (sum_i
     ||fc_i||_1)^n (sum_j ||gc_j||_1)^m, the product of the row norms, and B
     < N/2 = 2^(K-1) bounds every coefficient of P in all its variables and
-    N.  So _unpack reads the c_j of N^j in one monomial, and each
-    coefficient of t^a on the packed line, the sum of the c_(p,a) at the
-    places of their p, all in the box when the caps hold, reads back as its
-    balanced digits (_digits).  A nonzero digit past the box or outside the
+    N.  So _unpack reads c(i) from c(N) in one monomial, as |c|_1 <= B,
+    and each coefficient of t^a on the packed line, the sum of the c_(p,a)
+    at the places of their p, all in the box when the caps hold, reads back
+    as its balanced digits (_digits).  A nonzero digit past the box or outside the
     lower set means that a cap or D was too small: ``error``, as for a
     nonzero residual, never a wrap into another exponent; a term beyond the
     cap of an inner packed axis lands on another place and fails the

@@ -6,7 +6,8 @@ gcds, squarefree parts, multiplicities and divisions below are those of
 one algorithm, p-adic lifting (Loos 1983) at a prime p = 1 (mod 4), where
 both embeddings i -> +s and i -> -s of Q(i) exist (``_lifted_roots``);
 each candidate is kept with its exact ``gcd.multiplicity_of_factor``.
-The modular helpers live in ``modular``, shared with the multivariate gcd.
+Every residue (the lifting prime, the images i -> +-s, the Newton lift and
+the recombination) comes from ``modular``, shared with the multivariate gcd.
 
 ``solve_zero_dim`` is the one solver for small polynomial systems in two
 unknowns (pairwise resultants, then ``common_roots`` on the gcd of the
@@ -20,7 +21,7 @@ root-free quartic into two quadratics in ``factor_binary_form``;
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd as int_gcd
 from typing import List, Optional, Sequence, Tuple
 
@@ -36,32 +37,12 @@ from .fields import (
     to_scalar,
 )
 from .gcd import multiplicity_of_factor, poly_gcd, squarefree_decompose_uni, squarefree_part
-from .modular import _scaled, horner_mod, int_poly_mod, next_prime, poly_gcd_mod_p, sqrt_minus_one
+from .modular import (
+    _scaled, embed, gaussian_primes, horner_mod, lift_root, recombine, squarefree_mod_p,
+    symmetric_mod,
+)
 from .multipoly import MultiPoly, poly_exact_div
 from .resultant import sylvester_resultant
-
-
-def _deriv_int(coeffs: List[int]) -> List[int]:
-    return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def _lift_root(coeffs: List[int], r: int, p: int, m: int) -> int:
-    """Newton-lift a root r of f mod p with f'(r) a unit mod p to the root
-    mod m = p**(2**j) that it determines."""
-    dcoeffs = _deriv_int(coeffs)
-    modulus = p
-    while modulus < m:
-        modulus = modulus * modulus
-        fr = horner_mod(coeffs, r, modulus)
-        dr = horner_mod(dcoeffs, r, modulus)
-        r = (r - fr * pow(dr, -1, modulus)) % modulus
-    return r
-
-
-def _squarefree_mod_p(coeffs: List[int], p: int) -> bool:
-    """True when the integer polynomial is squarefree modulo p."""
-    c = int_poly_mod(coeffs, p)
-    return len(poly_gcd_mod_p(c, int_poly_mod(_deriv_int(c), p), p)) == 1
 
 
 def _split_prime(w: List[Tuple[int, int]], signs: Tuple[int, ...]) -> Tuple[int, int]:
@@ -76,14 +57,8 @@ def _split_prime(w: List[Tuple[int, int]], signs: Tuple[int, ...]) -> Tuple[int,
     norm2 = sum(a * a + b * b for a, b in w)
     dnorm2 = sum(k * k * (a * a + b * b) for k, (a, b) in enumerate(w))
     budget = norm.bit_length() + (n - 1) * norm2.bit_length() + n * dnorm2.bit_length()
-    p = 1
-    for _ in range(budget + 1):
-        p = next_prime(p)
-        while p % 4 != 1:
-            p = next_prime(p)
-        s = sqrt_minus_one(p)
-        if norm % p and all(_squarefree_mod_p([a + sign * s * b for a, b in w], p)
-                            for sign in signs):
+    for p, s in islice(gaussian_primes(1), budget + 1):
+        if norm % p and all(squarefree_mod_p(embed(w, sign * s, p), p) for sign in signs):
             return p, s
     raise InternalError(f"no lifting prime among the first {budget + 1} primes p = 1 (mod 4)")
 
@@ -119,23 +94,15 @@ def _lifted_roots(f: MultiPoly, field: str) -> List[Scalar]:
     m = p
     while m <= 2 * bound:
         m *= m
-    s = _lift_root([1, 0, 1], s, p, m)
+    s = lift_root([1, 0, 1], s, p, m)
     gammas = []      # sigma(gamma) = sigma(w_n) r+, then tau(gamma) = tau(w_n) r-
     for sign in signs:
-        image = [(a + sign * s * b) % m for a, b in w]
-        gammas.append([image[n] * _lift_root(image, r, p, m) % m
+        image = embed(w, sign * s, m)
+        gammas.append([image[n] * lift_root(image, r, p, m) % m
                        for r in range(p) if not horner_mod(image, r, p)])
-
-    def symmetric(x: int) -> int:
-        x %= m
-        return x - m if 2 * x > m else x
-
-    if field == FIELD_Q:
-        pairs = [(symmetric(x), 0) for x in gammas[0]]
-    else:
-        half, half_s = pow(2, -1, m), pow(2 * s, -1, m)
-        pairs = [(symmetric((x + y) * half), symmetric((x - y) * half_s))
-                 for x in gammas[0] for y in gammas[1]]
+    pairs = ([(x, 0) for x in gammas[0]] if field == FIELD_Q
+             else [recombine(x, y, s, m) for x in gammas[0] for y in gammas[1]])
+    pairs = [(symmetric_mod(re, m), symmetric_mod(im, m)) for re, im in pairs]
     lead = GaussianRational(*w[n])
     return [to_scalar(GaussianRational(re, im) / lead, field)
             for re, im in pairs if abs(re) <= bound and abs(im) <= bound]

@@ -130,16 +130,18 @@ def infinity_restriction(f: PlaneCurve) -> MultiPoly:
 
 # -- divisor extraction ---------------------------------------------------------
 
-
-def extract_known_components(R: PlaneCurve, scene: Scene,
-                             C: Optional[PlaneCurve] = None) -> Divisor:
+def extract_known_components(R: PlaneCurve, scene: Scene, C: Optional[PlaneCurve] = None,
+                             blocks: Optional[dict] = None) -> Divisor:
     """Repeatedly exact-divide R by the base curve, by z, by each
     irreducible-over-the-field factor block of the base's top form (the
     lines joining A to the points of B at infinity, conjugates kept as one
-    block, factored once per scene and field), and optionally by the input
-    curve C.  The residual is the proper conchoid.  The line images of h
-    are kept while h is unchanged, and R.equation, monic as every curve
-    equation, is its own residual when nothing divides it."""
+    block), and optionally by the input curve C.  The residual is the
+    proper conchoid.  The line images of h are kept while h is unchanged,
+    and R.equation, monic as every curve equation, is its own residual
+    when nothing divides it.  ``blocks``, when given, keeps the factor
+    blocks by (top form, field) across the calls of one question, whose
+    bases share a top form (recognition's circles: x^2 + y^2).  The field
+    is in the key: a Q form equals and hashes as its Q(i) promotion."""
     h = R.equation
     comps: List[DivisorComponent] = []
     images: dict = {}                 # line images of h
@@ -154,10 +156,10 @@ def extract_known_components(R: PlaneCurve, scene: Scene,
 
     strip(scene.base_curve.equation, "base")
     strip(MultiPoly.variable("z", CURVE_VARS, h.field), "linf")
-    if h.field not in scene.top_blocks:
-        top = scene.base_curve.top_form().promote(h.field)
-        scene.top_blocks[h.field] = factor_binary_form(top)[1]
-    for block, _ in scene.top_blocks[h.field]:
+    top, blocks = scene.base_curve.top_form(), {} if blocks is None else blocks
+    if (top, h.field) not in blocks:
+        blocks[top, h.field] = factor_binary_form(top.promote(h.field))[1]
+    for block, _ in blocks[top, h.field]:
         strip(block.with_vars(CURVE_VARS), "lineblock")
     if C is not None:
         strip(C.equation, "input")

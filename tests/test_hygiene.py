@@ -5,10 +5,11 @@ Q and Q(i) that takes each grid line as one batch, one interpolation of
 the table of lines, one gcd, one exact division, one substitution, one
 Q(i) scalar, one root finder, one quartic splitter, one double-component
 search, one splitting finisher for both parities, one recognition
-verifier, one polynomial type with one stored form and one
-common-denominator conversion; no module imports a name it never uses;
-every private module-level function is used; and every function the
-benchmark's tracer wraps by name still exists."""
+verifier, one polynomial type with one stored form, one
+common-denominator conversion and one layer of modular arithmetic; no
+module imports a name it never uses; every private module-level function
+is used; and every function the benchmark's tracer wraps by name still
+exists."""
 
 import ast
 import importlib
@@ -226,6 +227,18 @@ def test_one_integer_form():
     hits = [h for h in _source_hits(LCM_CALL) if not h.startswith("fields.py:")
             and not (h.startswith("plotting.py:") and GRID_DENOMINATOR in h)]
     assert not hits, "a common denominator taken outside fields.integer_parts:\n" + "\n".join(hits)
+
+
+def test_modular_arithmetic_is_one_module():
+    # a three-argument pow (a modular inverse or power) computes modulo m,
+    # which only modular.py does: roots and gcd take their residues there
+    hits = []
+    for path in sorted(Path(conchoidal.__file__).parent.glob("*.py")):
+        if path.name != "modular.py":
+            hits += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow"
+                     and len(node.args) == 3]
+    assert not hits, "modular arithmetic outside modular.py:\n" + "\n".join(hits)
 
 
 def test_traced_layers_resolve():

@@ -328,7 +328,7 @@ def test_degree_one_roots():
 
 def test_lifting_prime_search_is_bounded(monkeypatch):
     # every prime fails the squarefree test: the search stops at its budget
-    monkeypatch.setattr("conchoidal.roots._squarefree_mod_p", lambda coeffs, p: False)
+    monkeypatch.setattr("conchoidal.roots.squarefree_mod_p", lambda coeffs, p: False)
     for f, field in ((uni([-2, 0, 1]), FIELD_Q), (uni([1, 0, 1]), FIELD_QI),
                      (uni([GaussianRational(1, 1), 10 ** 20], FIELD_QI), FIELD_QI)):
         with pytest.raises(InternalError):
